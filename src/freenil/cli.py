@@ -6,13 +6,15 @@ arguments agree bit for bit once the timing field is stripped, and item
 order follows declaration order, never completion order.
 
 Exit codes: 0 every check passed, 1 a check failed, 2 usage or parse
-error, 3 a configured resource ceiling was hit (the partial report is
-still printed), 4 an internal invariant was violated.
+error, 3 a resource ceiling was hit, or memory or the recursion depth ran
+out (the partial report is still printed), 4 an internal invariant was
+violated.
 
 Resource ceilings come from the FREENIL_LIMITS environment variable,
 e.g. ``FREENIL_LIMITS="n=64,l=16,dim=128"``: ``n`` bounds the twisted-ring
 suite sizes, ``l`` the word-enumeration length budget, and ``dim`` the
-total dimension of loaded nil objects.
+total dimension of loaded nil objects.  ``words`` also has fixed work
+budgets on the class census and on the brute-force word count.
 
 Input files may be given by path, or by the bare name of a shipped sample
 (``dinf``, ``s3z2``, ``bs12``, ``s3``, ``nil_example``).
@@ -84,12 +86,17 @@ def read_limits(env=os.environ) -> Limits:
     return Limits(**values)
 
 
-def ensure_within(value: int, ceiling: int, what: str) -> None:
+def ensure_within(value: int, ceiling: int, what: str,
+                  hint: str = "set FREENIL_LIMITS to go higher") -> None:
     if value > ceiling:
-        raise LimitExceeded(
-            f"{what} {value} exceeds the configured ceiling {ceiling};"
-            " set FREENIL_LIMITS to go higher"
-        )
+        raise LimitExceeded(f"{what} {value} exceeds the configured ceiling {ceiling}; {hint}")
+
+
+# Fixed work budgets for `words`, checked before any enumeration so that
+# every accepted command ends in seconds: the sieve's output is the class
+# census, and the brute-force class check walks every word up to the bound.
+WORDS_CENSUS_BUDGET = 200_000
+WORDS_BRUTE_FORCE_BUDGET = 1_000_000
 
 
 def _resolve_input(path_text: str):
@@ -124,8 +131,11 @@ def _load_tagged(args):
 # the stable letter and its inverse and anything else names a base element;
 # amalgam tokens carry a factor tag, 1:ELEMENT or 2:ELEMENT.  Commas inside
 # an element stand for spaces, so multi-generator elements stay one token.
+# The text "1" alone is the identity word in either construction.
 
 def parse_word_tokens(construction, text: str):
+    if isinstance(construction, Amalgam) and text.strip() == "1":
+        return []  # the identity, as `render_word` prints it
     tokens = []
     for raw in text.split():
         if isinstance(construction, HNN):
@@ -175,13 +185,17 @@ def run_words(args, report: Report, limits: Limits) -> None:
     )
     alphabet = Alphabet(args.alphabet.split(","))
     ensure_within(args.bound, limits.l, "length bound")
+    k, lengths = len(alphabet), range(1, args.bound + 1)
+    census = sum(aperiodic_necklace_count(k, n) for n in lengths)
+    fixed = "this work budget is fixed"
+    ensure_within(census, WORDS_CENSUS_BUDGET, "class census", fixed)
+    if verify or args.mode == "enumerate":
+        brute = sum(k**n for n in lengths)
+        ensure_within(brute, WORDS_BRUTE_FORCE_BUDGET, "brute-force word count", fixed)
     if args.mode == "enumerate":
         words_out = sorted(primitive_classes(alphabet, args.bound), key=alphabet.sort_key)
     else:
         _, words_out = sieve(alphabet, args.bound)
-    census = sum(
-        aperiodic_necklace_count(len(alphabet), n) for n in range(1, args.bound + 1)
-    )
     report.add("word count matches the class census", census, len(words_out))
     if verify:
         report.extend(verify_admissible(words_out, alphabet, args.bound))
@@ -549,6 +563,11 @@ def main(argv=None) -> int:
     except LimitExceeded as exc:
         report.status = "error"
         report.data["limit"] = str(exc)
+        return _emit(report, args, start, 3)
+    except (MemoryError, RecursionError) as exc:
+        report.status = "error"
+        detail = str(exc)
+        report.data["limit"] = type(exc).__name__ + (f": {detail}" if detail else "")
         return _emit(report, args, start, 3)
     except InvariantError as exc:
         report.status = "error"

@@ -7,10 +7,11 @@ FREENIL_LIMITS ceilings.
 """
 
 import json
+from time import perf_counter
 
 import pytest
 
-from freenil import nilobj
+from freenil import cli, nilobj
 from freenil.cli import Limits, main, read_limits
 from freenil.errors import InvariantError
 from freenil.words import Alphabet, cyclic_canonical
@@ -97,6 +98,30 @@ class TestWords:
         assert code == 3
         assert payload["status"] == "error"
         assert "ceiling" in payload["data"]["limit"]
+
+    def test_work_budget_exits_three_before_enumerating(self, capsys):
+        # Within l=16, but the brute-force check would walk 3^16 words.
+        start = perf_counter()
+        code, out = run_cli(capsys, "words", "verify", "-I", "a,b,c", "-L", "16")
+        assert perf_counter() - start < 1.0
+        assert code == 3
+        assert "Traceback" not in out
+        payload = json.loads(out)
+        assert payload["status"] == "error"
+        assert payload["command"] == "words verify -I a,b,c -L 16"
+        assert payload["items"] == []
+        assert "class census" in payload["data"]["limit"]
+
+    @pytest.mark.parametrize("argv", [
+        ("sieve", "-I", "a,b,c", "-L", "13", "--verify"),
+        ("enumerate", "-I", "a,b,c", "-L", "13"),
+    ])
+    def test_brute_force_budget_exits_three(self, capsys, argv):
+        # The census (192,346) is within budget; 3 + 9 + ... + 3^13 is not.
+        code, payload = run_json(capsys, "words", *argv)
+        assert code == 3
+        assert payload["items"] == []
+        assert "brute-force word count" in payload["data"]["limit"]
 
 
 class TestGrouph:
@@ -189,6 +214,24 @@ class TestNormalize:
         )
         assert code == 0
         assert payload["data"]["normal_form"] == "1:s"
+
+    @pytest.mark.parametrize("sample,word", [
+        ("dinf", "1:s 1:s"),
+        ("s3z2", "1:(12) 2:r"),
+    ])
+    def test_amalgam_identity_reparses(self, capsys, sample, word):
+        code, payload = run_json(
+            capsys, "algebra", "normalize", "--amalgam", sample, "--word", word
+        )
+        assert code == 0
+        assert payload["status"] == "pass"
+        assert payload["data"]["normal_form"] == "1"
+        code, again = run_json(
+            capsys, "algebra", "normalize", "--amalgam", sample, "--word", "1"
+        )
+        assert code == 0
+        assert again["data"]["normal_form"] == "1"
+        assert again["data"]["sequence"] == []
 
     def test_unknown_element_is_parse_error(self, capsys):
         code, _ = run_cli(
@@ -349,6 +392,23 @@ class TestReportContract:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "words", "frobnicate")
         assert code == 2
+
+
+class TestResourceExhaustion:
+    @pytest.mark.parametrize("exc", [MemoryError(), RecursionError("too deep")])
+    def test_exhaustion_exits_three_with_partial_report(self, capsys, monkeypatch, exc):
+        def exhausted(args, report, limits):
+            report.command = "words sieve"
+            raise exc
+
+        monkeypatch.setattr(cli, "run_words", exhausted)
+        code, out = run_cli(capsys, "words", "sieve", "-I", "a,b", "-L", "3")
+        assert code == 3
+        assert "Traceback" not in out
+        payload = json.loads(out)
+        assert payload["status"] == "error"
+        assert payload["command"] == "words sieve"
+        assert payload["data"]["limit"].startswith(type(exc).__name__)
 
 
 class TestLimitsParsing:

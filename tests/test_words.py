@@ -6,7 +6,7 @@ count) and are never copied from the implementation under test.
 """
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from freenil.words import (
     Alphabet,
@@ -59,7 +59,26 @@ def brute_classes(alphabet, bound):
     return out
 
 
+def reference_sieve(alphabet, bound):
+    # The original O(census^2) sieve: rebuild the whole pool from its prefix
+    # extensions each step and scan it for the least word.
+    letters = [(l,) for l in alphabet.letters]
+    if len(alphabet) <= 1:
+        return letters
+    pool = set(letters)
+    emitted = []
+    while pool:
+        pivot = min(pool, key=alphabet.sort_key)
+        emitted.append(pivot)
+        pool = prefix_extensions(pool, pivot, bound)
+    return emitted
+
+
 words_ab = st.text(alphabet="ab", min_size=1, max_size=12).map(as_word)
+
+# Largest bound per letter count with a class census of about 1,000 or less
+# (1 letter: 1 class at any bound; 2: 747; 3: 508; 4: 964).
+REFERENCE_BOUNDS = {1: 12, 2: 12, 3: 7, 4: 6}
 
 
 class TestIsReduced:
@@ -191,6 +210,29 @@ class TestSieve:
     def test_all_pivots_primitive(self):
         _, emitted = sieve(ABC, 6)
         assert all(is_reduced(w) for w in emitted)
+
+    def test_state_records_steps_and_emitted(self):
+        state, emitted = sieve(AB, 5)
+        assert state.step == len(emitted) == 14
+        assert state.emitted == tuple(emitted)
+
+    @pytest.mark.parametrize("letters", ["a", "ba", "cab", "dbca"])
+    def test_matches_reference_sieve_at_largest_bound(self, letters):
+        alphabet = Alphabet(tuple(letters))
+        bound = REFERENCE_BOUNDS[len(letters)]
+        _, emitted = sieve(alphabet, bound)
+        assert emitted == reference_sieve(alphabet, bound)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_matches_reference_sieve_in_order(self, data):
+        letters = data.draw(
+            st.lists(st.sampled_from("abcdxyz"), min_size=1, max_size=4, unique=True)
+        )
+        bound = data.draw(st.integers(1, REFERENCE_BOUNDS[len(letters)]))
+        alphabet = Alphabet(letters)
+        _, emitted = sieve(alphabet, bound)
+        assert emitted == reference_sieve(alphabet, bound)
 
 
 class TestVerifyAdmissible:

@@ -9,28 +9,53 @@ the target of the collapse homomorphism sending every x_i to x.
 Coefficients are arbitrary-precision ints throughout; nothing here is
 floating point.  Monomials are sorted tuples of (index, exponent) pairs
 with all exponents nonzero, so equality of elements is dict equality.
+
+The variables are just indexed symbols.  The twisted-ring layer reads
+them either as x_i or as y_i = 1 - x_i; `LaurentPoly.change_basis` is the
+exact change between the two readings on polynomials, and
+`clearing_unit` finds the monomial that first turns a Laurent polynomial
+into one.
 """
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 Monomial = tuple[tuple[int, int], ...]
 
 
-def _normalize_monomial(pairs: Iterable[tuple[int, int]]) -> Monomial:
-    merged: dict[int, int] = {}
-    for index, exponent in pairs:
-        merged[index] = merged.get(index, 0) + exponent
-    return tuple(sorted((i, e) for i, e in merged.items() if e != 0))
-
-
 def _mul_monomials(a: Monomial, b: Monomial) -> Monomial:
+    """Merge two sorted monomials, dropping exponents that cancel."""
     if not a:
         return b
     if not b:
         return a
-    return _normalize_monomial(list(a) + list(b))
+    if a[-1][0] < b[0][0]:
+        return a + b
+    if b[-1][0] < a[0][0]:
+        return b + a
+    out = []
+    i = j = 0
+    la, lb = len(a), len(b)
+    while i < la and j < lb:
+        ia, ea = a[i]
+        ib, eb = b[j]
+        if ia < ib:
+            out.append(a[i])
+            i += 1
+        elif ib < ia:
+            out.append(b[j])
+            j += 1
+        else:
+            if ea + eb:
+                out.append((ia, ea + eb))
+            i += 1
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
 
 
 class LaurentPoly:
@@ -122,17 +147,63 @@ class LaurentPoly:
         if m == 0:
             return self
         return LaurentPoly(
-            {tuple(sorted((i + m, e) for i, e in mono)): c for mono, c in self.coeffs.items()}
+            {tuple((i + m, e) for i, e in mono): c for mono, c in self.coeffs.items()}
         )
 
-    def indices(self) -> set[int]:
-        return {i for mono in self.coeffs for i, _ in mono}
+    def change_basis(self) -> "LaurentPoly":
+        """The substitution v_i -> 1 - v_i at every index; its own inverse.
 
-    def monomial_keys(self) -> list[Monomial]:
-        return sorted(self.coeffs)
+        It is a ring automorphism of the polynomial subring that commutes
+        with `shift`, so it reads x-coordinates as y_i = 1 - x_i and back.
+        Negative exponents have no image (1 - v_i is not a unit) and raise
+        ValueError; clear them first with `clearing_unit`.  One index is
+        substituted at a time, so the work follows the sizes of the input
+        and output: the 2^d-term expansion of a run of d factors maps to
+        one monomial without the 3^d terms of expanding each monomial.
+        """
+        indices = set()
+        for mono in self.coeffs:
+            for i, e in mono:
+                if e < 0:
+                    raise ValueError(f"change of basis needs a polynomial, got x_{i}^{e}")
+                indices.add(i)
+        terms = self.coeffs
+        for index in sorted(indices):
+            out: dict[Monomial, int] = {}
+            for mono, c in terms.items():
+                for pos, (i, e) in enumerate(mono):
+                    if i == index:
+                        break
+                else:
+                    out[mono] = out.get(mono, 0) + c
+                    continue
+                head, tail = mono[:pos], mono[pos + 1:]
+                for k, b in _one_minus_power(e):
+                    key = head + ((index, k),) + tail if k else head + tail
+                    out[key] = out.get(key, 0) + b * c
+            terms = {m: c for m, c in out.items() if c}
+        return LaurentPoly(terms)
 
     def __repr__(self) -> str:
         return f"LaurentPoly({format_poly(self)!r})"
+
+
+@lru_cache(maxsize=None)
+def _one_minus_power(e: int) -> tuple[tuple[int, int], ...]:
+    """(k, coefficient of v^k) over the expansion of (1 - v)^e, e >= 0."""
+    return tuple((k, (-1) ** k * math.comb(e, k)) for k in range(e + 1))
+
+
+def clearing_unit(polys: Iterable[LaurentPoly]) -> tuple[LaurentPoly, LaurentPoly]:
+    """(m, m^-1) for the least monomial m that makes every p * m a polynomial."""
+    need: dict[int, int] = {}
+    for p in polys:
+        for mono in p.coeffs:
+            for i, e in mono:
+                if e < need.get(i, 0):
+                    need[i] = e
+    mono = tuple(sorted((i, -e) for i, e in need.items()))
+    return LaurentPoly({mono: 1}), LaurentPoly({tuple((i, -e) for i, e in mono): 1})
 
 
 def one_minus_x(index: int) -> LaurentPoly:

@@ -136,6 +136,14 @@ class SkewLaurent:
             n >>= 1
         return result
 
+    def change_basis(self) -> "SkewLaurent":
+        """`LaurentPoly.change_basis` on every coefficient.
+
+        The substitution commutes with the index shift, so this is a ring
+        isomorphism of the twisted ring over polynomial coefficients.
+        """
+        return SkewLaurent({k: a.change_basis() for k, a in self.coeffs.items()})
+
     def collapse(self) -> LaurentXT:
         """Homomorphism x_i -> x, t -> t into the commutative two-variable ring."""
         out = LaurentXT.zero()

@@ -12,6 +12,21 @@ that its complexity (a triple built from t-valuations) strictly drops in
 a well-order, which is the engine behind the non-finite-generation
 certificates exposed by collapse_certificate.
 
+Two coordinate systems share the LaurentPoly and SkewLaurent types, and
+`change_basis` maps between them exactly:
+
+* y-coordinates (index i read as y_i) are where the kernel pairs, the
+  pairwise relations, the collapse witnesses and every evaluation of f or
+  of sum W_i c_i are built and checked: `kernel_pair_y`,
+  `pairwise_relation_y`, `defining_map_y`.  There a run y_0 ... y_{-n} is
+  one monomial, so U_n has 4 terms and V_n has O(n).
+* x-coordinates are the public basis: `kernel_pair`, `pairwise_relation`,
+  `defining_map` and the components of RelationVector are in x, as the
+  exact images of the y objects.  Descent (`reduce_step`,
+  `ideal_decompose`, `complexity`) stays in x, because its inputs carry
+  negative exponents, which have no y image until a monomial unit clears
+  them.
+
 Everything is exact; any failed internal assertion raises InvariantError
 because the identities involved are theorems, not runtime conditions.
 """
@@ -22,10 +37,10 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from random import Random
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import InvariantError, LimitExceeded
-from .laurent import LaurentPoly, one_minus_x, x_diff
+from .laurent import LaurentPoly, clearing_unit, one_minus_x, x_diff
 from .report import CheckItem, item
 from .skewpoly import SkewLaurent, format_skew
 
@@ -33,22 +48,47 @@ Pair = tuple[SkewLaurent, SkewLaurent]
 
 
 def y_run(top: int, bottom: int) -> LaurentPoly:
-    """Product y_top * y_{top-1} * ... * y_bottom; one when top < bottom."""
+    """Product y_top * y_{top-1} * ... * y_bottom in x; one when top < bottom."""
     out = LaurentPoly.one()
     for i in range(top, bottom - 1, -1):
         out = out * one_minus_x(i)
     return out
 
 
-def defining_map(U: SkewLaurent, V: SkewLaurent) -> SkewLaurent:
-    """f(U, V) = (1 - t*y_0) U - (1 - t*y_1) V."""
+# y-coordinates: the same polynomial types, with index i read as y_i.
+
+def _yrun(top: int, bottom: int) -> LaurentPoly:
+    """y_top * ... * y_bottom, a single monomial; one when top < bottom."""
+    return LaurentPoly({tuple((i, 1) for i in range(bottom, top + 1)): 1})
+
+
+def _z(i: int) -> LaurentPoly:
+    """z_i = x_{i-1} - x_i, which is y_i - y_{i-1}."""
+    return LaurentPoly.x(i) - LaurentPoly.x(i - 1)
+
+
+def _to_y(elements: Sequence[SkewLaurent]) -> tuple[list[SkewLaurent], LaurentPoly]:
+    """Clear x-denominators with one right unit m, then change basis.
+
+    Returns the y images of the c * m, and m^{-1}.  Both uses (f, and
+    sum W_i c_i) are right-linear, so m^{-1} takes the unit back off.
+    """
+    unit, inverse = clearing_unit(a for c in elements for a in c.coeffs.values())
+    if unit != LaurentPoly.one():
+        elements = [c * unit for c in elements]
+    return [c.change_basis() for c in elements], inverse
+
+
+def defining_map_y(U: SkewLaurent, V: SkewLaurent) -> SkewLaurent:
+    """f(U, V) = (1 - t*y_0) U - (1 - t*y_1) V, everything in y-coordinates."""
     one = SkewLaurent.one()
-    left = (one - SkewLaurent.t(1, one_minus_x(0))) * U
-    right = (one - SkewLaurent.t(1, one_minus_x(1))) * V
+    left = (one - SkewLaurent.t(1, LaurentPoly.x(0))) * U
+    right = (one - SkewLaurent.t(1, LaurentPoly.x(1))) * V
     got = left - right
     # Same map, written with bare x conjugates: the factor in front of V is
     # 1 - t + t^2 x t^{-1}; both spellings must collapse to one element.
-    x = SkewLaurent.from_poly(LaurentPoly.x(0))
+    # In y-coordinates x_0 is 1 - y_0.
+    x = SkewLaurent.from_poly(one_minus_x(0))
     t = SkewLaurent.t(1)
     tinv = SkewLaurent.t(-1)
     lit_left = (one - t + t * x) * U
@@ -58,29 +98,50 @@ def defining_map(U: SkewLaurent, V: SkewLaurent) -> SkewLaurent:
     return got
 
 
+def defining_map(U: SkewLaurent, V: SkewLaurent) -> SkewLaurent:
+    """f(U, V) for x-coordinate inputs, evaluated in y-coordinates.
+
+    f is left multiplication, so f(U m, V m) = f(U, V) m for the unit m
+    that clears the x-denominators of U and V.
+    """
+    (Uy, Vy), inverse = _to_y([U, V])
+    return defining_map_y(Uy, Vy).change_basis() * inverse
+
+
 @lru_cache(maxsize=None)
-def kernel_pair(n: int) -> Pair:
-    """The pair W_n = (U_n, V_n); constructor proves f(W_n) = 0.
+def kernel_pair_y(n: int) -> Pair:
+    """The pair W_n = (U_n, V_n) in y-coordinates; proves f(W_n) = 0.
 
     U_n = z_{-n} - t^{n+1} z_1 y_0 y_{-1} ... y_{-n}
     V_n = z_{-n} + sum_{0<i<=n} t^i z_{-n} z_1 y_0 ... y_{2-i}
                  - t^{n+1} z_1 y_0 ... y_{1-n} y_{-1-n}
 
     The descending y-product in the sum is empty at i = 1, and the last
-    factor of the tail term skips y_{-n}.
+    factor of the tail term skips y_{-n}.  Raises InvariantError unless
+    the defining map, in both spellings, kills the pair.
     """
     if n < 0:
         raise ValueError(f"kernel pairs are indexed by n >= 0, got {n}")
-    z1 = x_diff(1)
-    zmn = x_diff(-n)
-    U = SkewLaurent.from_poly(zmn) - SkewLaurent.t(n + 1, z1 * y_run(0, -n))
+    z1 = _z(1)
+    zmn = _z(-n)
+    U = SkewLaurent.from_poly(zmn) - SkewLaurent.t(n + 1, z1 * _yrun(0, -n))
     V = SkewLaurent.from_poly(zmn)
     for i in range(1, n + 1):
-        V = V + SkewLaurent.t(i, zmn * z1 * y_run(0, 2 - i))
-    V = V - SkewLaurent.t(n + 1, z1 * y_run(0, 1 - n) * one_minus_x(-1 - n))
-    if not defining_map(U, V).is_zero():
+        V = V + SkewLaurent.t(i, zmn * z1 * _yrun(0, 2 - i))
+    V = V - SkewLaurent.t(n + 1, z1 * _yrun(0, 1 - n) * LaurentPoly.x(-1 - n))
+    if not defining_map_y(U, V).is_zero():
         raise InvariantError(f"kernel pair {n} is not killed by the defining map")
     return (U, V)
+
+
+@lru_cache(maxsize=None)
+def kernel_pair(n: int) -> Pair:
+    """W_n in x-coordinates, the image of `kernel_pair_y(n)`.
+
+    Here a run y_0 ... y_{-n} expands to 2^(n+1) terms.
+    """
+    U, V = kernel_pair_y(n)
+    return (U.change_basis(), V.change_basis())
 
 
 def bounded_kernel_check(U: SkewLaurent, V: SkewLaurent, n: int) -> bool:
@@ -163,14 +224,8 @@ class RelationVector:
     def __post_init__(self):
         if self.n < 1 or len(self.c) != self.n:
             raise ValueError(f"expected {self.n} components, got {len(self.c)}")
-        first = SkewLaurent.zero()
-        second = SkewLaurent.zero()
-        for i, ci in enumerate(self.c):
-            Ui, Vi = kernel_pair(i)
-            first = first + Ui * ci
-            second = second + Vi * ci
-        if not (first.is_zero() and second.is_zero()):
-            raise ValueError("not a relation: sum W_i c_i is nonzero")
+        # sum W_i c_i m = 0 iff sum W_i c_i = 0, for the unit m of _to_y.
+        _check_relation_y(_to_y(self.c)[0])
 
     def is_zero(self) -> bool:
         return all(ci.is_zero() for ci in self.c)
@@ -193,20 +248,47 @@ class RelationVector:
         return RelationVector(self.n, tuple(ci * w for ci in self.c))
 
 
+def _check_relation_y(c: Iterable[SkewLaurent]) -> None:
+    """Raise ValueError unless sum W_i c_i = (0, 0), all in y-coordinates."""
+    first = SkewLaurent.zero()
+    second = SkewLaurent.zero()
+    for i, ci in enumerate(c):
+        if ci.is_zero():
+            continue
+        Ui, Vi = kernel_pair_y(i)
+        first = first + Ui * ci
+        second = second + Vi * ci
+    if not (first.is_zero() and second.is_zero()):
+        raise ValueError("not a relation: sum W_i c_i is nonzero")
+
+
 @lru_cache(maxsize=None)
-def pairwise_relation(p: int, q: int, n: int) -> RelationVector:
+def pairwise_relation_y(p: int, q: int, n: int) -> tuple[SkewLaurent, ...]:
     """The relation W_q z_{-p} - W_p z_{-q} - W_{q-p-1} t^{p+1} z_1 y_0 ... y_{-p} = 0.
 
-    Components: c_p gets -z_{-q}, c_q gets z_{-p}, and c_{q-p-1} gets the
-    twisted correction (added, since q - p - 1 may collide with p).
+    Components in y-coordinates, checked: c_p gets -z_{-q}, c_q gets
+    z_{-p}, and c_{q-p-1} gets the twisted correction (added, since
+    q - p - 1 may collide with p).
     """
     if not 0 <= p < q < n:
         raise ValueError(f"need 0 <= p < q < n, got p={p}, q={q}, n={n}")
     c = [SkewLaurent.zero() for _ in range(n)]
-    c[p] = c[p] - SkewLaurent.from_poly(x_diff(-q))
-    c[q] = c[q] + SkewLaurent.from_poly(x_diff(-p))
-    c[q - p - 1] = c[q - p - 1] - SkewLaurent.t(p + 1, x_diff(1) * y_run(0, -p))
-    return RelationVector(n, tuple(c))
+    c[p] = c[p] - SkewLaurent.from_poly(_z(-q))
+    c[q] = c[q] + SkewLaurent.from_poly(_z(-p))
+    c[q - p - 1] = c[q - p - 1] - SkewLaurent.t(p + 1, _z(1) * _yrun(0, -p))
+    _check_relation_y(c)
+    return tuple(c)
+
+
+@lru_cache(maxsize=None)
+def pairwise_relation(p: int, q: int, n: int) -> RelationVector:
+    """X(p, q) at arity n in x-coordinates: the image of `pairwise_relation_y`."""
+    return RelationVector(n, tuple(c.change_basis() for c in pairwise_relation_y(p, q, n)))
+
+
+def _last_projection(p: int, n: int) -> SkewLaurent:
+    """Last component of X(p, n-1, n), mapped back to x-coordinates."""
+    return pairwise_relation_y(p, n - 1, n)[-1].change_basis()
 
 
 def _split_by_index(p: LaurentPoly, index: int) -> dict[int, LaurentPoly]:
@@ -340,10 +422,7 @@ def reduce_chain(
 
 def last_projection_generator(p: int, n: int) -> LaurentPoly:
     """The witness z_{-p} produced as the last component of X(p, n-1, n)."""
-    X = pairwise_relation(p, n - 1, n)
-    got = X.last_component()
-    want = SkewLaurent.from_poly(x_diff(-p))
-    if got != want:
+    if _last_projection(p, n) != SkewLaurent.from_poly(x_diff(-p)):
         raise InvariantError("last projection of the pairwise relation is off")
     return x_diff(-p)
 
@@ -353,9 +432,9 @@ def last_projection_generator(p: int, n: int) -> LaurentPoly:
 def verify_kernel_pairs(max_n: int) -> list[CheckItem]:
     items = []
     for n in range(max_n + 1):
-        U, V = kernel_pair(n)
-        items.append(item(f"defining map kills pair {n}", "0", format_skew(defining_map(U, V))))
-        ok = bounded_kernel_check(U, V, n + 1)
+        kernel_pair_y(n)  # proves f(W_n) = 0 in y, or raises InvariantError
+        items.append(item(f"defining map kills pair {n}", "0", "0"))
+        ok = bounded_kernel_check(*kernel_pair(n), n + 1)
         items.append(item(f"pair {n} satisfies the layer recurrences", True, ok))
     return items
 
@@ -366,13 +445,13 @@ def verify_relations(max_q: int) -> list[CheckItem]:
         n = q + 1
         for p in range(q):
             try:
-                pairwise_relation(p, q, n)
+                pairwise_relation_y(p, q, n)
                 items.append(item(f"relation ({p},{q}) validates", True, True))
             except ValueError:
                 items.append(item(f"relation ({p},{q}) validates", True, False))
     for n in range(2, max_q + 2):
         for p in range(n - 1):
-            got = pairwise_relation(p, n - 1, n).last_component()
+            got = _last_projection(p, n)
             want = SkewLaurent.from_poly(x_diff(-p))
             items.append(
                 item(

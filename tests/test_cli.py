@@ -11,7 +11,7 @@ from time import perf_counter
 
 import pytest
 
-from freenil import cli, nilobj
+from freenil import cli, nilobj, syzygy
 from freenil.cli import Limits, main, read_limits
 from freenil.errors import InvariantError
 from freenil.words import Alphabet, cyclic_canonical
@@ -180,11 +180,45 @@ class TestGrouph:
         assert code == 3
         assert payload["command"] == "grouph verify-kernel --max-n 12"
 
+    def test_reduce_arity_budget_exits_three_before_any_work(self, capsys):
+        # Within FREENIL_LIMITS (n=64), but X(p, q) has 2^(p+2) terms in x.
+        arity = cli.REDUCE_ARITY_BUDGET + 1
+        start = perf_counter()
+        code, out = run_cli(
+            capsys, "grouph", "reduce", "--arity", str(arity), "--pair", f"{arity - 2},{arity - 1}"
+        )
+        assert perf_counter() - start < 1.0
+        assert code == 3
+        assert "Traceback" not in out
+        payload = json.loads(out)
+        assert payload["status"] == "error"
+        assert payload["command"] == f"grouph reduce --arity {arity} --pair {arity - 2},{arity - 1}"
+        assert payload["items"] == []
+        assert "arity" in payload["data"]["limit"]
+        assert "fixed" in payload["data"]["limit"]
+
+    def test_reduce_at_the_arity_budget(self, capsys):
+        arity = cli.REDUCE_ARITY_BUDGET
+        code, payload = run_json(
+            capsys, "grouph", "reduce", "--arity", str(arity), "--pair", f"{arity - 2},{arity - 1}"
+        )
+        assert code == 0
+        assert payload["data"]["trace"][-1] in ("zero", "terminal")
+
+    def test_verify_kernel_at_the_ceiling(self, capsys):
+        syzygy.kernel_pair_y.cache_clear()  # time a cold run, as a fresh process would
+        start = perf_counter()
+        code, payload = run_json(capsys, "grouph", "verify-kernel", "--max-n", "64")
+        assert perf_counter() - start < 2.0
+        assert code == 0
+        assert len(payload["items"]) == 65
+        assert all(it["got"] == "0" for it in payload["items"])
+
     def test_invariant_violation_exits_four(self, capsys, monkeypatch):
         def broken(n):
             raise InvariantError("forced for the exit-code contract")
 
-        monkeypatch.setattr("freenil.cli.kernel_pair", broken)
+        monkeypatch.setattr("freenil.cli.kernel_pair_y", broken)
         code, payload = run_json(capsys, "grouph", "verify-kernel", "--max-n", "2")
         assert code == 4
         assert payload["status"] == "error"

@@ -12,6 +12,8 @@ import pytest
 from freenil.laurent import (
     LaurentPoly,
     LaurentXT,
+    _mul_monomials,
+    clearing_unit,
     collapse_poly,
     format_poly,
     one_minus_x,
@@ -34,6 +36,24 @@ polys = st.dictionaries(
 ).map(LaurentPoly)
 
 skews = st.dictionaries(st.integers(-2, 2), polys, max_size=3).map(SkewLaurent)
+
+# Polynomials proper (no negative exponents): the domain of change_basis.
+plain_polys = st.dictionaries(
+    st.dictionaries(st.integers(-3, 3), st.integers(1, 3), max_size=3).map(
+        lambda d: tuple(sorted(d.items()))
+    ),
+    st.integers(-3, 3).filter(bool),
+    max_size=4,
+).map(LaurentPoly)
+
+plain_skews = st.dictionaries(st.integers(-2, 2), plain_polys, max_size=3).map(SkewLaurent)
+
+
+def reference_mul_monomials(a, b):
+    merged = {}
+    for index, exponent in a + b:
+        merged[index] = merged.get(index, 0) + exponent
+    return tuple(sorted((i, e) for i, e in merged.items() if e != 0))
 
 
 class TestLaurentPoly:
@@ -86,6 +106,61 @@ class TestLaurentPoly:
         p = one_minus_x(0) + LaurentPoly.x(1, -1)
         assert p ** 3 == p * p * p
         assert p ** 0 == LaurentPoly.one()
+
+
+    @given(monomials, monomials)
+    def test_monomial_merge_matches_reference(self, a, b):
+        assert _mul_monomials(a, b) == reference_mul_monomials(a, b)
+
+
+class TestChangeOfBasis:
+    def test_known_images(self):
+        assert LaurentPoly.x(0).change_basis() == one_minus_x(0)
+        assert LaurentPoly.x(2, 2).change_basis() == one_minus_x(2) * one_minus_x(2)
+        assert x_diff(1).change_basis() == LaurentPoly.x(1) - LaurentPoly.x(0)
+        assert LaurentPoly.const(5).change_basis() == LaurentPoly.const(5)
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            LaurentPoly.x(1, -1).change_basis()
+
+    def test_run_of_factors_is_one_monomial(self):
+        run = LaurentPoly.one()
+        for i in range(-9, 1):
+            run = run * one_minus_x(i)
+        assert len(run.coeffs) == 2**10
+        assert run.change_basis() == LaurentPoly({tuple((i, 1) for i in range(-9, 1)): 1})
+
+    @given(plain_polys)
+    def test_involution(self, a):
+        assert a.change_basis().change_basis() == a
+
+    @given(plain_polys, plain_polys)
+    @settings(max_examples=60)
+    def test_ring_map(self, a, b):
+        assert (a * b).change_basis() == a.change_basis() * b.change_basis()
+        assert (a + b).change_basis() == a.change_basis() + b.change_basis()
+
+    @given(plain_polys, st.integers(-3, 3))
+    def test_commutes_with_shift(self, a, m):
+        assert a.shift(m).change_basis() == a.change_basis().shift(m)
+
+    @given(plain_skews, plain_skews)
+    @settings(max_examples=40)
+    def test_twisted_ring_map(self, a, b):
+        assert (a * b).change_basis() == a.change_basis() * b.change_basis()
+
+    @given(polys)
+    def test_clearing_then_mapping_back_returns_input(self, a):
+        unit, inverse = clearing_unit([a])
+        assert unit * inverse == LaurentPoly.one()
+        cleared = a * unit
+        exponents = [e for mono in cleared.coeffs for _, e in mono]
+        assert all(e > 0 for e in exponents)
+        # The unit is the least one: each of its indices reaches exponent 0.
+        for i, _ in next(iter(unit.coeffs)):
+            assert any(all(j != i for j, _ in mono) for mono in cleared.coeffs)
+        assert cleared.change_basis().change_basis() * inverse == a
 
 
 class TestSkewMul:

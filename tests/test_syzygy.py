@@ -3,6 +3,8 @@
 The oracle for every identity here is exact expansion in the twisted ring
 (itself law-tested in test_skewpoly).  Hand-frozen small cases pin the
 formulas; property runs exercise descent termination and round-trips.
+The library builds pairs and relations in y-coordinates; the direct
+x-coordinate constructors below are kept as references for their images.
 """
 
 import math
@@ -17,6 +19,8 @@ from freenil.laurent import LaurentPoly, one_minus_x, x_diff
 from freenil.skewpoly import SkewLaurent
 from freenil.syzygy import (
     Complexity,
+    kernel_pair_y,
+    pairwise_relation_y,
     RelationVector,
     bounded_kernel_check,
     collapse_certificate,
@@ -37,6 +41,81 @@ from freenil.syzygy import (
 
 def sk(p: LaurentPoly) -> SkewLaurent:
     return SkewLaurent.from_poly(p)
+
+
+# Reference constructors, computed directly in x-coordinates.
+
+def reference_defining_map(U: SkewLaurent, V: SkewLaurent) -> SkewLaurent:
+    """f(U, V) = (1 - t*y_0) U - (1 - t*y_1) V, expanded in x."""
+    one = SkewLaurent.one()
+    left = (one - SkewLaurent.t(1, one_minus_x(0))) * U
+    right = (one - SkewLaurent.t(1, one_minus_x(1))) * V
+    return left - right
+
+
+def reference_kernel_pair(n: int):
+    z1 = x_diff(1)
+    zmn = x_diff(-n)
+    U = sk(zmn) - SkewLaurent.t(n + 1, z1 * y_run(0, -n))
+    V = sk(zmn)
+    for i in range(1, n + 1):
+        V = V + SkewLaurent.t(i, zmn * z1 * y_run(0, 2 - i))
+    V = V - SkewLaurent.t(n + 1, z1 * y_run(0, 1 - n) * one_minus_x(-1 - n))
+    return (U, V)
+
+
+def reference_pairwise_relation(p: int, q: int, n: int) -> tuple[SkewLaurent, ...]:
+    c = [SkewLaurent.zero() for _ in range(n)]
+    c[p] = c[p] - sk(x_diff(-q))
+    c[q] = c[q] + sk(x_diff(-p))
+    c[q - p - 1] = c[q - p - 1] - SkewLaurent.t(p + 1, x_diff(1) * y_run(0, -p))
+    return tuple(c)
+
+
+small_skews = st.dictionaries(
+    st.integers(-2, 2),
+    st.dictionaries(
+        st.dictionaries(st.integers(-2, 2), st.integers(-2, 2).filter(bool), max_size=2)
+        .map(lambda d: tuple(sorted(d.items()))),
+        st.integers(-3, 3).filter(bool),
+        max_size=3,
+    ).map(LaurentPoly),
+    max_size=3,
+).map(SkewLaurent)
+
+
+class TestAgainstXReferences:
+    @pytest.mark.parametrize("n", range(11))
+    def test_kernel_pair_is_the_x_reference(self, n):
+        assert kernel_pair(n) == reference_kernel_pair(n)
+
+    @pytest.mark.parametrize("q", range(1, 11))
+    def test_pairwise_relation_is_the_x_reference(self, q):
+        for n in (q + 1, q + 2):
+            for p in range(q):
+                assert pairwise_relation(p, q, n).c == reference_pairwise_relation(p, q, n)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_reference_map_kills_reference_pairs(self, n):
+        assert reference_defining_map(*reference_kernel_pair(n)).is_zero()
+
+    @given(small_skews, small_skews)
+    @settings(max_examples=60)
+    def test_defining_map_matches_reference(self, U, V):
+        # Inputs carry negative exponents, so this exercises the clearing unit.
+        assert defining_map(U, V) == reference_defining_map(U, V)
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 64])
+    def test_y_pair_sizes(self, n):
+        U, V = kernel_pair_y(n)
+        terms = lambda s: sum(len(a.coeffs) for a in s.coeffs.values())
+        assert terms(U) == 4
+        assert terms(V) == 4 * n + 4
+
+    def test_y_relation_maps_to_x_relation(self):
+        for p, q, n in [(0, 1, 2), (1, 3, 4), (2, 5, 7)]:
+            ys = pairwise_relation_y(p, q, n)
+            assert tuple(c.change_basis() for c in ys) == pairwise_relation(p, q, n).c
 
 
 class TestDefiningMap:
@@ -137,6 +216,15 @@ class TestPairwiseRelation:
     def test_forged_vector_rejected(self):
         with pytest.raises(ValueError):
             RelationVector(2, (SkewLaurent.one(), SkewLaurent.zero()))
+
+    def test_negative_exponents_validate(self):
+        # The y-basis check first clears x-denominators with a right unit.
+        w = SkewLaurent.t(-2, 3 * LaurentPoly.x(2, -3) * LaurentPoly.x(-1, -1))
+        X = pairwise_relation(1, 3, 4).scaled(w)
+        forged = list(X.c)
+        forged[0] = forged[0] + sk(LaurentPoly.x(0, -1))
+        with pytest.raises(ValueError):
+            RelationVector(4, tuple(forged))
 
 
 small_polys = st.dictionaries(

@@ -150,10 +150,6 @@ class Amalgam:
         return f"Amalgam({self.factors[0]!r}, {self.factors[1]!r})"
 
 
-def amalgam_normalize(amalgam, tokens):
-    return amalgam.normalize(tokens)
-
-
 def amalgam_to_dict(amalgam):
     return {
         "construction": "amalgam",

@@ -24,14 +24,13 @@ Input files may be given by path, or by the bare name of a shipped sample
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import time
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from . import nilobj
+from . import nilobj, store
 from .amalgam import Amalgam
 from .cosets import double_cosets
 from .errors import InvariantError, LimitExceeded, UnsupportedOperation
@@ -41,13 +40,13 @@ from .hnn import HNN
 from .laurent import x_diff
 from .report import CheckItem, Report
 from .skewpoly import SkewLaurent, format_skew
-from .store import construction_from_dict
 from .syzygy import (
     collapse_certificate,
     complexity,
     kernel_pair,  # the x-basis pairs stay importable from here
     kernel_pair_y,
     pairwise_relation,
+    RelationVector,
     reduce_chain,
     verify_reduction,
     verify_relations,
@@ -99,11 +98,14 @@ def ensure_within(value: int, ceiling: int, what: str,
 WORDS_CENSUS_BUDGET = 200_000
 WORDS_BRUTE_FORCE_BUDGET = 1_000_000
 
-# Fixed work budget for `reduce`, checked before any work.  Descent runs in
+# Fixed work budgets for `reduce`, checked before any work.  Descent runs in
 # x-coordinates, where X(p, q) has 2^(p+2) terms, so the cost roughly
 # doubles per arity step: at 14 the sum of all 91 pairwise relations takes
-# about 8 s on a 2-core host and 20 random chains about 1 s.
+# about 2 s on a 2-core host.  The work also grows linearly in the number of
+# relations, so `--count` and the number of `--pair` flags share a second
+# budget: at arity 14, 200 random chains take 6-7 s and 200 pairs under 3 s.
 REDUCE_ARITY_BUDGET = 14
+REDUCE_RELATIONS_BUDGET = 200
 
 
 def _resolve_input(path_text: str):
@@ -120,8 +122,7 @@ def _resolve_input(path_text: str):
 
 
 def _load_construction(path_text: str):
-    target = _resolve_input(path_text)
-    return construction_from_dict(json.loads(target.read_text(encoding="utf-8")))
+    return store.load_construction(_resolve_input(path_text))
 
 
 def _load_tagged(args):
@@ -240,7 +241,10 @@ def run_reduce(args, report: Report, limits: Limits) -> None:
     if args.arity < 2:
         raise ValueError("--arity must be >= 2")
     ensure_within(args.arity, limits.n, "arity")
-    ensure_within(args.arity, REDUCE_ARITY_BUDGET, "arity", "this work budget is fixed")
+    fixed = "this work budget is fixed"
+    ensure_within(args.arity, REDUCE_ARITY_BUDGET, "arity", fixed)
+    relations = len(args.pair) if args.pair else args.count
+    ensure_within(relations, REDUCE_RELATIONS_BUDGET, "relation count", fixed)
     if not args.pair:
         if args.count < 1:
             raise ValueError("--count must be >= 1")
@@ -248,15 +252,14 @@ def run_reduce(args, report: Report, limits: Limits) -> None:
         report.data["count"] = args.count
         report.data["seed"] = args.seed
         return
-    X = None
+    comps = [SkewLaurent.zero()] * args.arity
     for text in args.pair:
         fields = text.split(",")
         if len(fields) != 2:
             raise ValueError(f"--pair takes P,Q with two integers, got {text!r}")
         p, q = (int(f) for f in fields)
-        rel = pairwise_relation(p, q, args.arity)
-        X = rel if X is None else X + rel
-    trace = reduce_chain(X)
+        comps = [a + b for a, b in zip(comps, pairwise_relation(p, q, args.arity).c)]
+    trace = reduce_chain(RelationVector(args.arity, tuple(comps)))  # one validation of the sum
     steps = []
     chis = []
     for v in trace:
@@ -376,8 +379,7 @@ def run_cosets(args, report: Report, limits: Limits) -> None:
 
 
 def _load_nil(path_text: str):
-    target = _resolve_input(path_text)
-    return nilobj.from_json_dict(json.loads(target.read_text(encoding="utf-8")))
+    return store.load_nil(_resolve_input(path_text))
 
 
 def run_nil_check(args, report: Report, limits: Limits) -> None:
@@ -435,7 +437,7 @@ def run_nil_map(args, report: Report, limits: Limits) -> None:
     report.data["index"] = cert.index
     report.data["result"] = nilobj.to_json_dict(result)
     if args.out:
-        nilobj.save(result, args.out)
+        store.save_nil(result, args.out)
         report.data["saved"] = args.out
 
 

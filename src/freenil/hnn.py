@@ -171,10 +171,6 @@ class HNN:
         return f"HNN({self.base!r})"
 
 
-def hnn_normalize(hnn, tokens):
-    return hnn.normalize(tokens)
-
-
 def hnn_to_dict(hnn):
     return {
         "construction": "hnn",

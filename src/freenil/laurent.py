@@ -1,10 +1,11 @@
 """Exact arithmetic in Laurent polynomial rings over the integers.
 
-Two rings live here.  `LaurentPoly` is the commutative ring with one
-invertible variable x_i per integer index i; it carries an index-shift
-map x_i -> x_{i+m} used by the twisted multiplication one level up.
-`LaurentXT` is the two-variable ring Z[x^{+-1}, t^{+-1}] that serves as
-the target of the collapse homomorphism sending every x_i to x.
+`LaurentPoly` is the commutative ring with one invertible variable x_i
+per integer index i; it carries an index-shift map x_i -> x_{i+m} used by
+the twisted multiplication one level up.  The same class, read with x at
+index 0 and t at index 1, is the two-variable ring Z[x^{+-1}, t^{+-1}]
+that receives the collapse homomorphism (`collapse_poly`) sending every
+x_i to x.
 
 Coefficients are arbitrary-precision ints throughout; nothing here is
 floating point.  Monomials are sorted tuples of (index, exponent) pairs
@@ -231,90 +232,15 @@ def format_poly(p: LaurentPoly) -> str:
     return " + ".join(parts)
 
 
-class LaurentXT:
-    """Element of the commutative ring Z[x^{+-1}, t^{+-1}].
+def collapse_poly(p: LaurentPoly, t_exp: int = 0) -> LaurentPoly:
+    """Apply x_i -> x to one coefficient, at t-degree t_exp.
 
-    Target of the collapse map: keys are (x-exponent, t-exponent).
+    The image lives in Z[x^{+-1}, t^{+-1}], read as a LaurentPoly with x at
+    index 0 and t at index 1.
     """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[tuple[int, int], int] | None = None):
-        self.coeffs: dict[tuple[int, int], int] = {
-            k: c for k, c in (coeffs or {}).items() if c != 0
-        }
-
-    @classmethod
-    def zero(cls) -> "LaurentXT":
-        return cls()
-
-    @classmethod
-    def const(cls, c: int) -> "LaurentXT":
-        return cls({(0, 0): c})
-
-    @classmethod
-    def one(cls) -> "LaurentXT":
-        return cls.const(1)
-
-    @classmethod
-    def term(cls, xe: int, te: int, c: int = 1) -> "LaurentXT":
-        return cls({(xe, te): c})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LaurentXT):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other: "LaurentXT") -> "LaurentXT":
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return LaurentXT(out)
-
-    def __neg__(self) -> "LaurentXT":
-        return LaurentXT({k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other: "LaurentXT") -> "LaurentXT":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentXT") -> "LaurentXT":
-        out: dict[tuple[int, int], int] = {}
-        for (xa, ta), ca in self.coeffs.items():
-            for (xb, tb), cb in other.coeffs.items():
-                k = (xa + xb, ta + tb)
-                s = out.get(k, 0) + ca * cb
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return LaurentXT(out)
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "LaurentXT(0)"
-        parts = [f"x^{xe} t^{te} * {c}" for (xe, te), c in sorted(self.coeffs.items())]
-        return f"LaurentXT({' + '.join(parts)})"
-
-
-def collapse_poly(p: LaurentPoly, t_exp: int = 0) -> LaurentXT:
-    """Apply the homomorphism x_i -> x to one coefficient, at t-degree t_exp."""
-    out: dict[tuple[int, int], int] = {}
+    by_x: dict[int, int] = {}
     for mono, c in p.coeffs.items():
         xe = sum(e for _, e in mono)
-        k = (xe, t_exp)
-        s = out.get(k, 0) + c
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return LaurentXT(out)
+        by_x[xe] = by_x.get(xe, 0) + c
+    t = ((1, t_exp),) if t_exp else ()
+    return LaurentPoly({((0, xe),) + t if xe else t: c for xe, c in by_x.items()})

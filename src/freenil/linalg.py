@@ -2,8 +2,12 @@
 
 Matrices are lists of rows.  Vectors are plain lists.  Every routine is
 total on degenerate shapes (zero rows, zero columns) because block
-modules routinely have zero-dimensional components.  No floats anywhere;
-the rational field uses Fraction, prime fields use ints mod p.
+modules routinely have zero-dimensional components.  No floats anywhere.
+
+Every routine takes one field object with a single protocol: `zero`,
+`one`, `from_int`, `add`, `sub`, `mul`, `div` and `is_zero`.  `QQ` keeps
+integers as ints, so products of integer matrices stay in Z, and only
+`div` turns them into Fractions.  `GFp` works with ints mod p.
 """
 
 from __future__ import annotations
@@ -16,16 +20,15 @@ Vector = list
 
 
 class QQ:
-    """The rational numbers, elementwise via Fraction."""
+    """The rational numbers: ints where exact, Fractions once divided."""
 
     name = "rational"
+    zero = 0
+    one = 1
 
     @staticmethod
-    def from_int(n: int) -> Fraction:
-        return Fraction(n)
-
-    zero = Fraction(0)
-    one = Fraction(1)
+    def from_int(n: int) -> int:
+        return n
 
     @staticmethod
     def add(a, b):
@@ -41,7 +44,7 @@ class QQ:
 
     @staticmethod
     def div(a, b):
-        return a / b
+        return Fraction(a) / b
 
     @staticmethod
     def is_zero(a) -> bool:
@@ -80,16 +83,8 @@ class GFp:
         return a % self.p == 0
 
 
-def zeros(rows: int, cols: int, field=QQ) -> Matrix:
-    return [[field.zero] * cols for _ in range(rows)]
-
-
 def identity(n: int, field=QQ) -> Matrix:
     return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
-
-
-def mat_from_ints(entries: Sequence[Sequence[int]], field=QQ) -> Matrix:
-    return [[field.from_int(e) for e in row] for row in entries]
 
 
 def transpose(a: Matrix) -> Matrix:

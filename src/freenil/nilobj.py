@@ -18,11 +18,14 @@ rationals: the kernels in question are solution spaces of integer linear
 systems, so f^n = 0 holds over Z iff it holds over Q, and the chain
 must grow strictly until it saturates, which bounds the index by the
 total dimension.  Prime-field bases run the same algorithm mod p.
+
+Word products and filtration steps all use the object's one field,
+`field_for_base(ring.base)`; over "int" that is QQ, which keeps ints until
+a division, so word products stay in Z.  `freenil.store` does file I/O.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
@@ -36,14 +39,12 @@ from .linalg import (
     in_rowspan,
     left_nullspace,
     mat_eq_zero,
-    mat_from_ints,
     mat_mul,
     mat_vec,
     right_nullspace,
     rowspan_contains,
     rref,
     transpose,
-    zeros,
 )
 
 Word = tuple[str, ...]
@@ -52,7 +53,7 @@ _GF_RE = re.compile(r"gf\((\d+)\)\Z")
 
 
 def field_for_base(base: str):
-    """The field the filtration runs over: QQ for "int", GF(p) for "gf(p)"."""
+    """The field object for a base: QQ for "int", GF(p) for "gf(p)"."""
     if base == "int":
         return QQ
     m = _GF_RE.match(base)
@@ -119,7 +120,7 @@ class NilObject:
         names = [l.name for l in letters]
         if len(set(names)) != len(names):
             raise ValueError("letter names must be distinct")
-        field = field_for_base(ring.base)
+        self.field = field = field_for_base(ring.base)
         self.ring = ring
         self.dims = dict(dims)
         self.letters = tuple(letters)
@@ -134,8 +135,7 @@ class NilObject:
                 raise ValueError(
                     f"letter {letter.name} matrix is {got}, needs {want}"
                 )
-            reduce = field.from_int if ring.base != "int" else (lambda n: n)
-            self.mats[letter.name] = [[reduce(e) for e in row] for row in mat]
+            self.mats[letter.name] = [[field.from_int(e) for e in row] for row in mat]
         self.letter_by_name = {l.name: l for l in self.letters}
         self._certificate: Optional[NilCertificate] = None
 
@@ -179,7 +179,7 @@ def word_matrix(X: NilObject, word: Iterable[str], unit: str | None = None):
     if not names:
         if unit is None:
             raise ValueError("the empty word needs a unit for its identity")
-        return identity(X.dims[unit], _ring_field(X))
+        return identity(X.dims[unit], X.field)
     letters = []
     for name in names:
         if name not in X.letter_by_name:
@@ -190,42 +190,13 @@ def word_matrix(X: NilObject, word: Iterable[str], unit: str | None = None):
     if not chained:
         return X.zero_matrix(src, dst)
     out = X.mats[letters[0].name]
-    field = _ring_field(X)
     for letter in letters[1:]:
-        out = mat_mul(out, X.mats[letter.name], field)
+        out = mat_mul(out, X.mats[letter.name], X.field)
     # A zero-dimensional intermediate erases the column count of the bare
     # list-of-rows representation; the composite factors through 0 there.
     if out and len(out[0]) != X.dims[dst]:
         return X.zero_matrix(src, dst)
     return out
-
-
-class _IntOps:
-    # Plain integer arithmetic presented through the field interface so
-    # word products over the "int" base stay in Z.
-    name = "int"
-    zero = 0
-    one = 1
-
-    @staticmethod
-    def from_int(n):
-        return n
-
-    add = staticmethod(lambda a, b: a + b)
-    sub = staticmethod(lambda a, b: a - b)
-    mul = staticmethod(lambda a, b: a * b)
-
-    @staticmethod
-    def is_zero(a):
-        return a == 0
-
-
-def _ring_field(X: NilObject):
-    return _IntOps if X.ring.base == "int" else field_for_base(X.ring.base)
-
-
-def _filtration_field(X: NilObject):
-    return QQ if X.ring.base == "int" else field_for_base(X.ring.base)
 
 
 def is_nilpotent(X: NilObject) -> NilCertificate:
@@ -238,12 +209,7 @@ def is_nilpotent(X: NilObject) -> NilCertificate:
     """
     if X._certificate is not None:
         return X._certificate
-    field = _filtration_field(X)
-    to_field = field.from_int
-    fmats = {
-        name: [[to_field(e) for e in row] for row in mat]
-        for name, mat in X.mats.items()
-    }
+    field = X.field
     current = {u: () for u in X.ring.units}
     chain = [current]
     while True:
@@ -258,7 +224,7 @@ def is_nilpotent(X: NilObject) -> NilCertificate:
                 if letter.src != u:
                     continue
                 for y in annihilators[letter.dst]:
-                    col = mat_vec(fmats[letter.name], y, field)
+                    col = mat_vec(X.mats[letter.name], y, field)
                     columns.append([[c] for c in col])
             if columns:
                 constraint = hstack(columns, X.dims[u])
@@ -354,13 +320,12 @@ def fold_through(X: NilObject, thru: str, keep: str) -> NilObject:
             mats[l.name] = X.mats[l.name]
     into = [l for l in X.letters if l.src == keep and l.dst == thru]
     back = [l for l in X.letters if l.src == thru and l.dst == keep]
-    field = _ring_field(X)
     for first in into:
         for middle in _diagonal_words(X, thru, max(cutoff - 1, 0)):
             for last in back:
                 word = (first.name,) + middle + (last.name,)
                 mat = word_matrix(X, word)
-                if mat_eq_zero(mat, field):
+                if mat_eq_zero(mat, X.field):
                     continue
                 name = "|".join(word)
                 letters.append(Letter(name, keep, keep))
@@ -377,7 +342,6 @@ def word_twist(X: NilObject, words: Iterable[Word]) -> NilObject:
     the index.  Equal-name collisions are rejected; pass each word once.
     """
     cert = _require_nilpotent(X, "word_twist")
-    field = _ring_field(X)
     letters: list[Letter] = []
     mats: dict[str, list[list[int]]] = {}
     for word in words:
@@ -387,7 +351,7 @@ def word_twist(X: NilObject, words: Iterable[Word]) -> NilObject:
         if len(word) > (cert.index or 0):
             continue
         mat = word_matrix(X, word)
-        if mat_eq_zero(mat, field):
+        if mat_eq_zero(mat, X.field):
             continue
         src = X.letter_by_name[word[0]].src
         dst = X.letter_by_name[word[-1]].dst
@@ -442,7 +406,7 @@ def filtration_items(X: NilObject):
 
     cert = is_nilpotent(X)
     chain = cert.filtration.subspaces
-    field = _filtration_field(X)
+    field = X.field
     items = [
         item(
             "chain starts at zero",
@@ -467,39 +431,34 @@ def filtration_items(X: NilObject):
                     if letter.src != u:
                         continue
                     # Row vector image: v @ F = transpose(F) @ v.
-                    ft = [
-                        [field.from_int(e) for e in row]
-                        for row in transpose(X.mats[letter.name])
-                    ]
-                    image = mat_vec(ft, list(v), field)
+                    image = mat_vec(transpose(X.mats[letter.name]), list(v), field)
                     if not in_rowspan(
                         image, [list(r) for r in chain[i - 1][letter.dst]], field
                     ):
                         mapped_down = False
     items.append(item("letters map layer i into layer i-1", True, mapped_down))
 
-    ops = _ring_field(X)
     if cert.nilpotent:
         d = cert.index or 0
         if d == 0:
             all_dead = X.total_dim() == 0
         else:
             all_dead = all(
-                mat_eq_zero(word_matrix(X, w), ops) for w in _typed_words(X, d)
+                mat_eq_zero(word_matrix(X, w), field) for w in _typed_words(X, d)
             )
         items.append(item(f"every word of length {d} vanishes", True, all_dead))
         if d == 1:
             items.append(item("the module itself is nonzero", True, X.total_dim() > 0))
         elif d > 1:
             alive = any(
-                not mat_eq_zero(word_matrix(X, w), ops)
+                not mat_eq_zero(word_matrix(X, w), field)
                 for w in _typed_words(X, d - 1)
             )
             items.append(item(f"some word of length {d - 1} survives", True, alive))
     else:
         d = X.total_dim()
         alive = any(
-            not mat_eq_zero(word_matrix(X, w), ops) for w in _typed_words(X, d)
+            not mat_eq_zero(word_matrix(X, w), field) for w in _typed_words(X, d)
         )
         items.append(item(f"some word of length {d} survives", True, alive))
     return items
@@ -540,13 +499,3 @@ def from_json_dict(data: dict) -> NilObject:
     mats = {l["name"]: l["matrix"] for l in data["letters"]}
     return NilObject(ring, dict(data["dims"]), letters, mats)
 
-
-def save(X: NilObject, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(to_json_dict(X), fh, indent=2)
-        fh.write("\n")
-
-
-def load(path) -> NilObject:
-    with open(path) as fh:
-        return from_json_dict(json.load(fh))

@@ -12,7 +12,8 @@ associative with t a unit, and plain polynomials embed at t-degree 0.
 The module also owns the line-oriented text format for these elements
 (one term per `t^K * [MONO] * COEFF` chunk, " + "-joined, canonically
 sorted) and the collapse homomorphism onto Z[x^{+-1}, t^{+-1}] that
-identifies every x_i with x.
+identifies every x_i with x; that target is a LaurentPoly in two fixed
+variables, x at index 0 and t at index 1.
 """
 
 from __future__ import annotations
@@ -21,13 +22,7 @@ import math
 import re
 from typing import Mapping
 
-from .laurent import (
-    LaurentPoly,
-    LaurentXT,
-    Monomial,
-    collapse_poly,
-    format_monomial,
-)
+from .laurent import LaurentPoly, Monomial, collapse_poly, format_monomial
 
 
 class SkewLaurent:
@@ -78,9 +73,6 @@ class SkewLaurent:
     def valuation(self) -> float:
         return self.val_deg()[0]
 
-    def degree(self) -> float:
-        return self.val_deg()[1]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SkewLaurent):
             return NotImplemented
@@ -124,18 +116,6 @@ class SkewLaurent:
     def __rmul__(self, other: "LaurentPoly | int") -> "SkewLaurent":
         return _coerce(other) * self
 
-    def __pow__(self, n: int) -> "SkewLaurent":
-        if n < 0:
-            raise ValueError("inverses are only available for t itself; use SkewLaurent.t(-k)")
-        result = SkewLaurent.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def change_basis(self) -> "SkewLaurent":
         """`LaurentPoly.change_basis` on every coefficient.
 
@@ -144,12 +124,15 @@ class SkewLaurent:
         """
         return SkewLaurent({k: a.change_basis() for k, a in self.coeffs.items()})
 
-    def collapse(self) -> LaurentXT:
-        """Homomorphism x_i -> x, t -> t into the commutative two-variable ring."""
-        out = LaurentXT.zero()
-        for k, a in self.coeffs.items():
-            out = out + collapse_poly(a, t_exp=k)
-        return out
+    def collapse(self) -> LaurentPoly:
+        """Homomorphism x_i -> x, t -> t into the commutative two-variable ring.
+
+        The image is a LaurentPoly with x at index 0 and t at index 1; the
+        layers land on distinct powers of t, so their terms never collide.
+        """
+        return LaurentPoly(
+            {m: c for k, a in self.coeffs.items() for m, c in collapse_poly(a, k).coeffs.items()}
+        )
 
     def __repr__(self) -> str:
         return f"SkewLaurent({format_skew(self)!r})"

@@ -1,9 +1,11 @@
-"""Load and save group constructions as JSON files.
+"""The one reader and writer of freenil's JSON files.
 
 A construction file is a JSON object whose "construction" key selects the
 shape: "group" wraps a bare group, "amalgam" and "hnn" carry a subgroup,
 factor or base groups, and the embeddings, including any recorded
-transversals so normal forms round-trip exactly.
+transversals so normal forms round-trip exactly.  A block-module file
+holds `nilobj.to_json_dict`; `save_nil` indents it by two and ends it
+with a newline.  Paths may be strings, `Path`s or package resources.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from pathlib import Path
 from .amalgam import Amalgam, amalgam_from_dict, amalgam_to_dict
 from .groups import group_from_dict, group_to_dict
 from .hnn import HNN, hnn_from_dict, hnn_to_dict
+from .nilobj import NilObject, from_json_dict, to_json_dict
 
 
 def construction_to_dict(obj):
@@ -35,13 +38,19 @@ def construction_from_dict(data):
     raise ValueError(f"unknown construction kind {kind!r}")
 
 
+def _read_json(path):
+    source = path if hasattr(path, "read_text") else Path(path)
+    return json.loads(source.read_text(encoding="utf-8"))
+
+
 def load_construction(path):
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return construction_from_dict(data)
+    return construction_from_dict(_read_json(path))
 
 
-def save_construction(path, obj):
-    data = construction_to_dict(obj)
-    Path(path).write_text(
-        json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+def load_nil(path) -> NilObject:
+    return from_json_dict(_read_json(path))
+
+
+def save_nil(X: NilObject, path) -> None:
+    text = json.dumps(to_json_dict(X), indent=2) + "\n"
+    Path(path).write_text(text, encoding="utf-8")

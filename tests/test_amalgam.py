@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import pytest
 
-from freenil.amalgam import Amalgam, AmalgamWord, amalgam_normalize
+from freenil.amalgam import Amalgam, AmalgamWord
 from freenil.groups import FiniteEmbedding, FiniteGroup
 from freenil.store import construction_from_dict, construction_to_dict, load_construction
 
@@ -55,9 +55,6 @@ class TestDihedralExamples:
     def test_single_letters(self, dinf):
         assert dinf.normalize([(1, "s")]) == AmalgamWord("1", ((1, "s"),))
         assert dinf.normalize([(2, "r"), (2, "r")]) == dinf.identity_word()
-
-    def test_function_wrapper(self, dinf):
-        assert amalgam_normalize(dinf, [(1, "s")]) == dinf.normalize([(1, "s")])
 
 
 class TestS3Examples:

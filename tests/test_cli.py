@@ -11,7 +11,7 @@ from time import perf_counter
 
 import pytest
 
-from freenil import cli, nilobj, syzygy
+from freenil import cli, nilobj, store, syzygy
 from freenil.cli import Limits, main, read_limits
 from freenil.errors import InvariantError
 from freenil.words import Alphabet, cyclic_canonical
@@ -197,6 +197,34 @@ class TestGrouph:
         assert "arity" in payload["data"]["limit"]
         assert "fixed" in payload["data"]["limit"]
 
+    @pytest.mark.parametrize("how", ["count", "pair"])
+    def test_reduce_relations_budget_exits_three_before_any_work(self, capsys, how):
+        over = cli.REDUCE_RELATIONS_BUDGET + 1
+        tail = ["--count", str(over)] if how == "count" else ["--pair", "12,13"] * over
+        start = perf_counter()
+        code, out = run_cli(capsys, "grouph", "reduce", "--arity", "14", *tail)
+        assert perf_counter() - start < 1.0
+        assert code == 3
+        assert "Traceback" not in out
+        payload = json.loads(out)
+        assert payload["status"] == "error"
+        assert payload["command"].startswith("grouph reduce --arity 14 ")
+        assert payload["items"] == []
+        assert f"relation count {over}" in payload["data"]["limit"]
+        assert "fixed" in payload["data"]["limit"]
+
+    def test_reduce_at_the_relations_budget(self, capsys):
+        # 200 flags cycling through all 45 pairs; the sum is validated once.
+        pairs = [f"{p},{q}" for q in range(1, 10) for p in range(q)]
+        flags = (pairs * 5)[: cli.REDUCE_RELATIONS_BUDGET]
+        start = perf_counter()
+        code, payload = run_json(
+            capsys, "grouph", "reduce", "--arity", "10", *[x for f in flags for x in ("--pair", f)]
+        )
+        assert perf_counter() - start < 3.0
+        assert code == 0
+        assert payload["data"]["trace"][-1] in ("zero", "terminal")
+
     def test_reduce_at_the_arity_budget(self, capsys):
         arity = cli.REDUCE_ARITY_BUDGET
         code, payload = run_json(
@@ -375,8 +403,10 @@ class TestNilCommands:
             "--fold", "q", "--onto", "p", "--out", str(out),
         )
         assert code == 0
-        saved = nilobj.load(out)
+        saved = store.load_nil(out)
         assert nilobj.to_json_dict(saved) == payload["data"]["result"]
+        want = json.dumps(payload["data"]["result"], indent=2) + "\n"
+        assert out.read_bytes() == want.encode("utf-8")
 
     def test_map_twist(self, capsys):
         code, payload = run_json(

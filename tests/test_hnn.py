@@ -18,7 +18,7 @@ from freenil.groups import (
     FreeAbelianEmbedding,
     FreeAbelianGroup,
 )
-from freenil.hnn import HNN, HNNWord, hnn_normalize
+from freenil.hnn import HNN, HNNWord
 from freenil.store import construction_from_dict, construction_to_dict, load_construction
 
 from group_models import S3_PERMS, eval_bs12
@@ -82,8 +82,8 @@ class TestBS12Examples:
         tokens = [("t", -1)] * 2 + [("g", (4,))] + [("t", 1)] * 2
         assert bs12.normalize(tokens) == HNNWord((16,), ())
 
-    def test_function_wrapper(self, bs12):
-        assert hnn_normalize(bs12, [("t", 1)]) == HNNWord((0,), ((1, (0,)),))
+    def test_stable_letter_alone(self, bs12):
+        assert bs12.normalize([("t", 1)]) == HNNWord((0,), ((1, (0,)),))
 
 
 class TestFiniteBaseExamples:

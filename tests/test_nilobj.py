@@ -15,15 +15,14 @@ from freenil.nilobj import (
     fold_through,
     from_json_dict,
     is_nilpotent,
-    load,
     power_prefix_family,
     restrict_diagonal,
-    save,
     to_json_dict,
     word_matrix,
     word_twist,
     zero_object,
 )
+from freenil.store import load_nil, save_nil
 
 from nil_helpers import brute_nilpotent, random_object
 
@@ -449,8 +448,8 @@ class TestFileFormat:
     def test_round_trip_file(self, tmp_path):
         X = single("f", [[0, 3], [0, 0]], base="gf(5)")
         path = tmp_path / "object.nil"
-        save(X, path)
-        assert load(path) == X
+        save_nil(X, path)
+        assert load_nil(path) == X
 
     def test_base_preserved(self):
         X = single("f", [[1]], base="gf(7)")

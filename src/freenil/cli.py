@@ -14,8 +14,9 @@ Resource ceilings come from the FREENIL_LIMITS environment variable,
 e.g. ``FREENIL_LIMITS="n=64,l=16,dim=128"``: ``n`` bounds the twisted-ring
 suite sizes, ``l`` the word-enumeration length budget, and ``dim`` the
 total dimension of loaded nil objects.  ``words`` also has fixed work
-budgets on the class census and on the brute-force word count, and
-``grouph reduce`` one on the arity.
+budgets on the class census and on the brute-force word count,
+``grouph reduce`` on the arity and the relation count, and ``algebra
+nil-map --fold`` on the composite words weighted by the unit dims.
 
 Input files may be given by path, or by the bare name of a shipped sample
 (``dinf``, ``s3z2``, ``bs12``, ``s3``, ``nil_example``).
@@ -106,6 +107,16 @@ WORDS_BRUTE_FORCE_BUDGET = 1_000_000
 # budget: at arity 14, 200 random chains take 6-7 s and 200 pairs under 3 s.
 REDUCE_ARITY_BUDGET = 14
 REDUCE_RELATIONS_BUDGET = 200
+
+# Fixed work budget for `nil-map --fold`, checked once the thru-diagonal
+# index is known and before any product: the composite word count, which
+# grows exponentially in that index, times k (k + t)^2 plus
+# `nilobj.FOLD_WORD_OVERHEAD` for the kept and folded unit dims k and t
+# (see `nilobj.fold_through`).  At the budget the fold itself took 6-8 s on
+# a 2-core host with kept/folded dims 64/64, 96/32 and 48/16, and 5 s for
+# 92,500 nonzero composites at dims 2/2, after deciding the input and its
+# thru diagonal.
+FOLD_WORK_BUDGET = 40_000_000
 
 
 def _resolve_input(path_text: str):
@@ -425,7 +436,7 @@ def run_nil_map(args, report: Report, limits: Limits) -> None:
         result = nilobj.restrict_diagonal(X, args.restrict)
         applied = f"restrict to unit {args.restrict}"
     elif args.fold:
-        result = nilobj.fold_through(X, args.fold, args.onto)
+        result = nilobj.fold_through(X, args.fold, args.onto, FOLD_WORK_BUDGET)
         applied = f"fold through {args.fold} onto {args.onto}"
     else:
         words = [tuple(text.replace(",", " ").split()) for text in args.twist]

@@ -5,24 +5,27 @@ total on degenerate shapes (zero rows, zero columns) because block
 modules routinely have zero-dimensional components.  No floats anywhere.
 
 Every routine takes one field object with a single protocol: `zero`,
-`one`, `from_int`, `add`, `sub`, `mul`, `div` and `is_zero`.  `QQ` keeps
-integers as ints, so products of integer matrices stay in Z, and only
-`div` turns them into Fractions.  `GFp` works with ints mod p.
+`one`, `from_int`, `dot`, `primitive` and `cancel`.  Elements are ints in
+canonical form (reduced mod p over GF(p)), so zero is plain `0`.
+Elimination is fraction-free: clearing an entry replaces a row by
+`pivot * row - entry * pivot_row` (Bareiss 1968 shows that exact
+elimination over Z needs no rationals), and `QQ` then divides the row by
+the gcd of its entries.  No `Fraction` is ever built, and a reduced basis
+over `QQ` is the rational one with each row scaled to coprime integers.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Sequence
+from math import gcd, lcm
+from operator import mul
 
 Matrix = list[list]
 Vector = list
 
 
 class QQ:
-    """The rational numbers: ints where exact, Fractions once divided."""
+    """The rationals, computed on integer rows taken up to scale."""
 
-    name = "rational"
     zero = 0
     one = 1
 
@@ -31,24 +34,28 @@ class QQ:
         return n
 
     @staticmethod
-    def add(a, b):
-        return a + b
+    def dot(u, v) -> int:
+        return sum(map(mul, u, v))
 
     @staticmethod
-    def sub(a, b):
-        return a - b
+    def primitive(row: Vector) -> Vector:
+        """The canonical multiple of a nonzero row: coprime ints, first entry > 0."""
+        g = gcd(*row)
+        if next(filter(None, row)) < 0:
+            g = -g
+        return row if g == 1 else [x // g for x in row]
 
     @staticmethod
-    def mul(a, b):
-        return a * b
+    def cancel(row: Vector, pivot_row: Vector, col: int) -> Vector:
+        """A nonzero multiple of row - (row[col] / pivot_row[col]) pivot_row.
 
-    @staticmethod
-    def div(a, b):
-        return Fraction(a) / b
-
-    @staticmethod
-    def is_zero(a) -> bool:
-        return a == 0
+        `pivot_row` must be zero before `col`, so only the head is scaled.
+        """
+        p, e = pivot_row[col], row[col]
+        head = row[:col] if p == 1 else [p * x for x in row[:col]]
+        out = head + [p * x - e * y for x, y in zip(row[col:], pivot_row[col:])]
+        g = gcd(*out)
+        return out if g <= 1 else [x // g for x in out]
 
 
 class GFp:
@@ -58,159 +65,130 @@ class GFp:
         if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
             raise ValueError(f"modulus must be prime, got {p}")
         self.p = p
-        self.name = f"gf({p})"
         self.zero = 0
         self.one = 1 % p
 
     def from_int(self, n: int) -> int:
         return n % self.p
 
-    def add(self, a, b):
-        return (a + b) % self.p
+    def dot(self, u, v) -> int:
+        return sum(map(mul, u, v)) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
+    def primitive(self, row: Vector) -> Vector:
+        """The monic multiple of a nonzero row."""
+        inv = pow(next(filter(None, row)), -1, self.p)
+        return row if inv == 1 else [x * inv % self.p for x in row]
 
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def div(self, a, b):
-        if b % self.p == 0:
-            raise ZeroDivisionError
-        return (a * pow(b, -1, self.p)) % self.p
-
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
+    def cancel(self, row: Vector, pivot_row: Vector, col: int) -> Vector:
+        """row - row[col] pivot_row, for a monic `pivot_row` zero before `col`."""
+        e, q = row[col], self.p
+        return row[:col] + [(x - e * y) % q for x, y in zip(row[col:], pivot_row[col:])]
 
 
 def identity(n: int, field=QQ) -> Matrix:
     return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
 
 
-def transpose(a: Matrix) -> Matrix:
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
-
-
 def mat_mul(a: Matrix, b: Matrix, field=QQ) -> Matrix:
     if not a:
         # A zero-row matrix forgets its width; the product is empty anyway.
         return []
-    rows = len(a)
     inner = len(a[0])
-    cols = len(b[0]) if b else 0
     if inner != len(b):
-        raise ValueError(f"shape mismatch: {rows}x{inner} times {len(b)}x{cols}")
-    out = []
-    for row in a:
-        acc = [field.zero] * cols
-        for k, x in enumerate(row):
-            if field.is_zero(x):
-                continue
-            brow = b[k]
-            for j in range(cols):
-                acc[j] = field.add(acc[j], field.mul(x, brow[j]))
-        out.append(acc)
-    return out
+        cols = len(b[0]) if b else 0
+        raise ValueError(f"shape mismatch: {len(a)}x{inner} times {len(b)}x{cols}")
+    columns = list(zip(*b))
+    zero_row = [field.zero] * len(columns)
+    return [[field.dot(row, col) for col in columns] if any(row) else zero_row[:] for row in a]
 
 
 def mat_vec(a: Matrix, v: Vector, field=QQ) -> Vector:
     if a and len(a[0]) != len(v):
         raise ValueError("shape mismatch in matrix-vector product")
-    out = []
-    for row in a:
-        s = field.zero
-        for x, y in zip(row, v):
-            s = field.add(s, field.mul(x, y))
-        out.append(s)
-    return out
+    return [field.dot(row, v) for row in a]
 
 
-def mat_eq_zero(a: Matrix, field=QQ) -> bool:
-    return all(field.is_zero(x) for row in a for x in row)
+def mat_eq_zero(a: Matrix) -> bool:
+    return not any(map(any, a))
 
 
-def hstack(blocks: Sequence[Matrix], rows: int) -> Matrix:
-    """Concatenate blocks left to right; every block must have `rows` rows."""
-    out = [[] for _ in range(rows)]
-    for block in blocks:
-        if len(block) != rows:
-            raise ValueError("row count mismatch in hstack")
-        for i in range(rows):
-            out[i] = out[i] + list(block[i])
-    return out
+def _lead(row: Vector) -> int:
+    # The first nonzero value is found in C, then its first position.
+    return row.index(next(filter(None, row)))
 
 
 def rref(a: Matrix, field=QQ) -> Matrix:
-    """Reduced row echelon form with zero rows dropped.
+    """Reduced row echelon form with zero rows dropped, each row `primitive`.
 
-    The result is the canonical basis of the row space, so two subspaces
-    are equal iff their rref matrices are equal lists.
+    Over `QQ` every row is the rational rref row times a positive integer,
+    so its entries are coprime ints and its pivot is positive; over GF(p)
+    rows are monic.  The result is a canonical basis of the row space, so
+    two subspaces are equal iff their rref matrices are equal lists.
     """
-    m = [list(row) for row in a]
+    m = [list(map(field.from_int, row)) for row in a]
     rows = len(m)
     cols = len(m[0]) if m else 0
     pivot_row = 0
     for col in range(cols):
-        pivot = next(
-            (r for r in range(pivot_row, rows) if not field.is_zero(m[r][col])), None
-        )
+        pivot = next((r for r in range(pivot_row, rows) if m[r][col]), None)
         if pivot is None:
             continue
         m[pivot_row], m[pivot] = m[pivot], m[pivot_row]
-        inv = m[pivot_row][col]
-        m[pivot_row] = [field.div(x, inv) for x in m[pivot_row]]
+        prow = m[pivot_row] = field.primitive(m[pivot_row])
         for r in range(rows):
-            if r != pivot_row and not field.is_zero(m[r][col]):
-                factor = m[r][col]
-                m[r] = [
-                    field.sub(x, field.mul(factor, y))
-                    for x, y in zip(m[r], m[pivot_row])
-                ]
+            if r != pivot_row and m[r][col]:
+                m[r] = field.cancel(m[r], prow, col)
         pivot_row += 1
         if pivot_row == rows:
             break
-    return [row for row in m[:pivot_row]]
+    return m[:pivot_row]
 
 
 def right_nullspace(a: Matrix, cols: int, field=QQ) -> list[Vector]:
-    """Basis of {y : a @ y = 0} inside the cols-dimensional column space."""
+    """The rref basis of {y : a @ y = 0} inside the cols-dimensional space.
+
+    Built from one solution per free column of `rref(a)`, zero on the other
+    free columns; integer-valued over `QQ`.
+    """
     r = rref(a, field)
-    pivots = []
-    for row in r:
-        for j, x in enumerate(row):
-            if not field.is_zero(x):
-                pivots.append(j)
-                break
-    free = [j for j in range(cols) if j not in pivots]
+    pivots = [_lead(row) for row in r]
+    taken = set(pivots)
     basis = []
-    for j in free:
+    for j in range(cols):
+        if j in taken:
+            continue
+        # Pivots are 1 over GF(p), so the scale is 1 there.
+        scale = lcm(*(row[p] for row, p in zip(r, pivots) if row[j]))
         v = [field.zero] * cols
-        v[j] = field.one
-        for row, pj in zip(r, pivots):
-            v[pj] = field.sub(field.zero, row[j])
+        v[j] = field.from_int(scale)
+        for row, p in zip(r, pivots):
+            if row[j]:
+                v[p] = field.from_int(-row[j] * (scale // row[p]))
         basis.append(v)
-    return basis
+    return rref(basis, field)
 
 
 def left_nullspace(a: Matrix, rows: int, field=QQ) -> list[Vector]:
     """Basis of {w : w @ a = 0} inside the rows-dimensional row space."""
-    return right_nullspace(transpose(a), rows, field)
+    return right_nullspace([list(col) for col in zip(*a)], rows, field)
 
 
 def in_rowspan(v: Vector, basis: Matrix, field=QQ) -> bool:
-    """Is v a combination of the rows of an rref basis?"""
-    residue = list(v)
-    for row in basis:
-        lead = next((j for j, x in enumerate(row) if not field.is_zero(x)), None)
-        if lead is None:
-            continue
-        factor = field.div(residue[lead], row[lead])
-        if field.is_zero(factor):
-            continue
-        residue = [field.sub(x, field.mul(factor, y)) for x, y in zip(residue, row)]
-    return all(field.is_zero(x) for x in residue)
+    """Is v a combination of the rows of a reduced (rref) basis?
+
+    Each reduced row is zero on the other rows' pivots, so the only
+    candidate is the sum of v[p] / b[p] * b over the rows b with pivot p.
+    Both sides are compared scaled by the lcm of the pivots (1 over GF(p)).
+    """
+    v = list(map(field.from_int, v))
+    if not basis:
+        return not any(v)
+    pivots = [_lead(row) for row in basis]
+    scale = lcm(*(row[p] for row, p in zip(basis, pivots)))
+    coef = [v[p] * (scale // row[p]) for row, p in zip(basis, pivots)]
+    return all(
+        field.dot(coef, col) == field.from_int(scale * x) for col, x in zip(zip(*basis), v)
+    )
 
 
 def rowspan_contains(inner: Matrix, outer: Matrix, field=QQ) -> bool:

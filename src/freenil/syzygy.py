@@ -464,8 +464,11 @@ def verify_relations(max_q: int) -> list[CheckItem]:
 
 
 def random_relation(n: int, rng: Random, spread: int = 2) -> RelationVector:
-    """Random right-combination of pairwise relations at arity n."""
-    out = RelationVector(n, tuple(SkewLaurent.zero() for _ in range(n)))
+    """Random right-combination of pairwise relations at arity n.
+
+    The components are summed directly and the sum is validated once.
+    """
+    comps = [SkewLaurent.zero()] * n
     pairs = [(p, q) for q in range(1, n) for p in range(q)]
     rng.shuffle(pairs)
     used = 0
@@ -475,9 +478,9 @@ def random_relation(n: int, rng: Random, spread: int = 2) -> RelationVector:
         mono = LaurentPoly.x(rng.randint(-spread, spread), rng.randint(-1, 1))
         coef = rng.choice([-2, -1, 1, 2]) * mono
         w = SkewLaurent.t(rng.randint(0, spread), coef)
-        out = out + pairwise_relation(p, q, n).scaled(w)
+        comps = [a + b * w for a, b in zip(comps, pairwise_relation(p, q, n).c)]
         used += 1
-    return out
+    return RelationVector(n, tuple(comps))
 
 
 def verify_reduction(arity: int, count: int, seed: int) -> list[CheckItem]:

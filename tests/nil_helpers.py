@@ -1,10 +1,14 @@
-"""Shared generators and the brute-force nilpotency oracle for nil tests.
+"""Shared generators and the oracles for nil tests.
 
-The oracle multiplies letter matrices directly (its own product loop, its
-own word enumeration) so it shares no code with the implementation under
-test beyond raw Python ints.
+The brute-force oracle multiplies letter matrices directly (its own
+product loop, its own word enumeration) so it shares no code with the
+implementation under test beyond raw Python ints.  The reference
+elimination is the Fraction one `freenil.linalg` used before it went
+fraction-free: monic rref rows over Q, or over GF(p) when a modulus is
+given.
 """
 
+from fractions import Fraction
 from random import Random
 
 from freenil.nilobj import BlockRing, Letter, NilObject
@@ -95,3 +99,58 @@ def random_object(rng: Random, base: str = "int", max_units: int = 2,
         letters.append(Letter(name, src, dst))
         mats[name] = mat
     return NilObject(ring, dims, letters, mats)
+
+
+def modulus(base: str):
+    """None for the "int" base, p for "gf(p)"."""
+    return None if base == "int" else int(base[3:-1])
+
+
+def _norm(x, p):
+    return Fraction(x) if p is None else x % p
+
+
+def reference_rref(a, p=None):
+    """Monic reduced row echelon form with zero rows dropped."""
+    m = [[_norm(x, p) for x in row] for row in a]
+    rows = len(m)
+    cols = len(m[0]) if m else 0
+    r = 0
+    for col in range(cols):
+        pivot = next((i for i in range(r, rows) if m[i][col] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][col] if p is None else pow(m[r][col], -1, p)
+        m[r] = [_norm(x * inv, p) for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [_norm(x - f * y, p) for x, y in zip(m[i], m[r])]
+        r += 1
+        if r == rows:
+            break
+    return m[:r]
+
+
+def reference_nullspace(a, cols, p=None):
+    """Basis of {y : a @ y = 0}, one vector per free column, 1 there."""
+    red = reference_rref(a, p)
+    pivots = [next(j for j, x in enumerate(row) if x != 0) for row in red]
+    basis = []
+    for free in (j for j in range(cols) if j not in pivots):
+        y = [_norm(0, p)] * cols
+        y[free] = _norm(1, p)
+        for row, pc in zip(red, pivots):
+            y[pc] = _norm(-row[free], p)
+        basis.append(y)
+    return basis
+
+
+def monic(row, p=None):
+    """A nonzero row divided by its leading entry, as the reference writes it."""
+    lead = next(x for x in row if x != 0)
+    if p is None:
+        return [Fraction(x, lead) for x in row]
+    inv = pow(lead, -1, p)
+    return [x * inv % p for x in row]

@@ -6,7 +6,11 @@ command lines with their frozen outputs, report reproducibility, and the
 FREENIL_LIMITS ceilings.
 """
 
+import importlib.util
 import json
+import sys
+from pathlib import Path
+from random import Random
 from time import perf_counter
 
 import pytest
@@ -371,7 +375,122 @@ class TestCosets:
         assert code == 2
 
 
+def bench_module(*args):
+    """`random_block_module(Random(seed), ...)` from the benchmark's workloads.
+
+    perfbench/workloads.py is loaded by path without writing bytecode.
+    """
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    saved = sys.dont_write_bytecode, list(sys.path)
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(bench))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", bench / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = workloads  # its dataclasses look themselves up here
+        spec.loader.exec_module(workloads)
+    finally:
+        sys.dont_write_bytecode, sys.path[:] = saved
+    seed, *rest = args
+    return workloads.random_block_module(Random(seed), *rest)
+
+
+def fold_file(tmp_path, into: int, back: int) -> str:
+    """Units a:2, b:8; a0 -> b0, one shift b_i -> b_i+1, b7 -> a1 (nilpotent).
+
+    The b-diagonal index is 8, so `--fold b --onto a` counts
+    into * back * 8 composite words, each weighted 2 * (2 + 8)^2 + 400 =
+    600; only into letter s0 and the shift are nonzero, which keeps the
+    fold itself cheap.
+    """
+    letters = [
+        {"name": f"s{k}", "src": "a", "dst": "b",
+         "matrix": [[int(k == 0 and j == 0) for j in range(8)], [0] * 8]}
+        for k in range(into)
+    ]
+    letters.append({"name": "d", "src": "b", "dst": "b",
+                    "matrix": [[int(j == i + 1) for j in range(8)] for i in range(8)]})
+    letters += [
+        {"name": f"t{k}", "src": "b", "dst": "a",
+         "matrix": [[0, k + 1 if i == 7 else 0] for i in range(8)]}
+        for k in range(back)
+    ]
+    path = tmp_path / f"fold-{into}-{back}.json"
+    path.write_text(json.dumps({"units": ["a", "b"], "base": "int",
+                                "dims": {"a": 2, "b": 8}, "letters": letters}))
+    return str(path)
+
+
 class TestNilCommands:
+    @pytest.mark.parametrize("base", ["int", "gf(7)"])
+    def test_check_at_the_dimension_ceiling(self, capsys, tmp_path, base):
+        path = tmp_path / "planted128.json"
+        path.write_text(json.dumps(bench_module(128, 128, 2, base, 6, 4, True)))
+        start = perf_counter()
+        code, payload = run_json(capsys, "algebra", "nil-check", str(path))
+        assert perf_counter() - start < 10.0
+        assert code == 0
+        assert payload["data"]["layer_dims"][-1] == 128
+
+    def test_check_index_nine_in_bounded_memory(self, capsys, tmp_path):
+        # Every typed word of length 9 over 8 letters: 8^9 words.
+        path = tmp_path / "index9.json"
+        path.write_text(json.dumps(bench_module(5, 24, 1, "int", 9, 8, True)))
+        start = perf_counter()
+        code, payload = run_json(capsys, "algebra", "nil-check", str(path))
+        assert perf_counter() - start < 2.0
+        assert code == 0
+        assert payload["status"] == "pass"
+        index = payload["data"]["index"]
+        assert f"every word of length {index} vanishes" in item_names(payload)
+
+    def test_fold_at_the_work_budget(self, capsys, tmp_path):
+        # 33 into letters fit the budget and 34 do not.
+        path = fold_file(tmp_path, 33, 250)
+        assert 33 * 250 * 8 * 600 <= cli.FOLD_WORK_BUDGET < 34 * 250 * 8 * 600
+        code, payload = run_json(capsys, "algebra", "nil-map", path, "--fold", "b", "--onto", "a")
+        assert code == 0
+        names = [l["name"] for l in payload["data"]["result"]["letters"]]
+        assert names == [f"s0|{'d|' * 7}t{k}" for k in range(250)]
+
+    def test_fold_work_budget_exits_three_before_any_product(self, capsys, tmp_path, monkeypatch):
+        path = fold_file(tmp_path, 34, 250)
+        monkeypatch.setattr(nilobj, "mat_mul", None)  # no product may run
+        start = perf_counter()
+        code, out = run_cli(capsys, "algebra", "nil-map", path, "--fold", "b", "--onto", "a")
+        assert perf_counter() - start < 1.0
+        assert code == 3
+        assert "Traceback" not in out
+        payload = json.loads(out)
+        assert payload["status"] == "error"
+        assert payload["command"] == f"algebra nil-map {path} --fold b --onto a"
+        assert payload["items"] == []
+        assert "fold work 40800000 (68000 composite words" in payload["data"]["limit"]
+        assert "fixed" in payload["data"]["limit"]
+
+    def test_fold_with_exponentially_many_words_exits_three(self, capsys, tmp_path):
+        # Units a:2, b:12; four strictly upper triangular b -> b letters, one
+        # of them the full shift, so the diagonal index is 12 and there are
+        # sum_{m < 12} 4^m = 5,592,405 composite words.
+        rng = Random(3)
+        diag = [[[int(j == i + 1) for j in range(12)] for i in range(12)]] + [
+            [[rng.choice((0, 1, -2)) if j > i else 0 for j in range(12)] for i in range(12)]
+            for _ in range(3)
+        ]
+        letters = [{"name": f"d{k}", "src": "b", "dst": "b", "matrix": m} for k, m in enumerate(diag)]
+        letters.append({"name": "s", "src": "a", "dst": "b",
+                        "matrix": [[1] * 12, [0] * 12]})
+        letters.append({"name": "t", "src": "b", "dst": "a",
+                        "matrix": [[0, 1]] * 12})
+        path = tmp_path / "fold14.json"
+        path.write_text(json.dumps({"units": ["a", "b"], "base": "int",
+                                    "dims": {"a": 2, "b": 12}, "letters": letters}))
+        start = perf_counter()
+        code, payload = run_json(capsys, "algebra", "nil-map", str(path), "--fold", "b", "--onto", "a")
+        assert perf_counter() - start < 1.0
+        assert code == 3
+        assert "(5592405 composite words at unit dims 2 and 12)" in payload["data"]["limit"]
+
     def test_check_shipped_sample(self, capsys):
         code, payload = run_json(capsys, "algebra", "nil-check")
         assert code == 0

@@ -3,9 +3,10 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from freenil.errors import InvariantError
-from freenil.linalg import identity, mat_mul, QQ
+from freenil.errors import InvariantError, LimitExceeded
+from freenil.linalg import identity, mat_eq_zero, mat_mul, QQ
 from freenil.nilobj import (
     BlockRing,
     Letter,
@@ -24,7 +25,14 @@ from freenil.nilobj import (
 )
 from freenil.store import load_nil, save_nil
 
-from nil_helpers import brute_nilpotent, random_object
+from nil_helpers import (
+    brute_nilpotent,
+    modulus,
+    monic,
+    random_object,
+    reference_nullspace,
+    reference_rref,
+)
 
 
 def single(name: str, matrix, base: str = "int") -> NilObject:
@@ -45,6 +53,134 @@ CROSS = two_unit(
 )
 
 
+# The Fraction kernel chain that `is_nilpotent` replaced, kept as its oracle.
+
+def _reference_image(mat, y, p):
+    # Column image F @ y, over Q or GF(p).
+    out = [sum(e * c for e, c in zip(row, y)) for row in mat]
+    return out if p is None else [x % p for x in out]
+
+
+def reference_is_nilpotent(X: NilObject):
+    """(verdict, index, chain): M_0 = 0 and M_{i+1}(u) the v with every v F_l in M_i(dst l).
+
+    Each layer is a list of monic rref rows; the chain grows until it
+    repeats, at most total_dim times.
+    """
+    p = modulus(X.ring.base)
+    units = X.ring.units
+    current = {u: [] for u in units}
+    chain = [current]
+    while True:
+        annihilators = {u: reference_nullspace(current[u], X.dims[u], p) for u in units}
+        nxt = {}
+        for u in units:
+            columns = [
+                _reference_image(X.mats[l.name], y, p)
+                for l in X.letters
+                if l.src == u
+                for y in annihilators[l.dst]
+            ]
+            # {w : w . column = 0 for every column}; everything if no column.
+            basis = reference_nullspace(columns, X.dims[u], p)
+            nxt[u] = reference_rref(basis, p)
+        if nxt == current:
+            break
+        chain.append(nxt)
+        current = nxt
+        assert len(chain) <= X.total_dim() + 1
+    full = [all(len(layer[u]) == X.dims[u] for u in units) for layer in chain]
+    index = full.index(True) if full[-1] else None
+    return full[-1], index, chain
+
+
+@st.composite
+def nil_objects(draw):
+    """Small objects over int and gf(p), zero-dimensional units included."""
+    base = draw(st.sampled_from(["int", "int", "gf(2)", "gf(3)", "gf(5)"]))
+    units = ("a", "b", "c")[: draw(st.integers(1, 3))]
+    dims = {u: draw(st.integers(0, 4)) for u in units}
+    order = {}
+    for u in units:
+        for i in range(dims[u]):
+            order[u, i] = len(order)
+    triangular = draw(st.booleans())
+    letters, mats = [], {}
+    for k in range(draw(st.integers(0, 4))):
+        src, dst = draw(st.sampled_from(units)), draw(st.sampled_from(units))
+        mats[f"l{k}"] = [
+            [
+                0 if triangular and order[dst, j] <= order[src, i] else draw(st.integers(-2, 2))
+                for j in range(dims[dst])
+            ]
+            for i in range(dims[src])
+        ]
+        letters.append(Letter(f"l{k}", src, dst))
+    return NilObject(BlockRing(units, base), dims, letters, mats)
+
+
+def typed_words(X: NilObject, length: int):
+    """All letter words of given length whose consecutive types chain."""
+    if length == 0:
+        return [()]
+    words = [[l] for l in X.letters]
+    for _ in range(length - 1):
+        words = [w + [l] for w in words for l in X.letters if w[-1].dst == l.src]
+    return [tuple(l.name for l in w) for w in words]
+
+
+def reference_word_items(X: NilObject):
+    """(name, got) of the word items, from every typed word's product."""
+    cert = is_nilpotent(X)
+
+    def dead(length):
+        return all(mat_eq_zero(word_matrix(X, w)) for w in typed_words(X, length))
+
+    if not cert.nilpotent:
+        d = X.total_dim()
+        return [(f"some word of length {d} survives", str(not dead(d)))]
+    d = cert.index
+    out = [(f"every word of length {d} vanishes", str(X.total_dim() == 0 if d == 0 else dead(d)))]
+    if d == 1:
+        out.append(("the module itself is nonzero", str(X.total_dim() > 0)))
+    elif d > 1:
+        out.append((f"some word of length {d - 1} survives", str(not dead(d - 1))))
+    return out
+
+
+class TestReferenceChain:
+    @given(nil_objects())
+    @settings(max_examples=200, deadline=None)
+    def test_image_chain_matches_the_fraction_kernel_chain(self, X):
+        cert = is_nilpotent(X)
+        nilpotent, index, chain = reference_is_nilpotent(X)
+        assert (cert.nilpotent, cert.index) == (nilpotent, index)
+        layers = cert.filtration.subspaces
+        assert [[len(layer[u]) for u in X.ring.units] for layer in layers] == [
+            [len(layer[u]) for u in X.ring.units] for layer in chain
+        ]
+        p = modulus(X.ring.base)
+        for mine, theirs in zip(layers, chain):
+            for u in X.ring.units:
+                assert [monic(row, p) for row in mine[u]] == theirs[u]
+
+    @given(nil_objects())
+    @settings(max_examples=100, deadline=None)
+    def test_word_items_match_every_typed_word(self, X):
+        items = filtration_items(X)
+        assert all(i.ok for i in items)
+        assert [(i.name, i.got) for i in items[3:]] == reference_word_items(X)
+
+    @given(nil_objects())
+    @settings(max_examples=50, deadline=None)
+    def test_int_filtration_entries_are_ints(self, X):
+        if X.ring.base != "int":
+            X = NilObject(BlockRing(X.ring.units), X.dims, X.letters, X.mats)
+        for layer in is_nilpotent(X).filtration.subspaces:
+            for rows in layer.values():
+                assert all(type(x) is int for row in rows for x in row)
+
+
 class TestRingValidation:
     def test_rationals_rejected(self):
         with pytest.raises(ValueError):
@@ -61,6 +197,15 @@ class TestRingValidation:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             single("f", [[0, 1], [0, 0], [0, 0]])
+
+    @pytest.mark.parametrize("entry", [1.5, 2.0, "1", True, None])
+    def test_non_integer_entries_rejected(self, entry):
+        with pytest.raises(ValueError, match="integers"):
+            single("f", [[0, entry], [0, 0]])
+
+    def test_ragged_matrix_rejected(self):
+        with pytest.raises(ValueError):
+            single("f", [[0, 1], [0]])
 
     def test_unknown_letter_unit_rejected(self):
         with pytest.raises(ValueError):
@@ -174,6 +319,22 @@ class TestIsNilpotent:
         rng = Random(3000 + seed)
         X = random_object(rng)
         assert all(i.ok for i in filtration_items(X))
+
+    def test_growing_image_is_an_invariant_error(self, monkeypatch):
+        # The second layer comes back as everything, outside the first.
+        import freenil.nilobj as nilobj
+
+        real = nilobj.rref
+        layers = iter([real, lambda rows, field: identity(2, field)])
+        monkeypatch.setattr(nilobj, "rref", lambda rows, field: next(layers)(rows, field))
+        with pytest.raises(InvariantError, match="failed to shrink"):
+            is_nilpotent(single("f", [[0, 1], [0, 0]]))
+
+    def test_chain_past_the_dimension_bound_is_an_invariant_error(self, monkeypatch):
+        # A 3-step shift needs 3 shrinking layers; claim dimension 1.
+        monkeypatch.setattr(NilObject, "total_dim", lambda self: 1)
+        with pytest.raises(InvariantError, match="dimension bound"):
+            is_nilpotent(single("f", [[0, 1, 0], [0, 0, 1], [0, 0, 0]]))
 
 
 class TestRestrictDiagonal:
@@ -316,6 +477,22 @@ class TestFoldThrough:
         if set(X.ring.units) != {"a", "b"}:
             return
         assert is_nilpotent(fold_through(X, "b", "a")).nilpotent
+
+    def test_work_budget(self):
+        # Two into letters, one back letter, b-diagonal index 3: 2 * 1 * 3
+        # words, each weighted k (k + t)^2 + 400 = 2 * (2 + 3)^2 + 400 = 450.
+        shift = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
+        X = two_unit(
+            {"a": 2, "b": 3},
+            [Letter("s0", "a", "b"), Letter("s1", "a", "b"), Letter("d", "b", "b"),
+             Letter("t", "b", "a")],
+            {"s0": [[1, 0, 0], [0, 0, 0]], "s1": [[0, 1, 0], [0, 0, 0]], "d": shift,
+             "t": [[0, 0], [0, 0], [0, 1]]},
+        )
+        Y = fold_through(X, "b", "a", budget=2700)
+        assert [l.name for l in Y.letters] == ["s0|d|d|t", "s1|d|t"]
+        with pytest.raises(LimitExceeded, match=r"fold work 2700 \(6 composite words"):
+            fold_through(X, "b", "a", budget=2699)
 
 
 class TestWordTwist:

@@ -348,6 +348,42 @@ class TestReduceStep:
         RelationVector(Y.n, Y.c)
 
 
+class TestRandomRelation:
+    @staticmethod
+    def chained(n, rng, spread=2):
+        # The draw order of `random_relation`, summed with RelationVector ops.
+        out = RelationVector(n, tuple(SkewLaurent.zero() for _ in range(n)))
+        pairs = [(p, q) for q in range(1, n) for p in range(q)]
+        rng.shuffle(pairs)
+        used = 0
+        for p, q in pairs:
+            if used >= 2 and rng.random() < 0.5:
+                break
+            mono = LaurentPoly.x(rng.randint(-spread, spread), rng.randint(-1, 1))
+            coef = rng.choice([-2, -1, 1, 2]) * mono
+            w = SkewLaurent.t(rng.randint(0, spread), coef)
+            out = out + pairwise_relation(p, q, n).scaled(w)
+            used += 1
+        return out
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_the_chained_sum(self, seed):
+        n = 2 + seed % 5
+        got = random_relation(n, Random(seed))
+        assert got == self.chained(n, Random(seed))
+
+    def test_validated_once(self, monkeypatch):
+        import freenil.syzygy as syzygy
+
+        n, seed = 6, 3
+        self.chained(n, Random(seed))  # fill the pairwise cache
+        calls = []
+        real = syzygy._check_relation_y
+        monkeypatch.setattr(syzygy, "_check_relation_y", lambda c: calls.append(1) or real(c))
+        random_relation(n, Random(seed))
+        assert len(calls) == 1
+
+
 class TestVerifiers:
     def test_kernel_pair_items(self):
         items = verify_kernel_pairs(4)

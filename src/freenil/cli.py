@@ -20,6 +20,11 @@ nil-map --fold`` on the composite words weighted by the unit dims.
 
 Input files may be given by path, or by the bare name of a shipped sample
 (``dinf``, ``s3z2``, ``bs12``, ``s3``, ``nil_example``).
+
+Every command is one row of the command table ``COMMANDS``, which names
+its runner.  The parser is built once per process, when this module is
+imported; ``main`` only parses argv and calls the named runner, and each
+runner checks its arguments and limits and calls library verifiers.
 """
 
 from __future__ import annotations
@@ -38,17 +43,13 @@ from .errors import InvariantError, LimitExceeded, UnsupportedOperation
 from .groupring import GroupRingElement, grade_decompose, word_sequence_type
 from .groups import FiniteSubgroup, format_element, parse_element
 from .hnn import HNN
-from .laurent import x_diff
 from .report import CheckItem, Report
-from .skewpoly import SkewLaurent, format_skew
 from .syzygy import (
     collapse_certificate,
-    complexity,
+    collapse_images,
     kernel_pair,  # the x-basis pairs stay importable from here
-    kernel_pair_y,
-    pairwise_relation,
-    RelationVector,
-    reduce_chain,
+    reduce_pair_sum,
+    verify_kernel_pairs,
     verify_reduction,
     verify_relations,
 )
@@ -229,9 +230,7 @@ def run_verify_kernel(args, report: Report, limits: Limits) -> None:
     if args.max_n < 0:
         raise ValueError("--max-n must be >= 0")
     ensure_within(args.max_n, limits.n, "kernel bound")
-    for n in range(args.max_n + 1):
-        kernel_pair_y(n)  # proves f(W_n) = 0 in y, or raises InvariantError (exit 4)
-        report.add(f"defining map kills the degree-{n} pair", "0", "0")
+    report.extend(verify_kernel_pairs(args.max_n))
 
 
 def run_relations(args, report: Report, limits: Limits) -> None:
@@ -263,31 +262,15 @@ def run_reduce(args, report: Report, limits: Limits) -> None:
         report.data["count"] = args.count
         report.data["seed"] = args.seed
         return
-    comps = [SkewLaurent.zero()] * args.arity
+    pairs = []
     for text in args.pair:
         fields = text.split(",")
         if len(fields) != 2:
             raise ValueError(f"--pair takes P,Q with two integers, got {text!r}")
-        p, q = (int(f) for f in fields)
-        comps = [a + b for a, b in zip(comps, pairwise_relation(p, q, args.arity).c)]
-    trace = reduce_chain(RelationVector(args.arity, tuple(comps)))  # one validation of the sum
-    steps = []
-    chis = []
-    for v in trace:
-        if v.is_zero():
-            steps.append("zero")
-        elif v.terminal:
-            steps.append("terminal")
-        else:
-            chi = complexity(v)
-            chis.append(chi)
-            a, b, g = chi.as_tuple()
-            steps.append(f"chi=({a}, {b}, {g})")
-    ended = trace[-1].is_zero() or trace[-1].terminal
-    report.add("the chain reaches an end state", True, ended)
-    decreasing = all(b < a for a, b in zip(chis, chis[1:]))
-    report.add("complexity strictly decreases", True, decreasing)
-    report.data["steps"] = len(trace) - 1
+        pairs.append(tuple(int(f) for f in fields))
+    items, steps = reduce_pair_sum(pairs, args.arity)
+    report.extend(items)
+    report.data["steps"] = len(steps) - 1
     report.data["trace"] = steps
 
 
@@ -303,23 +286,7 @@ def run_collapse(args, report: Report, limits: Limits) -> None:
     for n in range(1, args.max_n + 1):
         for it in collapse_certificate(n, args.samples, args.seed):
             report.items.append(CheckItem(f"stage {n}: {it.name}", it.expected, it.got, it.ok))
-    images = []
-    for j in range(args.max_n):
-        image = SkewLaurent.from_poly(x_diff(-j)).collapse()
-        images.append(
-            {
-                "element": format_skew(SkewLaurent.from_poly(x_diff(-j))),
-                "image": "0" if image.is_zero() else "nonzero",
-            }
-        )
-    unit = SkewLaurent.one().collapse()
-    images.append(
-        {
-            "element": "1",
-            "image": "1" if unit == unit * unit and not unit.is_zero() else "changed",
-        }
-    )
-    report.data["images"] = images
+    report.data["images"] = collapse_images(args.max_n)
 
 
 def run_normalize(args, report: Report, limits: Limits) -> None:
@@ -405,9 +372,7 @@ def run_nil_check(args, report: Report, limits: Limits) -> None:
     report.data["dims"] = {u: X.dims[u] for u in X.ring.units}
     report.data["nilpotent"] = cert.nilpotent
     report.data["index"] = cert.index
-    report.data["layer_dims"] = [
-        sum(len(layer[u]) for u in X.ring.units) for layer in cert.filtration.subspaces
-    ]
+    report.data["layer_dims"] = cert.filtration.layer_dims()
 
 
 def run_nil_map(args, report: Report, limits: Limits) -> None:
@@ -452,6 +417,28 @@ def run_nil_map(args, report: Report, limits: Limits) -> None:
         report.data["saved"] = args.out
 
 
+# The command table: (command, mode) -> (runner name, help).  Each mode is
+# one subparser tagged with its runner's name, and `main` resolves that
+# name among this module's globals at call time, so a patched or traced
+# runner is the one that runs.
+COMMANDS = {
+    ("words", "sieve"): ("run_words", "emit the sieve's pivot words"),
+    ("words", "verify"): ("run_words", "sieve plus the full admissibility checks"),
+    ("words", "enumerate"): ("run_words", "canonical primitive rotation classes"),
+    ("grouph", "verify-kernel"): ("run_verify_kernel",
+                                  "check the defining map kills every kernel pair"),
+    ("grouph", "relations"): ("run_relations",
+                              "check the pairwise relations and their last projections"),
+    ("grouph", "reduce"): ("run_reduce", "run the complexity descent"),
+    ("grouph", "collapse"): ("run_collapse", "certify 1 avoids the finite-stage right ideals"),
+    ("algebra", "normalize"): ("run_normalize", "normal form of a word"),
+    ("algebra", "decompose"): ("run_decompose", "grading components of a ring element"),
+    ("algebra", "cosets"): ("run_cosets", "double cosets of two generated subgroups"),
+    ("algebra", "nil-check"): ("run_nil_check", "nilpotency certificate for a stored object"),
+    ("algebra", "nil-map"): ("run_nil_map", "transport a stored object through a functor"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="freenil",
@@ -464,103 +451,79 @@ def build_parser() -> argparse.ArgumentParser:
                      help="report format (default json)")
     fmt.add_argument("--plain", action="store_true", help="shorthand for --format plain")
 
-    words_p = sub.add_parser("words", help="primitive-word enumeration and the pivot sieve")
-    words_sub = words_p.add_subparsers(dest="mode", required=True)
-    for mode, blurb in (
-        ("sieve", "emit the sieve's pivot words"),
-        ("verify", "sieve plus the full admissibility checks"),
-        ("enumerate", "canonical primitive rotation classes"),
-    ):
-        p = words_sub.add_parser(mode, parents=[fmt], help=blurb)
-        p.add_argument("-I", "--alphabet", required=True,
-                       help="comma-separated letters, e.g. a,b")
-        p.add_argument("-L", "--bound", required=True, type=int, help="length budget")
-        if mode == "sieve":
-            p.add_argument("--verify", action="store_true",
-                           help="also run the admissibility checks")
-        else:
-            p.set_defaults(verify=False)
-        p.set_defaults(runner=run_words)
+    modes = {
+        name: sub.add_parser(name, help=blurb).add_subparsers(dest="mode", required=True)
+        for name, blurb in (
+            ("words", "primitive-word enumeration and the pivot sieve"),
+            ("grouph", "twisted-ring kernel and relation suites"),
+            ("algebra", "computations over stored constructions"),
+        )
+    }
+    p = {}
+    for (command, mode), (runner, blurb) in COMMANDS.items():
+        p[mode] = modes[command].add_parser(mode, parents=[fmt], help=blurb)
+        p[mode].set_defaults(runner=runner)
 
-    grouph_p = sub.add_parser("grouph", help="twisted-ring kernel and relation suites")
-    grouph_sub = grouph_p.add_subparsers(dest="mode", required=True)
+    for mode in ("sieve", "verify", "enumerate"):
+        p[mode].add_argument("-I", "--alphabet", required=True,
+                             help="comma-separated letters, e.g. a,b")
+        p[mode].add_argument("-L", "--bound", required=True, type=int, help="length budget")
+        p[mode].set_defaults(verify=False)
+    p["sieve"].add_argument("--verify", action="store_true",
+                            help="also run the admissibility checks")
 
-    p = grouph_sub.add_parser("verify-kernel", parents=[fmt],
-                              help="check the defining map kills every kernel pair")
-    p.add_argument("--max-n", dest="max_n", required=True, type=int,
-                   help="largest pair degree to check")
-    p.set_defaults(runner=run_verify_kernel)
+    p["verify-kernel"].add_argument("--max-n", dest="max_n", required=True, type=int,
+                                    help="largest pair degree to check")
+    p["relations"].add_argument("--max-q", dest="max_q", required=True, type=int,
+                                help="largest second index to check")
 
-    p = grouph_sub.add_parser("relations", parents=[fmt],
-                              help="check the pairwise relations and their last projections")
-    p.add_argument("--max-q", dest="max_q", required=True, type=int,
-                   help="largest second index to check")
-    p.set_defaults(runner=run_relations)
-
-    p = grouph_sub.add_parser("reduce", parents=[fmt], help="run the complexity descent")
-    p.add_argument("--arity", type=int, default=4, help="relation vector length")
-    p.add_argument("--count", type=int, default=20, help="random vectors to reduce")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.add_argument("--pair", action="append", metavar="P,Q",
+    r = p["reduce"]
+    r.add_argument("--arity", type=int, default=4, help="relation vector length")
+    r.add_argument("--count", type=int, default=20, help="random vectors to reduce")
+    r.add_argument("--seed", type=int, default=0, help="random seed")
+    r.add_argument("--pair", action="append", metavar="P,Q",
                    help="reduce the sum of these pairwise relations instead of random ones")
-    p.set_defaults(runner=run_reduce)
 
-    p = grouph_sub.add_parser("collapse", parents=[fmt],
-                              help="certify 1 avoids the finite-stage right ideals")
-    p.add_argument("--max-n", dest="max_n", type=int, default=8,
+    c = p["collapse"]
+    c.add_argument("--max-n", dest="max_n", type=int, default=8,
                    help="largest ideal stage to certify")
-    p.add_argument("--samples", type=int, default=20, help="random right multiples per stage")
-    p.add_argument("--seed", type=int, default=7, help="random seed")
-    p.set_defaults(runner=run_collapse)
-
-    algebra_p = sub.add_parser("algebra", help="computations over stored constructions")
-    algebra_sub = algebra_p.add_subparsers(dest="mode", required=True)
+    c.add_argument("--samples", type=int, default=20, help="random right multiples per stage")
+    c.add_argument("--seed", type=int, default=7, help="random seed")
 
     word_help = (
         "whitespace tokens: T+/T- and base elements for an HNN file,"
         " 1:ELEMENT / 2:ELEMENT for an amalgam file"
     )
-    p = algebra_sub.add_parser("normalize", parents=[fmt], help="normal form of a word")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--hnn", metavar="FILE", help="HNN extension file")
-    src.add_argument("--amalgam", metavar="FILE", help="amalgamated product file")
-    p.add_argument("--word", required=True, help=word_help)
-    p.set_defaults(runner=run_normalize)
+    for mode in ("normalize", "decompose"):
+        src = p[mode].add_mutually_exclusive_group(required=True)
+        src.add_argument("--hnn", metavar="FILE", help="HNN extension file")
+        src.add_argument("--amalgam", metavar="FILE", help="amalgamated product file")
+    p["normalize"].add_argument("--word", required=True, help=word_help)
+    p["decompose"].add_argument("--word", action="append", required=True,
+                                help=word_help + "; repeat to sum several basis words")
 
-    p = algebra_sub.add_parser("decompose", parents=[fmt],
-                               help="grading components of a ring element")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--hnn", metavar="FILE", help="HNN extension file")
-    src.add_argument("--amalgam", metavar="FILE", help="amalgamated product file")
-    p.add_argument("--word", action="append", required=True,
-                   help=word_help + "; repeat to sum several basis words")
-    p.set_defaults(runner=run_decompose)
+    g = p["cosets"]
+    g.add_argument("file", help="group file")
+    g.add_argument("--left", required=True, help="comma-separated generator names")
+    g.add_argument("--right", required=True, help="comma-separated generator names")
 
-    p = algebra_sub.add_parser("cosets", parents=[fmt],
-                               help="double cosets of two generated subgroups")
-    p.add_argument("file", help="group file")
-    p.add_argument("--left", required=True, help="comma-separated generator names")
-    p.add_argument("--right", required=True, help="comma-separated generator names")
-    p.set_defaults(runner=run_cosets)
+    p["nil-check"].add_argument("file", nargs="?", default=None,
+                                help="nil object file (defaults to the shipped sample)")
 
-    p = algebra_sub.add_parser("nil-check", parents=[fmt],
-                               help="nilpotency certificate for a stored object")
-    p.add_argument("file", nargs="?", default=None,
-                   help="nil object file (defaults to the shipped sample)")
-    p.set_defaults(runner=run_nil_check)
-
-    p = algebra_sub.add_parser("nil-map", parents=[fmt],
-                               help="transport a stored object through a functor")
-    p.add_argument("file", help="nil object file")
-    p.add_argument("--restrict", metavar="UNIT", help="keep one unit and its diagonal letters")
-    p.add_argument("--fold", metavar="THRU", help="fold this unit away (needs --onto)")
-    p.add_argument("--onto", metavar="KEEP", help="surviving unit for --fold")
-    p.add_argument("--twist", action="append", metavar="WORD",
+    m = p["nil-map"]
+    m.add_argument("file", help="nil object file")
+    m.add_argument("--restrict", metavar="UNIT", help="keep one unit and its diagonal letters")
+    m.add_argument("--fold", metavar="THRU", help="fold this unit away (needs --onto)")
+    m.add_argument("--onto", metavar="KEEP", help="surviving unit for --fold")
+    m.add_argument("--twist", action="append", metavar="WORD",
                    help="letter word for the word twist; repeat for a family")
-    p.add_argument("--out", metavar="FILE", help="also save the transported object here")
-    p.set_defaults(runner=run_nil_map)
+    m.add_argument("--out", metavar="FILE", help="also save the transported object here")
 
     return parser
+
+
+# Built once per process, at import: `parse_args` keeps no state between calls.
+_PARSER = build_parser()
 
 
 def _emit(report: Report, args, start: float, code: int) -> int:
@@ -571,16 +534,15 @@ def _emit(report: Report, args, start: float, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     report = Report(command="")
     start = time.perf_counter()
     try:
         limits = read_limits()
-        args.runner(args, report, limits)
+        globals()[args.runner](args, report, limits)
     except LimitExceeded as exc:
         report.status = "error"
         report.data["limit"] = str(exc)

@@ -97,6 +97,10 @@ class Filtration:
     def depth(self) -> int:
         return len(self.subspaces) - 1
 
+    def layer_dims(self) -> list[int]:
+        """Total dimension of each layer M_0, M_1, ..., summed over the units."""
+        return [sum(map(len, layer.values())) for layer in self.subspaces]
+
 
 @dataclass(frozen=True)
 class NilCertificate:

@@ -47,14 +47,6 @@ from .skewpoly import SkewLaurent, format_skew
 Pair = tuple[SkewLaurent, SkewLaurent]
 
 
-def y_run(top: int, bottom: int) -> LaurentPoly:
-    """Product y_top * y_{top-1} * ... * y_bottom in x; one when top < bottom."""
-    out = LaurentPoly.one()
-    for i in range(top, bottom - 1, -1):
-        out = out * one_minus_x(i)
-    return out
-
-
 # y-coordinates: the same polynomial types, with index i read as y_i.
 
 def _yrun(top: int, bottom: int) -> LaurentPoly:
@@ -142,46 +134,6 @@ def kernel_pair(n: int) -> Pair:
     """
     U, V = kernel_pair_y(n)
     return (U.change_basis(), V.change_basis())
-
-
-def bounded_kernel_check(U: SkewLaurent, V: SkewLaurent, n: int) -> bool:
-    """Is (U, V) in the kernel with both t-supports inside [0, n]?
-
-    When the support bounds hold, kernel membership is equivalent to the
-    triangular layer recurrences
-
-        v_k = u_k + sum_{0<=i<k} z_{1-i} y_{-i} ... y_{2-k} u_i
-
-    together with the closing relation
-
-        0 = sum_{0<=i<=n} z_{1-i} y_{-i} ... y_{1-n} u_i
-
-    and this function verifies the equivalence on every call.
-    """
-    nu_u, deg_u = U.val_deg()
-    nu_v, deg_v = V.val_deg()
-    if nu_u < 0 or deg_u > n or nu_v < 0 or deg_v > n:
-        return False
-    in_kernel = defining_map(U, V).is_zero()
-
-    u = [U.coeff(i) for i in range(n + 1)]
-    v = [V.coeff(i) for i in range(n + 1)]
-    layered = True
-    for k in range(n + 1):
-        rhs = u[k]
-        for i in range(k):
-            rhs = rhs + x_diff(1 - i) * y_run(-i, 2 - k) * u[i]
-        if v[k] != rhs:
-            layered = False
-            break
-    if layered:
-        closing = LaurentPoly.zero()
-        for i in range(n + 1):
-            closing = closing + x_diff(1 - i) * y_run(-i, 1 - n) * u[i]
-        layered = closing.is_zero()
-    if layered != in_kernel:
-        raise InvariantError("layer recurrences disagree with kernel membership")
-    return in_kernel
 
 
 @dataclass(frozen=True)
@@ -430,12 +382,11 @@ def last_projection_generator(p: int, n: int) -> LaurentPoly:
 # Report-producing verifiers shared by the test suite and the CLI.
 
 def verify_kernel_pairs(max_n: int) -> list[CheckItem]:
+    """One item per kernel pair W_0 .. W_max_n: the `grouph verify-kernel` report."""
     items = []
     for n in range(max_n + 1):
         kernel_pair_y(n)  # proves f(W_n) = 0 in y, or raises InvariantError
-        items.append(item(f"defining map kills pair {n}", "0", "0"))
-        ok = bounded_kernel_check(*kernel_pair(n), n + 1)
-        items.append(item(f"pair {n} satisfies the layer recurrences", True, ok))
+        items.append(item(f"defining map kills the degree-{n} pair", "0", "0"))
     return items
 
 
@@ -481,6 +432,39 @@ def random_relation(n: int, rng: Random, spread: int = 2) -> RelationVector:
         comps = [a + b * w for a, b in zip(comps, pairwise_relation(p, q, n).c)]
         used += 1
     return RelationVector(n, tuple(comps))
+
+
+def reduce_pair_sum(
+    pairs: Iterable[tuple[int, int]], n: int
+) -> tuple[list[CheckItem], list[str]]:
+    """Descend from the sum of the pairwise relations X(p, q) at arity n.
+
+    The sum is validated once.  Returns the end-state and monotonicity
+    items, and one trace entry per vector: "zero", "terminal", or its
+    complexity as "chi=(alpha, beta, gamma)".
+    """
+    comps = [SkewLaurent.zero()] * n
+    for p, q in pairs:
+        comps = [a + b for a, b in zip(comps, pairwise_relation(p, q, n).c)]
+    trace = reduce_chain(RelationVector(n, tuple(comps)))
+    steps = []
+    chis = []
+    for v in trace:
+        if v.is_zero():
+            steps.append("zero")
+        elif v.terminal:
+            steps.append("terminal")
+        else:
+            chis.append(complexity(v))
+            a, b, g = chis[-1].as_tuple()
+            steps.append(f"chi=({a}, {b}, {g})")
+    ended = trace[-1].is_zero() or trace[-1].terminal
+    decreasing = all(b < a for a, b in zip(chis, chis[1:]))
+    items = [
+        item("the chain reaches an end state", True, ended),
+        item("complexity strictly decreases", True, decreasing),
+    ]
+    return items, steps
 
 
 def verify_reduction(arity: int, count: int, seed: int) -> list[CheckItem]:
@@ -539,3 +523,16 @@ def collapse_certificate(n: int, samples: int = 20, seed: int = 7) -> list[Check
     ) if n >= 2 else True
     items.append(item("projection witnesses are nonzero", True, witnesses))
     return items
+
+
+def collapse_images(max_n: int) -> list[dict]:
+    """Collapse images of the generators z_0 .. z_{1-max_n}, then of the unit."""
+    images = []
+    for j in range(max_n):
+        z = SkewLaurent.from_poly(x_diff(-j))
+        image = "0" if z.collapse().is_zero() else "nonzero"
+        images.append({"element": format_skew(z), "image": image})
+    unit = SkewLaurent.one().collapse()
+    survives = unit == unit * unit and not unit.is_zero()
+    images.append({"element": "1", "image": "1" if survives else "changed"})
+    return images

@@ -9,6 +9,7 @@ composed by hand.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 
@@ -105,3 +106,76 @@ def eval_bs12(tokens):
             step = (0, Fraction(value[0]))
         out = bs_mul(out, step)
     return out
+
+
+# Cubic reference checks for the group layer, the slow originals of what
+# FiniteGroup and FiniteSubgroup.generated now do by generators.
+
+def is_associative(table):
+    """Check (i*j)*k == i*(j*k) for every triple of indices."""
+    n = len(table)
+    return all(
+        table[table[i][j]][k] == table[i][table[j][k]]
+        for i in range(n) for j in range(n) for k in range(n)
+    )
+
+
+def closure_by_pairs(group, generators):
+    """Identity, generators and their inverses, closed by all-pairs products."""
+    closure = {group.identity}
+    closure.update(generators)
+    closure.update(group.invert(g) for g in generators)
+    grew = True
+    while grew:
+        grew = False
+        for g in tuple(closure):
+            for h in tuple(closure):
+                p = group.multiply(g, h)
+                if p not in closure:
+                    closure.add(p)
+                    grew = True
+    return closure
+
+
+def random_loop(rng, n):
+    """A random normalized Latin square of order n: a loop with identity 0.
+
+    Cells are filled row by row with values in random order, backtracking
+    on a dead end.
+    """
+    table = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        used = set(table[i][:j]) | {table[r][j] for r in range(i)}
+        options = [v for v in range(n) if v not in used]
+        rng.shuffle(options)
+        for v in options:
+            table[i][j] = v
+            if fill(k + 1):
+                return True
+        table[i][j] = None
+        return False
+
+    fill(0)
+    return table
+
+
+def symmetric_perms(degree):
+    """Every permutation of range(degree), named by its one-line form."""
+    return {"p" + "".join(map(str, p)): p for p in itertools.permutations(range(degree))}
+
+
+def perm_table(perms):
+    """Multiplication table of a closed list of permutations, in list order."""
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[perm_mul(g, h)] for h in perms] for g in perms]
+
+
+def relabel(table, order):
+    """The same operation with element order[k] listed k-th."""
+    pos = {old: new for new, old in enumerate(order)}
+    return [[pos[table[i][j]] for j in order] for i in order]

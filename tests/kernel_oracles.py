@@ -1,0 +1,61 @@
+"""x-coordinate oracles for the twisted-ring kernel, used by the syzygy tests.
+
+The library builds and checks kernel pairs in y-coordinates, where a run
+y_0 ... y_{-n} is one monomial.  Here the same facts are checked the slow
+way, in x, where that run expands to 2^(n+1) terms: `y_run` builds the
+run, and `bounded_kernel_check` decides kernel membership through the
+layer recurrences as well as through the defining map.
+"""
+
+from freenil.errors import InvariantError
+from freenil.laurent import LaurentPoly, one_minus_x, x_diff
+from freenil.skewpoly import SkewLaurent
+from freenil.syzygy import defining_map
+
+
+def y_run(top: int, bottom: int) -> LaurentPoly:
+    """Product y_top * y_{top-1} * ... * y_bottom in x; one when top < bottom."""
+    out = LaurentPoly.one()
+    for i in range(top, bottom - 1, -1):
+        out = out * one_minus_x(i)
+    return out
+
+
+def bounded_kernel_check(U: SkewLaurent, V: SkewLaurent, n: int) -> bool:
+    """Is (U, V) in the kernel with both t-supports inside [0, n]?
+
+    When the support bounds hold, kernel membership is equivalent to the
+    triangular layer recurrences
+
+        v_k = u_k + sum_{0<=i<k} z_{1-i} y_{-i} ... y_{2-k} u_i
+
+    together with the closing relation
+
+        0 = sum_{0<=i<=n} z_{1-i} y_{-i} ... y_{1-n} u_i
+
+    and this function verifies the equivalence on every call.
+    """
+    nu_u, deg_u = U.val_deg()
+    nu_v, deg_v = V.val_deg()
+    if nu_u < 0 or deg_u > n or nu_v < 0 or deg_v > n:
+        return False
+    in_kernel = defining_map(U, V).is_zero()
+
+    u = [U.coeff(i) for i in range(n + 1)]
+    v = [V.coeff(i) for i in range(n + 1)]
+    layered = True
+    for k in range(n + 1):
+        rhs = u[k]
+        for i in range(k):
+            rhs = rhs + x_diff(1 - i) * y_run(-i, 2 - k) * u[i]
+        if v[k] != rhs:
+            layered = False
+            break
+    if layered:
+        closing = LaurentPoly.zero()
+        for i in range(n + 1):
+            closing = closing + x_diff(1 - i) * y_run(-i, 1 - n) * u[i]
+        layered = closing.is_zero()
+    if layered != in_kernel:
+        raise InvariantError("layer recurrences disagree with kernel membership")
+    return in_kernel

@@ -41,7 +41,6 @@ from freenil.syzygy import (
     pairwise_relation,
     random_relation,
     reduce_chain,
-    y_run,
 )
 from freenil.words import (
     Alphabet,
@@ -53,6 +52,7 @@ from freenil.words import (
 )
 
 from group_models import S3_PERMS, eval_bs12, eval_dihedral, eval_s3_pushout
+from kernel_oracles import y_run
 from nil_helpers import brute_nilpotent, random_object
 
 DATA = "src/freenil/data"

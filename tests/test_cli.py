@@ -8,6 +8,8 @@ FREENIL_LIMITS ceilings.
 
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 from random import Random
@@ -250,7 +252,7 @@ class TestGrouph:
         def broken(n):
             raise InvariantError("forced for the exit-code contract")
 
-        monkeypatch.setattr("freenil.cli.kernel_pair_y", broken)
+        monkeypatch.setattr("freenil.syzygy.kernel_pair_y", broken)
         code, payload = run_json(capsys, "grouph", "verify-kernel", "--max-n", "2")
         assert code == 4
         assert payload["status"] == "error"
@@ -575,6 +577,43 @@ class TestReportContract:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "words", "frobnicate")
         assert code == 2
+
+
+class TestParserReuse:
+    def test_sequence_matches_fresh_processes(self, capsys):
+        # One parser serves every call in a process: no appended list or
+        # default may leak from one command into the next.
+        sequence = [
+            ["grouph", "reduce", "--arity", "5", "--pair", "0,1", "--pair", "2,4"],
+            ["algebra", "nil-map", "nil_example", "--twist", "f", "--twist", "g,f"],
+            ["grouph", "reduce", "--arity", "5", "--pair"],
+            ["grouph", "reduce", "--arity", "6", "--pair", "1,3"],
+            ["algebra", "nil-map", "nil_example", "--twist", "g"],
+            ["words", "sieve", "-I", "a,b", "-L", "4", "--plain"],
+        ]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        env.pop("FREENIL_LIMITS", None)
+
+        def untimed(out):
+            if out.lstrip().startswith("{"):
+                payload = json.loads(out)
+                payload.pop("timing")
+                return payload
+            return [l for l in out.splitlines() if not l.startswith("timing")]
+
+        codes = []
+        for argv in sequence:
+            code = main(list(argv))
+            got = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "freenil", *argv],
+                capture_output=True, text=True, env=env,
+            )
+            assert code == fresh.returncode, argv
+            assert untimed(got.out) == untimed(fresh.stdout), argv
+            assert got.err == fresh.stderr, argv
+            codes.append(code)
+        assert codes[2] == 2 and codes.count(2) == 1
 
 
 class TestResourceExhaustion:

@@ -33,7 +33,18 @@ from freenil.groups import (
     subgroup_to_dict,
 )
 
-from group_models import S3_NAMES, S3_PERMS, perm_inv, perm_mul
+from group_models import (
+    S3_NAMES,
+    S3_PERMS,
+    closure_by_pairs,
+    is_associative,
+    perm_inv,
+    perm_mul,
+    perm_table,
+    random_loop,
+    relabel,
+    symmetric_perms,
+)
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +111,50 @@ class TestFiniteGroup:
         ]
         with pytest.raises(ValueError, match="associative"):
             FiniteGroup(("e", "a", "b", "c", "d"), table)
+
+    def test_rejects_loop_whose_first_generator_associates(self):
+        # Z/2 x (the order-5 loop above), listed so that the first generator
+        # picked, (1, e), associates with everything: a test that checked
+        # only it would accept.  The next generator, (0, a), exposes it.
+        loop = [
+            [0, 1, 2, 3, 4],
+            [1, 0, 3, 4, 2],
+            [2, 4, 0, 1, 3],
+            [3, 2, 4, 0, 1],
+            [4, 3, 1, 2, 0],
+        ]
+        table = [[2 * loop[i // 2][j // 2] + (i + j) % 2 for j in range(10)] for i in range(10)]
+        assert not is_associative(table)
+        with pytest.raises(ValueError, match="associative"):
+            FiniteGroup([f"e{i}" for i in range(10)], table)
+
+    @given(n=st.integers(5, 7), rng=st.randoms(use_true_random=False))
+    @settings(max_examples=80, deadline=None)
+    def test_loops_accepted_iff_associative(self, n, rng):
+        # Light's test by generators must agree with the cubic sweep.
+        table = random_loop(rng, n)
+        names = [f"e{i}" for i in range(n)]
+        if is_associative(table):
+            assert FiniteGroup(names, table).identity == "e0"
+        else:
+            with pytest.raises(ValueError, match="associative|inverse"):
+                FiniteGroup(names, table)
+
+    @pytest.mark.parametrize(
+        "table",
+        [perm_table(list(S3_PERMS.values())), perm_table(list(symmetric_perms(4).values()))]
+        + [[[(i + j) % n for j in range(n)] for i in range(n)] for n in (1, 2, 5, 8, 12)],
+        ids=["S3", "S4", "Z1", "Z2", "Z5", "Z8", "Z12"],
+    )
+    @given(rng=st.randoms(use_true_random=False))
+    @settings(max_examples=10, deadline=None)
+    def test_group_tables_accepted_in_any_order(self, table, rng):
+        order = list(range(len(table)))
+        rng.shuffle(order)
+        relabelled = relabel(table, order)
+        assert is_associative(relabelled)
+        group = FiniteGroup([f"g{k}" for k in range(len(order))], relabelled)
+        assert group.sort_key(group.identity) == order.index(0)
 
     def test_rejects_duplicate_names(self):
         with pytest.raises(ValueError, match="distinct"):
@@ -214,6 +269,15 @@ class TestFiniteSubgroup:
             FiniteSubgroup(s3, ["1", "(12)"], transversal=["1", "(13)", "(123)"])
         with pytest.raises(ValueError, match="identity"):
             FiniteSubgroup(s3, ["1", "(12)"], transversal=["(12)", "(13)", "(23)"])
+
+    @pytest.mark.parametrize("degree", [3, 4, 5])
+    @given(rng=st.randoms(use_true_random=False))
+    @settings(max_examples=15, deadline=None)
+    def test_generated_matches_pair_closure(self, degree, rng):
+        group = FiniteGroup.from_permutations(symmetric_perms(degree))
+        gens = rng.sample(group.elements(), rng.randint(0, 3))
+        H = FiniteSubgroup.generated(group, gens)
+        assert H.members == closure_by_pairs(group, gens)
 
     def test_rejects_unclosed_subset(self, s3):
         with pytest.raises(ValueError, match="closed"):

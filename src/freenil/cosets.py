@@ -19,12 +19,18 @@ from dataclasses import dataclass
 
 from .amalgam import Amalgam
 from .errors import InvariantError, UnsupportedOperation
+from .groups import FiniteSubgroup
 from .hnn import HNN
 from .report import CheckItem, item
 
 
 def _subgroup_members(group, subgroup):
-    """Accept a subgroup object or a bare element collection; validate closure."""
+    """Accept a subgroup object or a bare element collection; validate closure.
+
+    A `FiniteSubgroup` of ``group`` already proved its closure when built.
+    """
+    if isinstance(subgroup, FiniteSubgroup) and subgroup.group is group:
+        return subgroup.members
     members = getattr(subgroup, "members", None)
     if members is None:
         members = frozenset(group.check(g) for g in subgroup)

@@ -329,7 +329,8 @@ def reduce_step(X: RelationVector) -> RelationVector:
         raise ValueError("cannot reduce the zero vector")
     chi = complexity(X)
     beta, gamma = chi.beta, chi.gamma
-    assert isinstance(beta, int)
+    if not isinstance(beta, int):
+        raise InvariantError(f"lowest t-degree {beta} of a nonzero vector is not finite")
 
     # Left layer coefficients at t-degree beta: c_k = ... + layer_k t^beta + ...
     layer = [X.c[k].coeff(beta).shift(beta) for k in range(X.n)]

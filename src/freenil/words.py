@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InvariantError
 
@@ -19,8 +19,6 @@ Word = tuple[str, ...]
 
 def as_word(w: Iterable[str] | str) -> Word:
     """Coerce a string (one letter per character) or iterable to a Word."""
-    if isinstance(w, str):
-        return tuple(w)
     return tuple(w)
 
 
@@ -40,9 +38,6 @@ class Alphabet:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __contains__(self, letter: str) -> bool:
-        return letter in self._rank
-
     def __repr__(self) -> str:
         return f"Alphabet({self.letters!r})"
 
@@ -56,14 +51,6 @@ class Alphabet:
     def sort_key(self, u: Word) -> tuple[int, tuple[int, ...]]:
         """Length-then-lex key, the order used to pick sieve pivots."""
         return (len(u), self.key(u))
-
-    def words_of_length(self, n: int) -> Iterator[Word]:
-        if n == 0:
-            yield ()
-            return
-        for prefix in self.words_of_length(n - 1):
-            for l in self.letters:
-                yield prefix + (l,)
 
 
 def is_reduced(u: Word) -> bool:
@@ -131,16 +118,26 @@ def rotate(u: Word, k: int) -> Word:
 def primitive_classes(alphabet: Alphabet, bound: int) -> set[Word]:
     """Canonical representatives of rotation classes of primitive words.
 
-    Enumerates every word of length 1..bound, keeps the primitive ones,
-    and deduplicates through `cyclic_canonical`.
+    The least rotation of a primitive word is its Lyndon conjugate (Duval,
+    "Factorizing words over an ordered alphabet", 1983), so these are the
+    Lyndon words of length 1..bound in the declared order.  Duval's 1988
+    generation step (in Fredricksen-Kessler-Maiorana order) repeats the
+    current word up to the bound, drops trailing largest letters and steps
+    the last letter up: O(bound) per Lyndon word, O(census * bound) in all.
     """
     if bound < 1:
         raise ValueError("length bound must be >= 1")
+    letters = alphabet.letters
+    successor = dict(zip(letters, letters[1:]))  # all but the largest letter
     out: set[Word] = set()
-    for n in range(1, bound + 1):
-        for w in alphabet.words_of_length(n):
-            if is_reduced(w):
-                out.add(cyclic_canonical(w, alphabet))
+    w = [letters[0]]
+    while w:
+        out.add(tuple(w))
+        w = (w * (bound // len(w) + 1))[:bound]
+        while w and w[-1] not in successor:
+            w.pop()
+        if w:
+            w[-1] = successor[w[-1]]
     return out
 
 
@@ -174,7 +171,8 @@ def aperiodic_necklace_count(k: int, n: int) -> int:
             if d != n // d:
                 total += mobius(n // d) * k ** d
         d += 1
-    assert total % n == 0
+    if total % n:
+        raise InvariantError(f"necklace sum {total} is not divisible by length {n}")
     return total // n
 
 
@@ -271,15 +269,15 @@ def verify_admissible(candidates: Sequence[Word], alphabet: Alphabet, bound: int
     items: list[CheckItem] = []
     in_range = [w for w in candidates if len(w) <= bound]
 
-    not_reduced = [w for w in in_range if not is_reduced(w)]
+    primitive, not_reduced = [], []
+    for w in in_range:
+        (primitive if is_reduced(w) else not_reduced).append(w)
     items.append(CheckItem("all candidates primitive", "[]",
                            _fmt_words(not_reduced), not not_reduced))
 
     canon: dict[Word, Word] = {}
     collisions: list[Word] = []
-    for w in in_range:
-        if not is_reduced(w):
-            continue
+    for w in primitive:
         c = cyclic_canonical(w, alphabet)
         if c in canon and canon[c] != w:
             collisions.append(w)

@@ -106,7 +106,7 @@ class TestWords:
         assert "ceiling" in payload["data"]["limit"]
 
     def test_work_budget_exits_three_before_enumerating(self, capsys):
-        # Within l=16, but the brute-force check would walk 3^16 words.
+        # Within l=16, but the class census (4,180,416) is over the budget.
         start = perf_counter()
         code, out = run_cli(capsys, "words", "verify", "-I", "a,b,c", "-L", "16")
         assert perf_counter() - start < 1.0
@@ -118,16 +118,16 @@ class TestWords:
         assert payload["items"] == []
         assert "class census" in payload["data"]["limit"]
 
-    @pytest.mark.parametrize("argv", [
-        ("sieve", "-I", "a,b,c", "-L", "13", "--verify"),
-        ("enumerate", "-I", "a,b,c", "-L", "13"),
-    ])
-    def test_brute_force_budget_exits_three(self, capsys, argv):
-        # The census (192,346) is within budget; 3 + 9 + ... + 3^13 is not.
-        code, payload = run_json(capsys, "words", *argv)
-        assert code == 3
-        assert payload["items"] == []
-        assert "brute-force word count" in payload["data"]["limit"]
+    @pytest.mark.parametrize("mode", ["verify", "enumerate"])
+    def test_census_budget_bounds_every_mode(self, capsys, mode):
+        # 3 letters at L = 13: a census of 192,346, just inside the budget.
+        code, out = run_cli(capsys, "words", mode, "-I", "a,b,c", "-L", "13")
+        assert code == 0
+        assert "Traceback" not in out
+        payload = json.loads(out)
+        assert payload["status"] == "pass"
+        assert payload["data"]["count"] == 192_346
+        assert payload["items"] and all(it["ok"] for it in payload["items"])
 
 
 class TestGrouph:

@@ -13,6 +13,7 @@ import pytest
 
 from freenil.cosets import (
     ConjugateSubgroupData,
+    _subgroup_members,
     conjugate_intersection,
     conjugate_subgroup_data,
     double_cosets,
@@ -109,6 +110,23 @@ class TestDoubleCosets:
         Z = FreeAbelianGroup(1)
         with pytest.raises(UnsupportedOperation):
             double_cosets(Z, [(0,)], [(0,)])
+
+    def test_finite_subgroup_closure_not_reproved(self, s3, monkeypatch):
+        H = FiniteSubgroup.generated(s3, ["(12)", "(123)"])
+        other = FiniteSubgroup.generated(FiniteGroup.from_permutations(S3_PERMS), ["(12)"])
+        calls = []
+        multiply = FiniteGroup.multiply
+
+        def counting(self, g, h):
+            calls.append((g, h))
+            return multiply(self, g, h)
+
+        monkeypatch.setattr(FiniteGroup, "multiply", counting)
+        assert _subgroup_members(s3, H) == H.members
+        assert calls == []
+        # A subgroup of another group object is checked in full.
+        assert _subgroup_members(s3, other) == other.members
+        assert len(calls) == len(other.members) ** 2
 
 
 class TestConjugateTransport:

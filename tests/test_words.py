@@ -5,9 +5,13 @@ file (rotation enumeration, proper-power search, a divisor-sum class
 count) and are never copied from the implementation under test.
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freenil import words
+from freenil.errors import InvariantError
 from freenil.words import (
     Alphabet,
     aperiodic_necklace_count,
@@ -27,8 +31,10 @@ ABC = Alphabet(("a", "b", "c"))
 
 # Oracles.
 
-def brute_min_rotation(u):
-    return min(u[k:] + u[:k] for k in range(len(u)))
+def brute_min_rotation(u, letters="ab"):
+    # Least rotation in the declared letter order, by direct comparison.
+    return min((u[k:] + u[:k] for k in range(len(u))),
+               key=lambda w: [letters.index(l) for l in w])
 
 
 def brute_is_primitive(u):
@@ -47,15 +53,16 @@ def brute_class_count(k, n):
 
 
 def brute_classes(alphabet, bound):
-    # Independent enumeration: dedup primitive words by their rotation sets.
+    # Independent enumeration of all k^n words: dedup primitive words by
+    # their rotation sets.
     seen = set()
     out = set()
     for n in range(1, bound + 1):
-        for w in alphabet.words_of_length(n):
+        for w in itertools.product(alphabet.letters, repeat=n):
             if brute_is_primitive(w) and w not in seen:
                 rotations = {w[k:] + w[:k] for k in range(len(w))}
                 seen |= rotations
-                out.add(brute_min_rotation(w))
+                out.add(brute_min_rotation(w, alphabet.letters))
     return out
 
 
@@ -158,6 +165,21 @@ class TestPrimitiveClasses:
     @pytest.mark.parametrize("bound", range(1, 7))
     def test_matches_independent_enumeration(self, bound):
         assert primitive_classes(AB, bound) == brute_classes(AB, bound)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_matches_independent_enumeration_in_declared_order(self, data):
+        letters = data.draw(
+            st.lists(st.sampled_from("abcdxyz"), min_size=1, max_size=4, unique=True)
+        )
+        bound = data.draw(st.integers(1, REFERENCE_BOUNDS[len(letters)]))
+        alphabet = Alphabet(letters)
+        assert primitive_classes(alphabet, bound) == brute_classes(alphabet, bound)
+
+    def test_bad_necklace_sum_raises_invariant_error(self, monkeypatch):
+        monkeypatch.setattr(words, "mobius", lambda d: 1)
+        with pytest.raises(InvariantError, match="not divisible"):
+            aperiodic_necklace_count(2, 3)
 
 
 class TestPrefixExtensions:

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 from .errors import InvariantError
 from .groups import (
-    element_from_data,
-    element_to_data,
     embedding_from_dict,
     embedding_to_dict,
     group_from_dict,
@@ -128,23 +126,6 @@ class Amalgam:
                 for k, g in reversed(self.word_tokens(word))
             ]
         )
-
-    def word_to_data(self, word):
-        return {
-            "head": element_to_data(self.subgroup, word.head),
-            "syllables": [
-                [k, element_to_data(self.factors[k - 1], g)] for k, g in word.syllables
-            ],
-        }
-
-    def word_from_data(self, data):
-        head = element_from_data(self.subgroup, data["head"])
-        tokens = [(1, self.embeddings[0].apply(head))] if head != self.subgroup.identity else []
-        for k, g in data["syllables"]:
-            if k not in (1, 2):
-                raise ValueError("factor tag must be 1 or 2")
-            tokens.append((k, element_from_data(self.factors[k - 1], g)))
-        return self.normalize(tokens)
 
     def __repr__(self):
         return f"Amalgam({self.factors[0]!r}, {self.factors[1]!r})"

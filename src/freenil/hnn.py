@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 from .errors import InvariantError
 from .groups import (
-    element_from_data,
-    element_to_data,
     embedding_from_dict,
     embedding_to_dict,
     group_from_dict,
@@ -152,19 +150,6 @@ class HNN:
                 tokens.append(("t", -value))
             else:
                 tokens.append(("g", self.base.invert(value)))
-        return self.normalize(tokens)
-
-    def word_to_data(self, word):
-        return {
-            "base": element_to_data(self.base, word.base0),
-            "tail": [[sign, element_to_data(self.base, g)] for sign, g in word.tail],
-        }
-
-    def word_from_data(self, data):
-        tokens = [("g", element_from_data(self.base, data["base"]))]
-        for sign, g in data["tail"]:
-            tokens.append(("t", sign))
-            tokens.append(("g", element_from_data(self.base, g)))
         return self.normalize(tokens)
 
     def __repr__(self):

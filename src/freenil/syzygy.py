@@ -20,21 +20,25 @@ Two coordinate systems share the LaurentPoly and SkewLaurent types, and
   of sum W_i c_i are built and checked: `kernel_pair_y`,
   `pairwise_relation_y`, `defining_map_y`.  There a run y_0 ... y_{-n} is
   one monomial, so U_n has 4 terms and V_n has O(n).
-* x-coordinates are the public basis: `kernel_pair`, `pairwise_relation`,
-  `defining_map` and the components of RelationVector are in x, as the
-  exact images of the y objects.  Descent (`reduce_step`,
+* x-coordinates are the public basis: `kernel_pair`, `pairwise_relation`
+  and `defining_map` are in x, as the exact images of the y objects.
+  `pairwise_relation` returns the bare component tuple of a relation that
+  `pairwise_relation_y` has already proved.  RelationVector holds the
+  descent states (a random combination, a pair sum, each step's result),
+  and each one is proved once, when it is built.  Descent (`reduce_step`,
   `ideal_decompose`, `complexity`) stays in x, because its inputs carry
   negative exponents, which have no y image until a monomial unit clears
   them.
 
 Everything is exact; any failed internal assertion raises InvariantError
 because the identities involved are theorems, not runtime conditions.
+Only a RelationVector built from caller-supplied components raises
+ValueError when it is not a relation.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
 from typing import Iterable, Optional, Sequence
@@ -45,6 +49,9 @@ from .report import CheckItem, item
 from .skewpoly import SkewLaurent, format_skew
 
 Pair = tuple[SkewLaurent, SkewLaurent]
+
+MAX_DESCENT_STEPS = 10_000  # reduce_chain raises LimitExceeded past this
+RANDOM_SPREAD = 2  # random_relation's bound on x-indices and t-shifts
 
 
 # y-coordinates: the same polynomial types, with index i read as y_i.
@@ -171,7 +178,6 @@ class RelationVector:
 
     n: int
     c: tuple[SkewLaurent, ...]
-    terminal: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1 or len(self.c) != self.n:
@@ -181,23 +187,6 @@ class RelationVector:
 
     def is_zero(self) -> bool:
         return all(ci.is_zero() for ci in self.c)
-
-    def last_component(self) -> SkewLaurent:
-        return self.c[-1]
-
-    def __sub__(self, other: "RelationVector") -> "RelationVector":
-        if self.n != other.n:
-            raise ValueError("arity mismatch")
-        return RelationVector(self.n, tuple(a - b for a, b in zip(self.c, other.c)))
-
-    def __add__(self, other: "RelationVector") -> "RelationVector":
-        if self.n != other.n:
-            raise ValueError("arity mismatch")
-        return RelationVector(self.n, tuple(a + b for a, b in zip(self.c, other.c)))
-
-    def scaled(self, w: SkewLaurent | LaurentPoly | int) -> "RelationVector":
-        """Right-module action: multiply every component by w on the right."""
-        return RelationVector(self.n, tuple(ci * w for ci in self.c))
 
 
 def _check_relation_y(c: Iterable[SkewLaurent]) -> None:
@@ -214,13 +203,24 @@ def _check_relation_y(c: Iterable[SkewLaurent]) -> None:
         raise ValueError("not a relation: sum W_i c_i is nonzero")
 
 
+def _descent_state(n: int, comps: Iterable[SkewLaurent]) -> RelationVector:
+    """A RelationVector the library assembled from proven relations.
+
+    If it fails its check, the library is wrong, not the input.
+    """
+    try:
+        return RelationVector(n, tuple(comps))
+    except ValueError as exc:
+        raise InvariantError(f"descent state: {exc}") from None
+
+
 @lru_cache(maxsize=None)
 def pairwise_relation_y(p: int, q: int, n: int) -> tuple[SkewLaurent, ...]:
     """The relation W_q z_{-p} - W_p z_{-q} - W_{q-p-1} t^{p+1} z_1 y_0 ... y_{-p} = 0.
 
-    Components in y-coordinates, checked: c_p gets -z_{-q}, c_q gets
-    z_{-p}, and c_{q-p-1} gets the twisted correction (added, since
-    q - p - 1 may collide with p).
+    Components in y-coordinates, proved here (InvariantError otherwise):
+    c_p gets -z_{-q}, c_q gets z_{-p}, and c_{q-p-1} gets the twisted
+    correction (added, since q - p - 1 may collide with p).
     """
     if not 0 <= p < q < n:
         raise ValueError(f"need 0 <= p < q < n, got p={p}, q={q}, n={n}")
@@ -228,14 +228,20 @@ def pairwise_relation_y(p: int, q: int, n: int) -> tuple[SkewLaurent, ...]:
     c[p] = c[p] - SkewLaurent.from_poly(_z(-q))
     c[q] = c[q] + SkewLaurent.from_poly(_z(-p))
     c[q - p - 1] = c[q - p - 1] - SkewLaurent.t(p + 1, _z(1) * _yrun(0, -p))
-    _check_relation_y(c)
+    try:
+        _check_relation_y(c)
+    except ValueError as exc:
+        raise InvariantError(f"pairwise relation ({p},{q}) at arity {n}: {exc}") from None
     return tuple(c)
 
 
 @lru_cache(maxsize=None)
-def pairwise_relation(p: int, q: int, n: int) -> RelationVector:
-    """X(p, q) at arity n in x-coordinates: the image of `pairwise_relation_y`."""
-    return RelationVector(n, tuple(c.change_basis() for c in pairwise_relation_y(p, q, n)))
+def pairwise_relation(p: int, q: int, n: int) -> tuple[SkewLaurent, ...]:
+    """X(p, q) at arity n in x-coordinates: the image of `pairwise_relation_y`.
+
+    The components come back bare; `pairwise_relation_y` proved them.
+    """
+    return tuple(c.change_basis() for c in pairwise_relation_y(p, q, n))
 
 
 def _last_projection(p: int, n: int) -> SkewLaurent:
@@ -319,12 +325,10 @@ def reduce_step(X: RelationVector) -> RelationVector:
     (z_0, ..., z_{1-gamma}).  The result is a validated relation vector
     which is either zero or of strictly smaller complexity.
 
-    A gamma = 0 input comes back unchanged but flagged terminal; the layer
-    identity makes that state unreachable from validated nonzero vectors,
-    so hitting it still returns rather than raising.
+    gamma = 0 cannot occur: the lowest-layer identity would read
+    z_0 * layer_0 = 0 with layer_0 nonzero, which fails in the domain
+    Z[x^{+-1}], so such a vector raises InvariantError at that check.
     """
-    if X.terminal:
-        return X
     if X.is_zero():
         raise ValueError("cannot reduce the zero vector")
     chi = complexity(X)
@@ -340,9 +344,6 @@ def reduce_step(X: RelationVector) -> RelationVector:
     if not identity.is_zero():
         raise InvariantError("lowest-layer identity violated")
 
-    if gamma == 0:
-        return replace(X, terminal=True)
-
     parts = ideal_decompose(layer[gamma], gamma)
     if parts is None:
         raise InvariantError("layer coefficient escapes the expected ideal")
@@ -352,25 +353,29 @@ def reduce_step(X: RelationVector) -> RelationVector:
         if aj.is_zero():
             continue
         w = SkewLaurent.from_poly(aj) * SkewLaurent.t(beta)
-        correction = pairwise_relation(j, gamma, X.n)
-        comps = [a - b * w for a, b in zip(comps, correction.c)]
-    out = RelationVector(X.n, tuple(comps))
+        comps = [a - b * w for a, b in zip(comps, pairwise_relation(j, gamma, X.n))]
+    out = _descent_state(X.n, comps)
     if not out.is_zero() and not complexity(out) < chi:
         raise InvariantError("descent step failed to lower the complexity")
     return out
 
 
-def reduce_chain(
-    X: RelationVector, max_steps: int = 10_000
-) -> list[RelationVector]:
-    """Iterate reduce_step to zero or a terminal flag; returns the full trace."""
+def reduce_chain(X: RelationVector) -> list[RelationVector]:
+    """Iterate reduce_step to zero; returns the full trace."""
     trace = [X]
-    for _ in range(max_steps):
+    for _ in range(MAX_DESCENT_STEPS):
         cur = trace[-1]
-        if cur.is_zero() or cur.terminal:
+        if cur.is_zero():
             return trace
         trace.append(reduce_step(cur))
-    raise LimitExceeded(f"reduction did not terminate within {max_steps} steps")
+    raise LimitExceeded(f"reduction did not terminate within {MAX_DESCENT_STEPS} steps")
+
+
+def _descent_summary(trace: list[RelationVector]) -> tuple[list[Complexity], bool, bool]:
+    """(complexities of the nonzero states, ends at zero, strictly decreasing)."""
+    chis = [complexity(v) for v in trace if not v.is_zero()]
+    decreasing = all(b < a for a, b in zip(chis, chis[1:]))
+    return chis, trace[-1].is_zero(), decreasing
 
 
 def last_projection_generator(p: int, n: int) -> LaurentPoly:
@@ -396,11 +401,8 @@ def verify_relations(max_q: int) -> list[CheckItem]:
     for q in range(1, max_q + 1):
         n = q + 1
         for p in range(q):
-            try:
-                pairwise_relation_y(p, q, n)
-                items.append(item(f"relation ({p},{q}) validates", True, True))
-            except ValueError:
-                items.append(item(f"relation ({p},{q}) validates", True, False))
+            pairwise_relation_y(p, q, n)  # proves the relation, or raises InvariantError
+            items.append(item(f"relation ({p},{q}) validates", True, True))
     for n in range(2, max_q + 2):
         for p in range(n - 1):
             got = _last_projection(p, n)
@@ -415,7 +417,7 @@ def verify_relations(max_q: int) -> list[CheckItem]:
     return items
 
 
-def random_relation(n: int, rng: Random, spread: int = 2) -> RelationVector:
+def random_relation(n: int, rng: Random) -> RelationVector:
     """Random right-combination of pairwise relations at arity n.
 
     The components are summed directly and the sum is validated once.
@@ -427,12 +429,12 @@ def random_relation(n: int, rng: Random, spread: int = 2) -> RelationVector:
     for p, q in pairs:
         if used >= 2 and rng.random() < 0.5:
             break
-        mono = LaurentPoly.x(rng.randint(-spread, spread), rng.randint(-1, 1))
+        mono = LaurentPoly.x(rng.randint(-RANDOM_SPREAD, RANDOM_SPREAD), rng.randint(-1, 1))
         coef = rng.choice([-2, -1, 1, 2]) * mono
-        w = SkewLaurent.t(rng.randint(0, spread), coef)
-        comps = [a + b * w for a, b in zip(comps, pairwise_relation(p, q, n).c)]
+        w = SkewLaurent.t(rng.randint(0, RANDOM_SPREAD), coef)
+        comps = [a + b * w for a, b in zip(comps, pairwise_relation(p, q, n))]
         used += 1
-    return RelationVector(n, tuple(comps))
+    return _descent_state(n, comps)
 
 
 def reduce_pair_sum(
@@ -441,26 +443,16 @@ def reduce_pair_sum(
     """Descend from the sum of the pairwise relations X(p, q) at arity n.
 
     The sum is validated once.  Returns the end-state and monotonicity
-    items, and one trace entry per vector: "zero", "terminal", or its
-    complexity as "chi=(alpha, beta, gamma)".
+    items, and one trace entry per vector: its complexity as
+    "chi=(alpha, beta, gamma)", then "zero" for the final state.
     """
     comps = [SkewLaurent.zero()] * n
     for p, q in pairs:
-        comps = [a + b for a, b in zip(comps, pairwise_relation(p, q, n).c)]
-    trace = reduce_chain(RelationVector(n, tuple(comps)))
-    steps = []
-    chis = []
-    for v in trace:
-        if v.is_zero():
-            steps.append("zero")
-        elif v.terminal:
-            steps.append("terminal")
-        else:
-            chis.append(complexity(v))
-            a, b, g = chis[-1].as_tuple()
-            steps.append(f"chi=({a}, {b}, {g})")
-    ended = trace[-1].is_zero() or trace[-1].terminal
-    decreasing = all(b < a for a, b in zip(chis, chis[1:]))
+        comps = [a + b for a, b in zip(comps, pairwise_relation(p, q, n))]
+    chis, ended, decreasing = _descent_summary(reduce_chain(_descent_state(n, comps)))
+    steps = [f"chi=({c.alpha}, {c.beta}, {c.gamma})" for c in chis]
+    if ended:
+        steps.append("zero")
     items = [
         item("the chain reaches an end state", True, ended),
         item("complexity strictly decreases", True, decreasing),
@@ -478,9 +470,7 @@ def verify_reduction(arity: int, count: int, seed: int) -> list[CheckItem]:
             items.append(item(f"trial {trial}: combination already zero", True, True))
             continue
         trace = reduce_chain(X)
-        chis = [complexity(v) for v in trace if not v.is_zero() and not v.terminal]
-        decreasing = all(b < a for a, b in zip(chis, chis[1:]))
-        ended = trace[-1].is_zero() or trace[-1].terminal
+        _, ended, decreasing = _descent_summary(trace)
         items.append(
             item(
                 f"trial {trial}: arity {n} chain of {len(trace) - 1} steps",

@@ -260,7 +260,7 @@ def test_pairwise_relations_hold_exactly():
         (p, n)
         for n in range(2, 11)
         for p in range(n - 1)
-        if pairwise_relation(p, n - 1, n).last_component() != z(-p)
+        if pairwise_relation(p, n - 1, n)[-1] != z(-p)
     ]
     ok = not bad and not off
     assert _verdict("pairwise relations and last projections are exact", ok), (
@@ -283,11 +283,9 @@ def test_collapse_and_descent_certificates():
             continue
         ran += 1
         trace = reduce_chain(X)
-        if not (trace[-1].is_zero() or trace[-1].terminal):
+        if not trace[-1].is_zero():
             descent_ok = False
-        chis = [
-            complexity(v) for v in trace if not v.is_zero() and not v.terminal
-        ]
+        chis = [complexity(v) for v in trace if not v.is_zero()]
         if not all(b < a for a, b in zip(chis, chis[1:])):
             descent_ok = False
     ok = collapse_ok and descent_ok

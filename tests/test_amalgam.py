@@ -156,16 +156,6 @@ class TestErrors:
 
 
 class TestStorage:
-    def test_word_data_round_trip(self, dinf):
-        w = dinf.normalize([(1, "s"), (2, "r"), (1, "s")])
-        again = dinf.word_from_data(dinf.word_to_data(w))
-        assert again == w
-
-    def test_head_survives_data_round_trip(self, s3z2):
-        w = s3z2.normalize([(1, "(12)"), (1, "(13)")])
-        assert w.head == "c"
-        assert s3z2.word_from_data(s3z2.word_to_data(w)) == w
-
     def test_construction_round_trip(self, s3z2):
         data = construction_to_dict(s3z2)
         again = construction_from_dict(data)

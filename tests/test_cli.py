@@ -20,6 +20,7 @@ import pytest
 from freenil import cli, nilobj, store, syzygy
 from freenil.cli import Limits, main, read_limits
 from freenil.errors import InvariantError
+from freenil.skewpoly import SkewLaurent
 from freenil.words import Alphabet, cyclic_canonical
 
 
@@ -229,7 +230,7 @@ class TestGrouph:
         )
         assert perf_counter() - start < 3.0
         assert code == 0
-        assert payload["data"]["trace"][-1] in ("zero", "terminal")
+        assert payload["data"]["trace"][-1] == "zero"
 
     def test_reduce_at_the_arity_budget(self, capsys):
         arity = cli.REDUCE_ARITY_BUDGET
@@ -237,7 +238,7 @@ class TestGrouph:
             capsys, "grouph", "reduce", "--arity", str(arity), "--pair", f"{arity - 2},{arity - 1}"
         )
         assert code == 0
-        assert payload["data"]["trace"][-1] in ("zero", "terminal")
+        assert payload["data"]["trace"][-1] == "zero"
 
     def test_verify_kernel_at_the_ceiling(self, capsys):
         syzygy.kernel_pair_y.cache_clear()  # time a cold run, as a fresh process would
@@ -257,6 +258,34 @@ class TestGrouph:
         assert code == 4
         assert payload["status"] == "error"
         assert "invariant" in payload["data"]
+
+    def test_broken_pairwise_relation_exits_four(self, capsys, monkeypatch):
+        # A library-built relation that fails its proof is an invariant
+        # violation, not an input error.
+        real = syzygy.pairwise_relation
+
+        def broken(p, q, n):
+            c = list(real(p, q, n))
+            c[-1] = c[-1] + SkewLaurent.t(5)
+            return tuple(c)
+
+        monkeypatch.setattr(syzygy, "pairwise_relation", broken)
+        code, payload = run_json(capsys, "grouph", "reduce", "--arity", "3", "--pair", "0,2")
+        assert code == 4
+        assert payload["status"] == "error"
+        assert "not a relation" in payload["data"]["invariant"]
+        assert "error" not in payload["data"]
+
+    def test_failed_pairwise_proof_exits_four(self, capsys, monkeypatch):
+        def refuted(c):
+            raise ValueError("not a relation: forced")
+
+        syzygy.pairwise_relation_y.cache_clear()  # reach the proof
+        monkeypatch.setattr(syzygy, "_check_relation_y", refuted)
+        code, payload = run_json(capsys, "grouph", "relations", "--max-q", "2")
+        assert code == 4
+        assert payload["items"] == []
+        assert "pairwise relation (0,1)" in payload["data"]["invariant"]
 
 
 class TestNormalize:

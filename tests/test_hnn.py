@@ -245,10 +245,6 @@ class TestErrors:
 
 
 class TestStorage:
-    def test_word_data_round_trip(self, bs12):
-        w = bs12.normalize([("g", (3,)), ("t", 1), ("g", A), ("t", 1)])
-        assert bs12.word_from_data(bs12.word_to_data(w)) == w
-
     def test_construction_round_trip(self, bs12):
         data = construction_to_dict(bs12)
         again = construction_from_dict(data)

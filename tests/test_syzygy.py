@@ -9,7 +9,7 @@ x-coordinate constructors below are kept as references for their images.
 
 import json
 import math
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from random import Random
 
 import pytest
@@ -74,6 +74,14 @@ def reference_pairwise_relation(p: int, q: int, n: int) -> tuple[SkewLaurent, ..
     return tuple(c)
 
 
+def combine(n: int, *terms) -> RelationVector:
+    """The validated relation sum_k X_k w_k, for component tuples X_k and right factors w_k."""
+    comps = [SkewLaurent.zero()] * n
+    for X, w in terms:
+        comps = [a + b * w for a, b in zip(comps, X)]
+    return RelationVector(n, tuple(comps))
+
+
 small_skews = st.dictionaries(
     st.integers(-2, 2),
     st.dictionaries(
@@ -95,7 +103,7 @@ class TestAgainstXReferences:
     def test_pairwise_relation_is_the_x_reference(self, q):
         for n in (q + 1, q + 2):
             for p in range(q):
-                assert pairwise_relation(p, q, n).c == reference_pairwise_relation(p, q, n)
+                assert pairwise_relation(p, q, n) == reference_pairwise_relation(p, q, n)
 
     @pytest.mark.parametrize("n", range(7))
     def test_reference_map_kills_reference_pairs(self, n):
@@ -117,7 +125,7 @@ class TestAgainstXReferences:
     def test_y_relation_maps_to_x_relation(self):
         for p, q, n in [(0, 1, 2), (1, 3, 4), (2, 5, 7)]:
             ys = pairwise_relation_y(p, q, n)
-            assert tuple(c.change_basis() for c in ys) == pairwise_relation(p, q, n).c
+            assert tuple(c.change_basis() for c in ys) == pairwise_relation(p, q, n)
 
 
 class TestDefiningMap:
@@ -189,18 +197,18 @@ class TestBoundedKernelCheck:
 class TestPairwiseRelation:
     def test_explicit_small_case(self):
         X = pairwise_relation(0, 1, 2)
-        assert X.c[0] == -sk(x_diff(-1)) - SkewLaurent.t(1, x_diff(1) * one_minus_x(0))
-        assert X.c[1] == sk(x_diff(0))
+        assert X[0] == -sk(x_diff(-1)) - SkewLaurent.t(1, x_diff(1) * one_minus_x(0))
+        assert X[1] == sk(x_diff(0))
 
     @pytest.mark.parametrize("p,q", [(0, 1), (1, 2), (0, 2), (2, 3), (0, 3)])
     def test_validates_at_minimal_arity(self, p, q):
         X = pairwise_relation(p, q, q + 1)
-        assert X.n == q + 1 and not X.is_zero()
+        assert len(X) == q + 1 and not all(c.is_zero() for c in X)
 
     def test_collision_slot(self):
         # q = 2p + 1 drops the twisted correction onto slot p.
         X = pairwise_relation(1, 3, 4)
-        assert X.c[1] == -sk(x_diff(-3)) - SkewLaurent.t(
+        assert X[1] == -sk(x_diff(-3)) - SkewLaurent.t(
             2, x_diff(1) * one_minus_x(0) * one_minus_x(-1)
         )
 
@@ -212,8 +220,19 @@ class TestPairwiseRelation:
     @pytest.mark.parametrize("n", range(2, 8))
     def test_last_projection(self, n):
         for p in range(n - 1):
-            got = pairwise_relation(p, n - 1, n).last_component()
+            got = pairwise_relation(p, n - 1, n)[-1]
             assert got == sk(x_diff(-p))
+
+    def test_fresh_relation_proved_once(self, monkeypatch):
+        import freenil.syzygy as syzygy
+
+        pairwise_relation.cache_clear()
+        pairwise_relation_y.cache_clear()
+        calls = []
+        real = syzygy._check_relation_y
+        monkeypatch.setattr(syzygy, "_check_relation_y", lambda c: calls.append(1) or real(c))
+        pairwise_relation(2, 5, 7)
+        assert len(calls) == 1
 
     def test_forged_vector_rejected(self):
         with pytest.raises(ValueError):
@@ -222,7 +241,7 @@ class TestPairwiseRelation:
     def test_negative_exponents_validate(self):
         # The y-basis check first clears x-denominators with a right unit.
         w = SkewLaurent.t(-2, 3 * LaurentPoly.x(2, -3) * LaurentPoly.x(-1, -1))
-        X = pairwise_relation(1, 3, 4).scaled(w)
+        X = combine(4, (pairwise_relation(1, 3, 4), w))
         forged = list(X.c)
         forged[0] = forged[0] + sk(LaurentPoly.x(0, -1))
         with pytest.raises(ValueError):
@@ -314,14 +333,20 @@ class TestComplexity:
 
 class TestReduceStep:
     def test_scaled_relation_one_step(self):
-        X = pairwise_relation(0, 2, 4).scaled(SkewLaurent.t(3))
+        X = combine(4, (pairwise_relation(0, 2, 4), SkewLaurent.t(3)))
         chi = complexity(X)
         Y = reduce_step(X)
         assert Y.is_zero() or complexity(Y) < chi
 
-    def test_terminal_passthrough(self):
-        X = replace(pairwise_relation(0, 1, 2), terminal=True)
-        assert reduce_step(X) is X
+    def test_gamma_zero_breaks_the_layer_identity(self):
+        # Validation rules gamma = 0 out, so build the vector around it: the
+        # identity z_0 * layer_0 = 0 fails first.
+        X = object.__new__(RelationVector)
+        object.__setattr__(X, "n", 2)
+        object.__setattr__(X, "c", (SkewLaurent.one(), SkewLaurent.zero()))
+        assert complexity(X).gamma == 0
+        with pytest.raises(InvariantError, match="lowest-layer identity"):
+            reduce_step(X)
 
     def test_zero_vector_rejected(self):
         Z = RelationVector(2, (SkewLaurent.zero(), SkewLaurent.zero()))
@@ -335,15 +360,16 @@ class TestReduceStep:
         if X.is_zero():
             return
         trace = reduce_chain(X)
-        assert trace[-1].is_zero() or trace[-1].terminal
-        live = [v for v in trace if not v.is_zero() and not v.terminal]
-        chis = [complexity(v) for v in live]
+        assert trace[-1].is_zero()
+        chis = [complexity(v) for v in trace[:-1]]
         assert all(b < a for a, b in zip(chis, chis[1:]))
 
     def test_outputs_stay_validated(self):
-        X = pairwise_relation(1, 2, 4).scaled(
-            SkewLaurent.t(1, LaurentPoly.x(-1))
-        ) + pairwise_relation(0, 3, 4).scaled(SkewLaurent.const(2))
+        X = combine(
+            4,
+            (pairwise_relation(1, 2, 4), SkewLaurent.t(1, LaurentPoly.x(-1))),
+            (pairwise_relation(0, 3, 4), SkewLaurent.const(2)),
+        )
         Y = reduce_step(X)
         assert isinstance(Y, RelationVector)
         # Constructing a copy revalidates the membership condition.
@@ -353,8 +379,8 @@ class TestReduceStep:
 class TestRandomRelation:
     @staticmethod
     def chained(n, rng, spread=2):
-        # The draw order of `random_relation`, summed with RelationVector ops.
-        out = RelationVector(n, tuple(SkewLaurent.zero() for _ in range(n)))
+        # The draw order of `random_relation`, summed by `combine`.
+        terms = []
         pairs = [(p, q) for q in range(1, n) for p in range(q)]
         rng.shuffle(pairs)
         used = 0
@@ -364,9 +390,9 @@ class TestRandomRelation:
             mono = LaurentPoly.x(rng.randint(-spread, spread), rng.randint(-1, 1))
             coef = rng.choice([-2, -1, 1, 2]) * mono
             w = SkewLaurent.t(rng.randint(0, spread), coef)
-            out = out + pairwise_relation(p, q, n).scaled(w)
+            terms.append((pairwise_relation(p, q, n), w))
             used += 1
-        return out
+        return combine(n, *terms)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_equals_the_chained_sum(self, seed):

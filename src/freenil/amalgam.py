@@ -15,12 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantError
-from .groups import (
-    embedding_from_dict,
-    embedding_to_dict,
-    group_from_dict,
-    group_to_dict,
-)
+from .groups import embedding_from_dict, group_from_dict
 
 
 @dataclass(frozen=True)
@@ -129,17 +124,6 @@ class Amalgam:
 
     def __repr__(self):
         return f"Amalgam({self.factors[0]!r}, {self.factors[1]!r})"
-
-
-def amalgam_to_dict(amalgam):
-    return {
-        "construction": "amalgam",
-        "subgroup": group_to_dict(amalgam.subgroup),
-        "factor1": group_to_dict(amalgam.factors[0]),
-        "factor2": group_to_dict(amalgam.factors[1]),
-        "embedding1": embedding_to_dict(amalgam.embeddings[0]),
-        "embedding2": embedding_to_dict(amalgam.embeddings[1]),
-    }
 
 
 def amalgam_from_dict(data):

@@ -152,7 +152,7 @@ def _load_tagged(args):
 # The text "1" alone is the identity word in either construction.
 
 def parse_word_tokens(construction, text: str):
-    if isinstance(construction, Amalgam) and text.strip() == "1":
+    if text.strip() == "1":
         return []  # the identity, as `render_word` prints it
     tokens = []
     for raw in text.split():

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .amalgam import Amalgam
 from .errors import InvariantError, UnsupportedOperation
-from .groups import FiniteSubgroup
+from .groups import FiniteSubgroup, subgroup_members
 from .hnn import HNN
 from .report import CheckItem, item
 
@@ -31,18 +31,7 @@ def _subgroup_members(group, subgroup):
     """
     if isinstance(subgroup, FiniteSubgroup) and subgroup.group is group:
         return subgroup.members
-    members = getattr(subgroup, "members", None)
-    if members is None:
-        members = frozenset(group.check(g) for g in subgroup)
-    if group.identity not in members:
-        raise ValueError("subgroup must contain the identity")
-    for g in members:
-        if group.invert(g) not in members:
-            raise ValueError("subgroup is not closed under inverses")
-        for h in members:
-            if group.multiply(g, h) not in members:
-                raise ValueError("subgroup is not closed under multiplication")
-    return members
+    return subgroup_members(group, getattr(subgroup, "members", subgroup))
 
 
 def double_cosets(group, left, right, subset=None):
@@ -237,45 +226,36 @@ def induction_roundtrip_check(dims, construction=None, bound=4):
     induction_pairs = ()
     if construction is not None:
         reps_a, reps_b = _transversals(construction, bound)
-        pairs = []
-        if isinstance(construction, Amalgam):
-            id1 = construction.factors[0].identity
-            id2 = construction.factors[1].identity
-            for b in basis1:
-                for r in reps_a:
-                    target = ("direct", b) if r == id1 else ("swapped", b, (2, 1), r)
-                    pairs.append(((1, b, r), target))
-            for b in basis2:
-                for r in reps_b:
-                    target = ("direct", b) if r == id2 else ("swapped", b, (1, 2), r)
-                    pairs.append(((2, b, r), target))
-            direct = (m1 * len(reps_a), m2 * len(reps_b))
-            rebuilt = (
-                m1 + m1 * (len(reps_a) - 1),
-                m2 + m2 * (len(reps_b) - 1),
-            )
+        hnn = isinstance(construction, HNN)
+        if hnn:
+            id_a = id_b = construction.base.identity
         else:
-            base_id = construction.base.identity
-            for b in basis1:
-                for r in reps_a:
-                    target = ("direct", b) if r == base_id else ("swapped", b, (2, 1), r)
-                    pairs.append(((1, b, r), target))
-            for b in basis2:
-                for r in reps_b:
-                    pairs.append(((1, b, r, "stable"), ("swapped", b, (1, 1), r)))
-            for b in basis1:
-                for r in reps_a:
-                    pairs.append(((2, b, r, "stable"), ("swapped", b, (2, 2), r)))
-            for b in basis2:
-                for r in reps_b:
-                    target = ("direct", b) if r == base_id else ("swapped", b, (1, 2), r)
-                    pairs.append(((2, b, r), target))
-            ka, kb = len(reps_a), len(reps_b)
+            id_a, id_b = (factor.identity for factor in construction.factors)
+        # the first and last blocks are shared; an HNN adds the two stable ones
+        pairs = [
+            ((1, b, r), ("direct", b) if r == id_a else ("swapped", b, (2, 1), r))
+            for b in basis1
+            for r in reps_a
+        ]
+        if hnn:
+            pairs += [
+                ((1, b, r, "stable"), ("swapped", b, (1, 1), r)) for b in basis2 for r in reps_b
+            ]
+            pairs += [
+                ((2, b, r, "stable"), ("swapped", b, (2, 2), r)) for b in basis1 for r in reps_a
+            ]
+        pairs += [
+            ((2, b, r), ("direct", b) if r == id_b else ("swapped", b, (1, 2), r))
+            for b in basis2
+            for r in reps_b
+        ]
+        ka, kb = len(reps_a), len(reps_b)
+        if hnn:
             direct = (m1 * ka + m2 * kb, m1 * ka + m2 * kb)
-            rebuilt = (
-                m1 + m2 * kb + m1 * (ka - 1),
-                m2 + m2 * (kb - 1) + m1 * ka,
-            )
+            rebuilt = (m1 + m2 * kb + m1 * (ka - 1), m2 + m2 * (kb - 1) + m1 * ka)
+        else:
+            direct = (m1 * ka, m2 * kb)
+            rebuilt = (m1 + m1 * (ka - 1), m2 + m2 * (kb - 1))
         induction_pairs = tuple(pairs)
         dims_out["induce_restrict"] = direct
         items.append(item("induce-and-restrict dims", direct, rebuilt))

@@ -30,11 +30,16 @@ def _check_name(name):
 
 
 def _pick_letters(rank, letters):
+    """The generator names of a free or free abelian group of this rank."""
+    if not isinstance(rank, int) or rank < 0:
+        raise ValueError("rank must be a nonnegative integer")
     if letters is None:
         if rank <= len(_DEFAULT_LETTERS):
             return tuple(_DEFAULT_LETTERS[:rank])
         return tuple(f"g{i}" for i in range(rank))
     letters = tuple(_check_name(l) for l in letters)
+    if "1" in letters:
+        raise ValueError('the letter "1" is reserved for the identity')
     if len(letters) != rank or len(set(letters)) != rank:
         raise ValueError("need one distinct letter per generator")
     return letters
@@ -203,10 +208,8 @@ class FreeGroup:
     __slots__ = ("rank", "letters", "identity")
 
     def __init__(self, rank, letters=None):
-        if not isinstance(rank, int) or rank < 0:
-            raise ValueError("rank must be a nonnegative integer")
-        self.rank = rank
         self.letters = _pick_letters(rank, letters)
+        self.rank = rank
         self.identity = ()
 
     def generator(self, i):
@@ -248,10 +251,8 @@ class FreeAbelianGroup:
     __slots__ = ("rank", "letters", "identity")
 
     def __init__(self, rank, letters=None):
-        if not isinstance(rank, int) or rank < 0:
-            raise ValueError("rank must be a nonnegative integer")
-        self.rank = rank
         self.letters = _pick_letters(rank, letters)
+        self.rank = rank
         self.identity = (0,) * rank
 
     def generator(self, i):
@@ -290,24 +291,39 @@ def format_element(group, g):
     if group.kind == "finite":
         return g
     if group.kind == "free":
-        if not g:
-            return "1"
-        runs = []
-        for s in g:
-            if runs and runs[-1][0] == abs(s) - 1 and (runs[-1][1] > 0) == (s > 0):
-                runs[-1][1] += 1 if s > 0 else -1
-            else:
-                runs.append([abs(s) - 1, 1 if s > 0 else -1])
-        return " ".join(
-            group.letters[i] if e == 1 else f"{group.letters[i]}^{e}" for i, e in runs
-        )
-    if not any(g):
+        powers = [
+            (abs(s) - 1, len(list(run)) if s > 0 else -len(list(run)))
+            for s, run in itertools.groupby(g)
+        ]
+    else:
+        powers = [(i, e) for i, e in enumerate(g) if e]
+    if not powers:
         return "1"
     return " ".join(
-        letter if e == 1 else f"{letter}^{e}"
-        for letter, e in zip(group.letters, g)
-        if e
+        group.letters[i] if e == 1 else f"{group.letters[i]}^{e}" for i, e in powers
     )
+
+
+def _letter_powers(group, text):
+    """Yield (generator index, exponent) for each ``letter^e`` token.
+
+    Free abelian text names each generator at most once, in declared order.
+    """
+    by_letter = {letter: i for i, letter in enumerate(group.letters)}
+    last = -1
+    for token in text.split():
+        letter, _, power = token.partition("^")
+        if letter not in by_letter:
+            raise ValueError(f"unknown generator {letter!r}")
+        i = by_letter[letter]
+        if group.kind == "free_abelian":
+            if i <= last:
+                raise ValueError("generators must appear once, in declared order")
+            last = i
+        e = 1 if not power else int(power)
+        if e == 0:
+            raise ValueError("zero exponents are not written")
+        yield i, e
 
 
 def parse_element(group, text):
@@ -317,36 +333,17 @@ def parse_element(group, text):
     text = text.strip()
     if group.kind == "finite":
         return group.check(text)
-    by_letter = {letter: i for i, letter in enumerate(group.letters)}
     if text == "1":
         return group.identity
     if not text:
         raise ValueError("empty element text")
     if group.kind == "free":
         word = []
-        for token in text.split():
-            letter, _, power = token.partition("^")
-            if letter not in by_letter:
-                raise ValueError(f"unknown generator {letter!r}")
-            e = 1 if not power else int(power)
-            if e == 0:
-                raise ValueError("zero exponents are not written")
-            step = 1 if e > 0 else -1
-            word.extend([step * (by_letter[letter] + 1)] * abs(e))
+        for i, e in _letter_powers(group, text):
+            word.extend([i + 1 if e > 0 else -(i + 1)] * abs(e))
         return group.check(tuple(word))
     exponents = [0] * group.rank
-    last = -1
-    for token in text.split():
-        letter, _, power = token.partition("^")
-        if letter not in by_letter:
-            raise ValueError(f"unknown generator {letter!r}")
-        i = by_letter[letter]
-        if i <= last:
-            raise ValueError("generators must appear once, in declared order")
-        last = i
-        e = 1 if not power else int(power)
-        if e == 0:
-            raise ValueError("zero exponents are not written")
+    for i, e in _letter_powers(group, text):
         exponents[i] = e
     return tuple(exponents)
 
@@ -432,6 +429,20 @@ class _Lattice:
         return [tuple(v) for v in itertools.product(*spans)]
 
 
+def subgroup_members(group, elements):
+    """The elements as a frozenset, proved to form a subgroup of a finite group."""
+    members = frozenset(group.check(g) for g in elements)
+    if group.identity not in members:
+        raise ValueError("subgroup must contain the identity")
+    for g in members:
+        if group.invert(g) not in members:
+            raise ValueError("subgroup is not closed under inverses")
+        for h in members:
+            if group.multiply(g, h) not in members:
+                raise ValueError("subgroup is not closed under multiplication")
+    return members
+
+
 class FiniteSubgroup:
     """Subgroup of a finite oracle with a canonical right-coset transversal.
 
@@ -444,15 +455,7 @@ class FiniteSubgroup:
     __slots__ = ("group", "members", "transversal", "_rep")
 
     def __init__(self, group, elements, transversal=None):
-        members = frozenset(group.check(g) for g in elements)
-        if group.identity not in members:
-            raise ValueError("subgroup must contain the identity")
-        for g in members:
-            if group.invert(g) not in members:
-                raise ValueError("subgroup is not closed under inverses")
-            for h in members:
-                if group.multiply(g, h) not in members:
-                    raise ValueError("subgroup is not closed under multiplication")
+        members = subgroup_members(group, elements)
         cosets = {}
         for g in group.elements():
             key = frozenset(group.multiply(h, g) for h in members)
@@ -607,7 +610,7 @@ class FiniteEmbedding:
     subgroup carries the canonical (or explicitly supplied) transversal.
     """
 
-    __slots__ = ("src", "dst", "generator_images", "image", "_map", "_pre")
+    __slots__ = ("src", "dst", "image", "_map", "_pre")
 
     def __init__(self, src, dst, generator_images, transversal=None):
         if not src.is_finite:
@@ -634,7 +637,6 @@ class FiniteEmbedding:
             raise ValueError("the homomorphism is not injective")
         self.src = src
         self.dst = dst
-        self.generator_images = dict(images)
         self._map = known
         self._pre = {v: g for g, v in known.items()}
         if dst.is_finite:
@@ -688,19 +690,6 @@ class FreeAbelianEmbedding:
         return combo
 
 
-def group_to_dict(group):
-    if group.kind == "finite":
-        index = {name: i for i, name in enumerate(group.names)}
-        return {
-            "kind": "finite",
-            "names": list(group.names),
-            "table": [
-                [index[group.multiply(g, h)] for h in group.names] for g in group.names
-            ],
-        }
-    return {"kind": group.kind, "rank": group.rank, "letters": list(group.letters)}
-
-
 def group_from_dict(data):
     kind = data.get("kind")
     if kind == "finite":
@@ -712,37 +701,12 @@ def group_from_dict(data):
     raise ValueError(f"unsupported group kind {kind!r}")
 
 
-def element_to_data(group, g):
-    group.check(g)
-    return g if group.kind == "finite" else list(g)
-
-
 def element_from_data(group, data):
     if group.kind == "finite":
         return group.check(data)
     if not isinstance(data, list):
         raise ValueError("expected a list of integers")
     return group.check(tuple(data))
-
-
-def embedding_to_dict(embedding):
-    if isinstance(embedding, FiniteEmbedding):
-        data = {
-            "kind": "finite",
-            "generator_images": {
-                g: element_to_data(embedding.dst, v)
-                for g, v in sorted(embedding.generator_images.items())
-            },
-        }
-        if isinstance(embedding.image, FiniteSubgroup):
-            data["transversal"] = list(embedding.image.transversal)
-        return data
-    if isinstance(embedding, FreeAbelianEmbedding):
-        return {
-            "kind": "free_abelian",
-            "images": [list(v) for v in embedding.generator_images],
-        }
-    raise ValueError(f"cannot serialize embedding {embedding!r}")
 
 
 def embedding_from_dict(src, dst, data):

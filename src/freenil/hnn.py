@@ -4,8 +4,10 @@ The extension adjoins a stable letter t to the base group, subject to
 ``left(c) * t == t * right(c)`` for every c in the associated subgroup, where
 ``left`` and ``right`` are the two embeddings.  Words are carried as
 ``g_0 t^{e_1} g_1 ... t^{e_n} g_n``.  Normalization removes pinches --
-subwords ``t^-1 left(c) t`` and ``t right(c) t^-1`` -- leftmost first until
-none remain, then sweeps right to left replacing every g_k (k >= 1) by its
+subwords ``t^-1 left(c) t`` and ``t right(c) t^-1`` -- in one left-to-right
+pass: a pinch can only close when its second stable letter arrives, and the
+segment it encloses is final by then (Britton's lemma; Lyndon & Schupp,
+IV.2).  A sweep right to left then replaces every g_k (k >= 1) by its
 canonical coset representative, pushing the subgroup surplus through the
 stable letter toward g_0.
 """
@@ -15,12 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantError
-from .groups import (
-    embedding_from_dict,
-    embedding_to_dict,
-    group_from_dict,
-    group_to_dict,
-)
+from .groups import embedding_from_dict, group_from_dict
 
 
 @dataclass(frozen=True)
@@ -34,15 +31,11 @@ class HNNWord:
         return len(self.tail)
 
 
-def _find_pinch(hnn, signs, middles):
-    """Index of the leftmost pinch, or None.  middles[i] sits after signs[i]."""
-    for i in range(len(signs) - 1):
-        if signs[i] == -1 and signs[i + 1] == 1:
-            if hnn.alpha.image.membership(middles[i]):
-                return i
-        elif signs[i] == 1 and signs[i + 1] == -1:
-            if hnn.beta.image.membership(middles[i]):
-                return i
+def _find_pinch(hnn, tail):
+    """Index of the leftmost pinch in a tail of (sign, middle) pairs, or None."""
+    for i, ((sign, g), (after, _)) in enumerate(zip(tail, tail[1:])):
+        if sign == -after and hnn._carry(sign)[0].image.membership(g):
+            return i
     return None
 
 
@@ -56,9 +49,12 @@ class HNN:
             raise ValueError("both embeddings must start at the associated subgroup")
         if alpha.dst is not base or beta.dst is not base:
             raise ValueError("both embeddings must land in the base group")
-        reserved = base.names if base.kind == "finite" else base.letters
-        if "t" in reserved:
-            raise ValueError('the base group may not use the stable letter name "t"')
+        # base names share the word text with the stable letter and "1"
+        reserved = set(base.names if base.kind == "finite" else base.letters)
+        if reserved & {"t", "T+", "T-"}:
+            raise ValueError('the base group may not use the stable letter names "t", "T+", "T-"')
+        if "1" in reserved and base.identity != "1":
+            raise ValueError('only the identity of the base group may be named "1"')
         self.subgroup = subgroup
         self.base = base
         self.alpha = alpha
@@ -67,8 +63,21 @@ class HNN:
     def identity_word(self):
         return HNNWord(self.base.identity, ())
 
+    def _carry(self, sign):
+        """(source, target) with t^sign * source(c) == target(c) * t^sign.
+
+        A segment after t^sign is pinched, or split into coset head and
+        representative, by the source image; the head crosses as target(c).
+        """
+        return (self.beta, self.alpha) if sign == 1 else (self.alpha, self.beta)
+
     def normalize(self, tokens):
-        """Fold raw tokens, ("t", sign) or ("g", element), into Britton form."""
+        """Fold raw tokens, ("t", sign) or ("g", element), into Britton form.
+
+        Pinches are removed as the stable letters arrive: the open segment
+        segs[-1] sits between the last stable letter and the new one, and
+        every earlier middle segment is already pinch-free.
+        """
         segs = [self.base.identity]
         signs = []
         for token in tokens:
@@ -79,6 +88,16 @@ class HNN:
             if kind == "t":
                 if value not in (1, -1):
                     raise ValueError("stable-letter exponent must be +1 or -1")
+                if signs and signs[-1] == -value:
+                    source, target = self._carry(signs[-1])
+                    if source.image.membership(segs[-1]):
+                        c = source.preimage(segs[-1])
+                        if c is None:
+                            raise InvariantError("image membership without a preimage")
+                        segs.pop()
+                        signs.pop()
+                        segs[-1] = self.base.multiply(segs[-1], target.apply(c))
+                        continue
                 signs.append(value)
                 segs.append(self.base.identity)
             elif kind == "g":
@@ -87,31 +106,12 @@ class HNN:
             else:
                 raise ValueError(f"unknown token kind {kind!r}")
 
-        while True:
-            i = _find_pinch(self, signs, segs[1:])
-            if i is None:
-                break
-            if signs[i] == -1:
-                c = self.alpha.preimage(segs[i + 1])
-                if c is None:
-                    raise InvariantError("image membership without a preimage")
-                mid = self.beta.apply(c)
-            else:
-                c = self.beta.preimage(segs[i + 1])
-                if c is None:
-                    raise InvariantError("image membership without a preimage")
-                mid = self.alpha.apply(c)
-            merged = self.base.multiply(self.base.multiply(segs[i], mid), segs[i + 2])
-            segs[i : i + 3] = [merged]
-            del signs[i : i + 2]
-
         # canonical representatives, swept right to left; pushing the coset
         # head through t^e cannot create a new pinch because membership in
         # either image is stable under right multiplication from it
         for i in range(len(signs) - 1, -1, -1):
             g = segs[i + 1]
-            source = self.beta if signs[i] == 1 else self.alpha
-            target = self.alpha if signs[i] == 1 else self.beta
+            source, target = self._carry(signs[i])
             r = source.image.rep(g)
             c = source.preimage(self.base.multiply(g, self.base.invert(r)))
             if c is None:
@@ -119,15 +119,14 @@ class HNN:
             segs[i + 1] = r
             segs[i] = self.base.multiply(segs[i], target.apply(c))
 
-        if _find_pinch(self, signs, segs[1:]) is not None:
+        tail = tuple(zip(signs, segs[1:]))
+        if _find_pinch(self, tail) is not None:
             raise InvariantError("a pinch survived the canonical sweep")
-        return HNNWord(segs[0], tuple(zip(signs, segs[1:])))
+        return HNNWord(segs[0], tail)
 
     def assert_reduced(self, word):
         """Raise unless the word is pinch-free; used before grading it."""
-        signs = [sign for sign, _ in word.tail]
-        middles = [g for _, g in word.tail]
-        if _find_pinch(self, signs, middles) is not None:
+        if _find_pinch(self, word.tail) is not None:
             raise InvariantError("word is not Britton-reduced")
 
     def word_tokens(self, word):
@@ -144,26 +143,15 @@ class HNN:
         return self.normalize(self.word_tokens(a) + self.word_tokens(b))
 
     def invert_word(self, word):
-        tokens = []
-        for kind, value in reversed(self.word_tokens(word)):
-            if kind == "t":
-                tokens.append(("t", -value))
-            else:
-                tokens.append(("g", self.base.invert(value)))
-        return self.normalize(tokens)
+        return self.normalize(
+            [
+                ("t", -value) if kind == "t" else ("g", self.base.invert(value))
+                for kind, value in reversed(self.word_tokens(word))
+            ]
+        )
 
     def __repr__(self):
         return f"HNN({self.base!r})"
-
-
-def hnn_to_dict(hnn):
-    return {
-        "construction": "hnn",
-        "subgroup": group_to_dict(hnn.subgroup),
-        "base": group_to_dict(hnn.base),
-        "alpha": embedding_to_dict(hnn.alpha),
-        "beta": embedding_to_dict(hnn.beta),
-    }
 
 
 def hnn_from_dict(data):

@@ -1,11 +1,12 @@
 """The one reader and writer of freenil's JSON files.
 
-A construction file is a JSON object whose "construction" key selects the
-shape: "group" wraps a bare group, "amalgam" and "hnn" carry a subgroup,
-factor or base groups, and the embeddings, including any recorded
-transversals so normal forms round-trip exactly.  A block-module file
-holds `nilobj.to_json_dict`; `save_nil` indents it by two and ends it
-with a newline.  Paths may be strings, `Path`s or package resources.
+Constructions are read-only: a construction file is a JSON object whose
+"construction" key selects the shape: "group" wraps a bare group, "amalgam"
+and "hnn" carry a subgroup, factor or base groups, and the embeddings,
+including any recorded transversals, so normal forms are fixed by the file.
+Block modules are read and written: a block-module file holds
+`nilobj.to_json_dict`; `save_nil` indents it by two and ends it with a
+newline.  Paths may be strings, `Path`s or package resources.
 """
 
 from __future__ import annotations
@@ -13,18 +14,10 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .amalgam import Amalgam, amalgam_from_dict, amalgam_to_dict
-from .groups import group_from_dict, group_to_dict
-from .hnn import HNN, hnn_from_dict, hnn_to_dict
+from .amalgam import amalgam_from_dict
+from .groups import group_from_dict
+from .hnn import hnn_from_dict
 from .nilobj import NilObject, from_json_dict, to_json_dict
-
-
-def construction_to_dict(obj):
-    if isinstance(obj, Amalgam):
-        return amalgam_to_dict(obj)
-    if isinstance(obj, HNN):
-        return hnn_to_dict(obj)
-    return {"construction": "group", "group": group_to_dict(obj)}
 
 
 def construction_from_dict(data):

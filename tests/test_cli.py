@@ -336,6 +336,48 @@ class TestNormalize:
         )
         assert code == 2
 
+    @staticmethod
+    def finite_hnn_file(tmp_path, names):
+        """An HNN extension of a cyclic base over the trivial subgroup."""
+        n = len(names)
+        trivial = {"kind": "finite", "generator_images": {}}
+        path = tmp_path / "hnn.json"
+        path.write_text(json.dumps({
+            "construction": "hnn",
+            "subgroup": {"kind": "finite", "names": ["1"], "table": [[0]]},
+            "base": {"kind": "finite", "names": list(names),
+                     "table": [[(i + j) % n for j in range(n)] for i in range(n)]},
+            "alpha": trivial,
+            "beta": trivial,
+        }))
+        return str(path)
+
+    @pytest.mark.parametrize("word", ["T+ T-", "s s", "1"])
+    def test_hnn_identity_reparses_with_base_identity_e(self, capsys, tmp_path, word):
+        path = self.finite_hnn_file(tmp_path, ("e", "s"))
+        code, payload = run_json(capsys, "algebra", "normalize", "--hnn", path, "--word", word)
+        assert code == 0
+        assert payload["status"] == "pass"
+        assert payload["data"]["normal_form"] == "1"
+        assert payload["data"]["sequence"] == []
+
+    def test_base_element_named_like_the_stable_letter_is_rejected(self, capsys, tmp_path):
+        # in Z3 = {1, x, T+}, x x would render as "T+" and read back as t
+        path = self.finite_hnn_file(tmp_path, ("1", "x", "T+"))
+        code, payload = run_json(capsys, "algebra", "normalize", "--hnn", path, "--word", "x x")
+        assert code == 2
+        assert "T+" in payload["data"]["error"]
+
+    def test_long_cancelling_hnn_word_in_one_pass(self, capsys):
+        # 120 kB of text; every T- closes a pinch as it arrives
+        word = " ".join(["T+"] * 20_000 + ["T-"] * 20_000)
+        start = perf_counter()
+        code, payload = run_json(capsys, "algebra", "normalize", "--hnn", "bs12", "--word", word)
+        elapsed = perf_counter() - start
+        assert code == 0
+        assert payload["data"]["normal_form"] == "1"
+        assert elapsed < 2.0
+
     def test_bad_amalgam_tag(self, capsys):
         code, _ = run_cli(
             capsys, "algebra", "normalize", "--amalgam", "dinf", "--word", "3:r"

@@ -5,7 +5,9 @@ the coset sweep with nonabelian carries; randomized pinch removal in
 arbitrary order confirms the reduction is confluent.
 """
 
+import json
 import random
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -19,7 +21,7 @@ from freenil.groups import (
     FreeAbelianGroup,
 )
 from freenil.hnn import HNN, HNNWord
-from freenil.store import construction_from_dict, construction_to_dict, load_construction
+from freenil.store import construction_from_dict, load_construction
 
 from group_models import S3_PERMS, eval_bs12
 
@@ -81,6 +83,11 @@ class TestBS12Examples:
     def test_nested_conjugation(self, bs12):
         tokens = [("t", -1)] * 2 + [("g", (4,))] + [("t", 1)] * 2
         assert bs12.normalize(tokens) == HNNWord((16,), ())
+        # each closing letter pinches a segment that the previous pinch reopened
+        tokens = [("t", 1)] * 3 + [("g", (8,))] + [("t", -1)] * 3
+        assert bs12.normalize(tokens) == HNNWord((1,), ())
+        tokens = [("t", 1), ("g", (2,)), ("t", 1), ("g", (4,)), ("t", -1), ("t", -1)]
+        assert bs12.normalize(tokens) == HNNWord((2,), ())
 
     def test_stable_letter_alone(self, bs12):
         assert bs12.normalize([("t", 1)]) == HNNWord((0,), ((1, (0,)),))
@@ -231,6 +238,19 @@ class TestErrors:
                 FreeAbelianEmbedding(c, bad, [(2,)]),
             )
 
+    @pytest.mark.parametrize("names,match", [
+        (("1", "x", "T+"), "T\\+"),
+        (("1", "x", "T-"), "T-"),
+        (("e", "x", "1"), "identity"),
+    ], ids=["T+", "T-", "1"])
+    def test_base_names_that_collide_with_word_text(self, names, match):
+        # "T+", "T-" and a lone "1" are word syntax, so a base element with
+        # one of these names would render to text that reads back otherwise
+        triv = FiniteGroup(("1",), [[0]])
+        z3 = FiniteGroup(names, [[(i + j) % 3 for j in range(3)] for i in range(3)])
+        with pytest.raises(ValueError, match=match):
+            HNN(triv, z3, FiniteEmbedding(triv, z3, {}), FiniteEmbedding(triv, z3, {}))
+
     def test_wiring_must_match(self):
         c = FreeAbelianGroup(1, ("c",))
         a = FreeAbelianGroup(1, ("a",))
@@ -246,8 +266,9 @@ class TestErrors:
 
 class TestStorage:
     def test_construction_round_trip(self, bs12):
-        data = construction_to_dict(bs12)
+        data = json.loads(Path("src/freenil/data/bs12.json").read_text(encoding="utf-8"))
         again = construction_from_dict(data)
         tokens = [("t", -1), ("g", A), ("t", 1)]
         assert again.normalize(tokens) == HNNWord((2,), ())
-        assert construction_to_dict(again) == data
+        assert again.base.letters == bs12.base.letters == ("a",)
+        assert again.beta.apply((1,)) == bs12.beta.apply((1,)) == (2,)

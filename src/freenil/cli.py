@@ -101,9 +101,10 @@ WORDS_CENSUS_BUDGET = 200_000
 # Fixed work budgets for `reduce`, checked before any work.  Descent runs in
 # x-coordinates, where X(p, q) has 2^(p+2) terms, so the cost roughly
 # doubles per arity step: at 14 the sum of all 91 pairwise relations takes
-# about 2 s on a 2-core host.  The work also grows linearly in the number of
+# about 1.8 s on a 2-core host, most of it the change to y-coordinates that
+# proves each descent state.  The work also grows linearly in the number of
 # relations, so `--count` and the number of `--pair` flags share a second
-# budget: at arity 14, 200 random chains take 6-7 s and 200 pairs under 3 s.
+# budget: at arity 14, 200 random chains take 2.8-3.4 s and 200 pairs 1.8 s.
 REDUCE_ARITY_BUDGET = 14
 REDUCE_RELATIONS_BUDGET = 200
 
@@ -161,7 +162,7 @@ def parse_word_tokens(construction, text: str):
                 tokens.append(("t", 1))
             elif raw == "T-":
                 tokens.append(("t", -1))
-            else:
+            elif raw != "1":  # the identity anywhere: `HNN.__init__` reserves "1"
                 element = parse_element(construction.base, raw.replace(",", " "))
                 tokens.append(("g", element))
         elif isinstance(construction, Amalgam):

@@ -9,7 +9,9 @@ x_i to x.
 
 Coefficients are arbitrary-precision ints throughout; nothing here is
 floating point.  Monomials are sorted tuples of (index, exponent) pairs
-with all exponents nonzero, so equality of elements is dict equality.
+with all exponents nonzero and no zero coefficient is stored, so equality
+of elements is dict equality.  The constructor filters caller input; the
+arithmetic drops its own zeros and wraps its dicts with `_trusted`.
 
 The variables are just indexed symbols.  The twisted-ring layer reads
 them either as x_i or as y_i = 1 - x_i; `LaurentPoly.change_basis` is the
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import add, sub
 from typing import Iterable, Mapping
 
 Monomial = tuple[tuple[int, int], ...]
@@ -70,6 +73,13 @@ class LaurentPoly:
         }
 
     @classmethod
+    def _trusted(cls, coeffs: dict[Monomial, int]) -> "LaurentPoly":
+        """Wrap, unfiltered, a dict that the arithmetic keeps free of zeros."""
+        p = cls.__new__(cls)
+        p.coeffs = coeffs
+        return p
+
+    @classmethod
     def zero(cls) -> "LaurentPoly":
         return cls()
 
@@ -99,32 +109,32 @@ class LaurentPoly:
         return hash(frozenset(self.coeffs.items()))
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        return self._merge(other, add)
+
+    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
+        return self._merge(other, sub)
+
+    def _merge(self, other: "LaurentPoly", op) -> "LaurentPoly":
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            s = out.get(m, 0) + c
+            s = op(out.get(m, 0), c)
             if s:
                 out[m] = s
             else:
-                out.pop(m, None)
-        return LaurentPoly(out)
+                del out[m]
+        return LaurentPoly._trusted(out)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({m: -c for m, c in self.coeffs.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
+        return LaurentPoly._trusted({m: -c for m, c in self.coeffs.items()})
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         out: dict[Monomial, int] = {}
+        right = other.coeffs.items()
         for ma, ca in self.coeffs.items():
-            for mb, cb in other.coeffs.items():
+            for mb, cb in right:
                 m = _mul_monomials(ma, mb)
-                s = out.get(m, 0) + ca * cb
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return LaurentPoly(out)
+                out[m] = out.get(m, 0) + ca * cb
+        return LaurentPoly._trusted({m: c for m, c in out.items() if c})
 
     def __rmul__(self, scalar: int) -> "LaurentPoly":
         if not isinstance(scalar, int):
@@ -147,8 +157,8 @@ class LaurentPoly:
         """Ring automorphism relabelling x_i to x_{i+m}."""
         if m == 0:
             return self
-        return LaurentPoly(
-            {tuple((i + m, e) for i, e in mono): c for mono, c in self.coeffs.items()}
+        return LaurentPoly._trusted(
+            {tuple([(i + m, e) for i, e in mono]): c for mono, c in self.coeffs.items()}
         )
 
     def change_basis(self) -> "LaurentPoly":

@@ -125,7 +125,8 @@ def rref(a: Matrix, field=QQ) -> Matrix:
     rows are monic.  The result is a canonical basis of the row space, so
     two subspaces are equal iff their rref matrices are equal lists.
     """
-    m = [list(map(field.from_int, row)) for row in a]
+    # QQ.from_int is the identity, so over QQ the rows are only copied.
+    m = [list(row) if field is QQ else list(map(field.from_int, row)) for row in a]
     rows = len(m)
     cols = len(m[0]) if m else 0
     pivot_row = 0
@@ -145,12 +146,16 @@ def rref(a: Matrix, field=QQ) -> Matrix:
 
 
 def right_nullspace(a: Matrix, cols: int, field=QQ) -> list[Vector]:
-    """The rref basis of {y : a @ y = 0} inside the cols-dimensional space.
+    """The rref basis of {y : a @ y = 0} inside the cols-dimensional space."""
+    return reduced_nullspace(rref(a, field), cols, field)
 
-    Built from one solution per free column of `rref(a)`, zero on the other
-    free columns; integer-valued over `QQ`.
+
+def reduced_nullspace(r: Matrix, cols: int, field=QQ) -> list[Vector]:
+    """`right_nullspace` of a matrix that is already its own `rref`.
+
+    Built from one solution per free column of `r`, zero on the other free
+    columns; integer-valued over `QQ`.
     """
-    r = rref(a, field)
     pivots = [_lead(row) for row in r]
     taken = set(pivots)
     basis = []

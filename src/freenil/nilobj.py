@@ -41,7 +41,7 @@ from .linalg import (
     mat_eq_zero,
     mat_mul,
     mat_vec,
-    right_nullspace,
+    reduced_nullspace,
     rowspan_contains,
     rref,
 )
@@ -224,7 +224,7 @@ def is_nilpotent(X: NilObject) -> NilCertificate:
     chain = []
     while True:
         chain.append(
-            {u: tuple(map(tuple, right_nullspace(images[u], X.dims[u], field))) for u in units}
+            {u: tuple(map(tuple, reduced_nullspace(images[u], X.dims[u], field))) for u in units}
         )
         nxt = {
             u: rref(

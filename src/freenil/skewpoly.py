@@ -9,6 +9,11 @@ index shift on the x variables:
 so for instance (t * x_0)(t * 1) = t^2 * x_{-1}.  This makes the ring
 associative with t a unit, and plain polynomials embed at t-degree 0.
 
+Every product goes through `dot`, which sums products term by term into
+one {monomial: coefficient} table per t-degree and drops zeros once, at
+the end (sparse multiply-accumulate, as in Monagan and Pearce, 2009), so
+a caller needing a sum of products calls it once and builds no partial sum.
+
 The module also owns the line-oriented text format for these elements
 (one term per `t^K * [MONO] * COEFF` chunk, " + "-joined, canonically
 sorted) and the collapse homomorphism onto Z[x^{+-1}, t^{+-1}] that
@@ -20,9 +25,10 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Mapping
+from operator import add, sub
+from typing import Iterable, Mapping
 
-from .laurent import LaurentPoly, Monomial, collapse_poly, format_monomial
+from .laurent import LaurentPoly, Monomial, _mul_monomials, collapse_poly, format_monomial
 
 
 class SkewLaurent:
@@ -81,37 +87,34 @@ class SkewLaurent:
     def __hash__(self) -> int:
         return hash(frozenset((k, frozenset(a.coeffs.items())) for k, a in self.coeffs.items()))
 
-    def __add__(self, other: "SkewLaurent") -> "SkewLaurent":
-        out = dict(self.coeffs)
-        for k, a in other.coeffs.items():
-            s = out.get(k, LaurentPoly.zero()) + a
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return SkewLaurent(out)
+    @classmethod
+    def _trusted(cls, coeffs: dict[int, LaurentPoly]) -> "SkewLaurent":
+        """Wrap, unfiltered, a dict that the arithmetic keeps free of zero layers."""
+        p = cls.__new__(cls)
+        p.coeffs = coeffs
+        return p
 
-    def __neg__(self) -> "SkewLaurent":
-        return SkewLaurent({k: -a for k, a in self.coeffs.items()})
+    def __add__(self, other: "SkewLaurent") -> "SkewLaurent":
+        return self._merge(other, add)
 
     def __sub__(self, other: "SkewLaurent") -> "SkewLaurent":
-        return self + (-other)
+        return self._merge(other, sub)
+
+    def _merge(self, other: "SkewLaurent", op) -> "SkewLaurent":
+        out = dict(self.coeffs)
+        for k, a in other.coeffs.items():
+            s = op(out.get(k, LaurentPoly.zero()), a)
+            if s.is_zero():
+                del out[k]
+            else:
+                out[k] = s
+        return SkewLaurent._trusted(out)
+
+    def __neg__(self) -> "SkewLaurent":
+        return SkewLaurent._trusted({k: -a for k, a in self.coeffs.items()})
 
     def __mul__(self, other: "SkewLaurent | LaurentPoly | int") -> "SkewLaurent":
-        other = _coerce(other)
-        out: dict[int, LaurentPoly] = {}
-        for k, a in self.coeffs.items():
-            for l, b in other.coeffs.items():
-                term = a.shift(-l) * b
-                if term.is_zero():
-                    continue
-                key = k + l
-                s = out.get(key, LaurentPoly.zero()) + term
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return SkewLaurent(out)
+        return dot([(self, _coerce(other))])
 
     def __rmul__(self, other: "LaurentPoly | int") -> "SkewLaurent":
         return _coerce(other) * self
@@ -146,6 +149,26 @@ def _coerce(value: "SkewLaurent | LaurentPoly | int") -> SkewLaurent:
     if isinstance(value, int):
         return SkewLaurent.const(value)
     raise TypeError(f"cannot multiply SkewLaurent by {type(value).__name__}")
+
+
+def dot(pairs: Iterable[tuple[SkewLaurent, SkewLaurent]]) -> SkewLaurent:
+    """The sum of a * b over the pairs, accumulated in place; the twist
+    shifts each left monomial by -l as it meets layer t^l on the right.
+    """
+    out: dict[int, dict[Monomial, int]] = {}
+    for a, b in pairs:
+        for l, bl in b.coeffs.items():
+            right = bl.coeffs.items()
+            for k, ak in a.coeffs.items():
+                layer = out.setdefault(k + l, {})
+                for ma, ca in ak.coeffs.items():
+                    if l:
+                        ma = tuple([(i - l, e) for i, e in ma])
+                    for mb, cb in right:
+                        m = _mul_monomials(ma, mb)
+                        layer[m] = layer.get(m, 0) + ca * cb
+    kept = {k: {m: c for m, c in layer.items() if c} for k, layer in out.items()}
+    return SkewLaurent._trusted({k: LaurentPoly._trusted(d) for k, d in kept.items() if d})
 
 
 def format_skew(p: SkewLaurent) -> str:

@@ -19,7 +19,8 @@ Two coordinate systems share the LaurentPoly and SkewLaurent types, and
   pairwise relations, the collapse witnesses and every evaluation of f or
   of sum W_i c_i are built and checked: `kernel_pair_y`,
   `pairwise_relation_y`, `defining_map_y`.  There a run y_0 ... y_{-n} is
-  one monomial, so U_n has 4 terms and V_n has O(n).
+  one monomial, so U_n has 4 terms and V_n has O(n).  Each of these sums
+  is one `skewpoly.dot` per side, and X(p, q) is proved once, at arity q + 1.
 * x-coordinates are the public basis: `kernel_pair`, `pairwise_relation`
   and `defining_map` are in x, as the exact images of the y objects.
   `pairwise_relation` returns the bare component tuple of a relation that
@@ -46,7 +47,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import InvariantError, LimitExceeded
 from .laurent import LaurentPoly, clearing_unit, one_minus_x, x_diff
 from .report import CheckItem, item
-from .skewpoly import SkewLaurent, format_skew
+from .skewpoly import SkewLaurent, dot, format_skew
 
 Pair = tuple[SkewLaurent, SkewLaurent]
 
@@ -81,18 +82,16 @@ def _to_y(elements: Sequence[SkewLaurent]) -> tuple[list[SkewLaurent], LaurentPo
 def defining_map_y(U: SkewLaurent, V: SkewLaurent) -> SkewLaurent:
     """f(U, V) = (1 - t*y_0) U - (1 - t*y_1) V, everything in y-coordinates."""
     one = SkewLaurent.one()
-    left = (one - SkewLaurent.t(1, LaurentPoly.x(0))) * U
-    right = (one - SkewLaurent.t(1, LaurentPoly.x(1))) * V
-    got = left - right
+    got = dot([(one - SkewLaurent.t(1, LaurentPoly.x(0)), U),
+               (-(one - SkewLaurent.t(1, LaurentPoly.x(1))), V)])
     # Same map, written with bare x conjugates: the factor in front of V is
     # 1 - t + t^2 x t^{-1}; both spellings must collapse to one element.
     # In y-coordinates x_0 is 1 - y_0.
     x = SkewLaurent.from_poly(one_minus_x(0))
     t = SkewLaurent.t(1)
     tinv = SkewLaurent.t(-1)
-    lit_left = (one - t + t * x) * U
-    lit_right = (one - t + t * t * x * tinv) * V
-    if got != lit_left - lit_right:
+    literal = dot([(one - t + t * x, U), (-(one - t + t * t * x * tinv), V)])
+    if got != literal:
         raise InvariantError("two spellings of the defining map disagree")
     return got
 
@@ -124,10 +123,10 @@ def kernel_pair_y(n: int) -> Pair:
     z1 = _z(1)
     zmn = _z(-n)
     U = SkewLaurent.from_poly(zmn) - SkewLaurent.t(n + 1, z1 * _yrun(0, -n))
-    V = SkewLaurent.from_poly(zmn)
-    for i in range(1, n + 1):
-        V = V + SkewLaurent.t(i, zmn * z1 * _yrun(0, 2 - i))
-    V = V - SkewLaurent.t(n + 1, z1 * _yrun(0, 1 - n) * LaurentPoly.x(-1 - n))
+    zz = zmn * z1
+    terms = [(zmn, 0, LaurentPoly.one())] + [(zz, i, _yrun(0, 2 - i)) for i in range(1, n + 1)]
+    terms.append((-z1, n + 1, _yrun(0, 1 - n) * LaurentPoly.x(-1 - n)))
+    V = dot((SkewLaurent.t(i, a), SkewLaurent.from_poly(b)) for a, i, b in terms)
     if not defining_map_y(U, V).is_zero():
         raise InvariantError(f"kernel pair {n} is not killed by the defining map")
     return (U, V)
@@ -191,14 +190,9 @@ class RelationVector:
 
 def _check_relation_y(c: Iterable[SkewLaurent]) -> None:
     """Raise ValueError unless sum W_i c_i = (0, 0), all in y-coordinates."""
-    first = SkewLaurent.zero()
-    second = SkewLaurent.zero()
-    for i, ci in enumerate(c):
-        if ci.is_zero():
-            continue
-        Ui, Vi = kernel_pair_y(i)
-        first = first + Ui * ci
-        second = second + Vi * ci
+    terms = [(kernel_pair_y(i), ci) for i, ci in enumerate(c) if not ci.is_zero()]
+    first = dot((U, ci) for (U, _), ci in terms)
+    second = dot((V, ci) for (_, V), ci in terms)
     if not (first.is_zero() and second.is_zero()):
         raise ValueError("not a relation: sum W_i c_i is nonzero")
 
@@ -220,10 +214,13 @@ def pairwise_relation_y(p: int, q: int, n: int) -> tuple[SkewLaurent, ...]:
 
     Components in y-coordinates, proved here (InvariantError otherwise):
     c_p gets -z_{-q}, c_q gets z_{-p}, and c_{q-p-1} gets the twisted
-    correction (added, since q - p - 1 may collide with p).
+    correction (added, since q - p - 1 may collide with p).  Larger arities
+    pad the tuple proved at arity q + 1 with zeros.
     """
     if not 0 <= p < q < n:
         raise ValueError(f"need 0 <= p < q < n, got p={p}, q={q}, n={n}")
+    if n > q + 1:
+        return pairwise_relation_y(p, q, q + 1) + (SkewLaurent.zero(),) * (n - q - 1)
     c = [SkewLaurent.zero() for _ in range(n)]
     c[p] = c[p] - SkewLaurent.from_poly(_z(-q))
     c[q] = c[q] + SkewLaurent.from_poly(_z(-p))
@@ -241,7 +238,10 @@ def pairwise_relation(p: int, q: int, n: int) -> tuple[SkewLaurent, ...]:
 
     The components come back bare; `pairwise_relation_y` proved them.
     """
-    return tuple(c.change_basis() for c in pairwise_relation_y(p, q, n))
+    ys = pairwise_relation_y(p, q, n)
+    if n > q + 1:
+        return pairwise_relation(p, q, q + 1) + ys[q + 1:]
+    return tuple(c.change_basis() for c in ys)
 
 
 def _last_projection(p: int, n: int) -> SkewLaurent:

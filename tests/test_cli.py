@@ -361,6 +361,14 @@ class TestNormalize:
         assert payload["data"]["normal_form"] == "1"
         assert payload["data"]["sequence"] == []
 
+    @pytest.mark.parametrize("word,normal_form", [("1 T+", "T+"), ("T+ 1", "T+"), ("s 1 s T- 1", "T-")])
+    def test_hnn_one_token_inside_a_word_is_the_identity(self, capsys, tmp_path, word, normal_form):
+        path = self.finite_hnn_file(tmp_path, ("e", "s"))
+        code, payload = run_json(capsys, "algebra", "normalize", "--hnn", path, "--word", word)
+        assert code == 0
+        assert payload["status"] == "pass"
+        assert payload["data"]["normal_form"] == normal_form
+
     def test_base_element_named_like_the_stable_letter_is_rejected(self, capsys, tmp_path):
         # in Z3 = {1, x, T+}, x x would render as "T+" and read back as t
         path = self.finite_hnn_file(tmp_path, ("1", "x", "T+"))
@@ -563,6 +571,24 @@ class TestNilCommands:
         assert perf_counter() - start < 1.0
         assert code == 3
         assert "(5592405 composite words at unit dims 2 and 12)" in payload["data"]["limit"]
+
+    @pytest.mark.parametrize("base,planted", [("int", True), ("gf(5)", True), ("int", False)])
+    def test_check_eliminates_each_chain_layer_once(self, capsys, tmp_path, monkeypatch,
+                                                    base, planted):
+        # Each image layer is already reduced, so its annihilator needs only
+        # the one elimination that reduces the solutions: one linalg.rref per
+        # unit and chain layer (the rest of nil-check uses nilobj's binding).
+        from freenil import linalg
+
+        path = tmp_path / "module.json"
+        path.write_text(json.dumps(bench_module(4, 18, 3, base, 4, 5, planted)))
+        calls = []
+        real = linalg.rref
+        monkeypatch.setattr(linalg, "rref", lambda a, field: calls.append(1) or real(a, field))
+        code, payload = run_json(capsys, "algebra", "nil-check", str(path))
+        assert code == (0 if planted else 1)
+        assert payload["data"]["nilpotent"] is planted
+        assert len(calls) == len(payload["data"]["layer_dims"]) * len(payload["data"]["dims"])
 
     def test_check_shipped_sample(self, capsys):
         code, payload = run_json(capsys, "algebra", "nil-check")

@@ -18,7 +18,7 @@ from freenil.laurent import (
     one_minus_x,
     x_diff,
 )
-from freenil.skewpoly import SkewLaurent, format_skew, parse_skew
+from freenil.skewpoly import SkewLaurent, dot, format_skew, parse_skew
 
 
 def P(**kw) -> LaurentPoly:
@@ -46,6 +46,42 @@ plain_polys = st.dictionaries(
 ).map(LaurentPoly)
 
 plain_skews = st.dictionaries(st.integers(-2, 2), plain_polys, max_size=3).map(SkewLaurent)
+
+
+def layered_mul(a: SkewLaurent, b: SkewLaurent) -> SkewLaurent:
+    """The product layer by layer: the oracle for the fused `dot` kernel.
+
+    Each (k, l) layer pair is one shift, one LaurentPoly product and one
+    sum, with a new filtered object at every step.
+    """
+    out: dict[int, LaurentPoly] = {}
+    for k, a_k in a.coeffs.items():
+        for l, b_l in b.coeffs.items():
+            term = a_k.shift(-l) * b_l
+            if term.is_zero():
+                continue
+            s = out.get(k + l, LaurentPoly.zero()) + term
+            if s.is_zero():
+                out.pop(k + l, None)
+            else:
+                out[k + l] = s
+    return SkewLaurent(out)
+
+
+def assert_canonical(p):
+    """No zero coefficient, no empty layer, sorted monomials of nonzero exponents."""
+    if isinstance(p, SkewLaurent):
+        layers = list(p.coeffs.values())
+        assert all(isinstance(a, LaurentPoly) and a.coeffs for a in layers)
+    else:
+        layers = [p]
+    for a in layers:
+        for mono, c in a.coeffs.items():
+            assert isinstance(c, int) and c != 0
+            indices = [i for i, _ in mono]
+            assert indices == sorted(set(indices))
+            assert all(e != 0 for _, e in mono)
+    return p
 
 
 def reference_mul_monomials(a, b):
@@ -207,6 +243,78 @@ class TestSkewMul:
     def test_scalar_embedding_multiplies_pointwise(self):
         p = SkewLaurent.t(2, x_diff(1))
         assert p * 3 == SkewLaurent.t(2, 3 * x_diff(1))
+
+
+class TestFusedKernel:
+    """`dot` and `*` against the layer-by-layer product, in canonical form."""
+
+    @given(skews, skews)
+    def test_mul_matches_layered_product(self, a, b):
+        assert assert_canonical(a * b) == layered_mul(a, b)
+
+    @given(st.lists(st.tuples(skews, skews), max_size=4))
+    @settings(max_examples=80)
+    def test_dot_is_the_sum_of_products(self, pairs):
+        want = SkewLaurent.zero()
+        for a, b in pairs:
+            want = want + layered_mul(a, b)
+        assert assert_canonical(dot(pairs)) == want
+        assert assert_canonical(dot(iter(pairs))) == want
+
+    @given(skews, skews, skews, st.integers(-3, 3))
+    @settings(max_examples=80)
+    def test_cancelling_sums_are_zero(self, a, b, c, k):
+        shifted = SkewLaurent.t(k) * b
+        for got in (
+            dot([(a, b), (-a, b)]),
+            dot([(a, b), (a, -b)]),
+            dot([(a, b + c), (-a, b), (a, -c)]),
+            dot([(a, shifted), (-(a * SkewLaurent.t(k)), b)]),
+            a * b - a * b,
+        ):
+            assert got.is_zero() and got.coeffs == {}
+        # Part of the sum cancels and the rest survives in canonical form.
+        assert assert_canonical(dot([(a, b), (a, c), (-a, b)])) == layered_mul(a, c)
+
+    def test_cancellation_drops_terms_and_layers(self):
+        x0, x1 = LaurentPoly.x(0), LaurentPoly.x(1, -2)
+        left = SkewLaurent({0: x0, 2: x1})
+        right = SkewLaurent.t(-1, x0 - x1)
+        got = dot([(left, right), (SkewLaurent({0: -x0}), right)])
+        assert got == SkewLaurent.t(1, x1.shift(1) * (x0 - x1))
+        assert set(got.coeffs) == {1}
+        assert_canonical(got)
+
+    def test_empty_sum(self):
+        assert dot([]) == SkewLaurent.zero()
+        assert dot([(SkewLaurent.zero(), SkewLaurent.one())]).coeffs == {}
+
+    @given(polys, polys, st.integers(-3, 3), st.integers(-3, 3))
+    def test_twist_law(self, a, b, k, l):
+        # (t^k a)(t^l b) = t^(k+l) a.shift(-l) b; (t x_0)(t 1) = t^2 x_{-1} is one case
+        got = SkewLaurent.t(k, a) * SkewLaurent.t(l, b)
+        assert assert_canonical(got) == SkewLaurent.t(k + l, a.shift(-l) * b)
+
+    @given(skews, skews, skews)
+    @settings(max_examples=60)
+    def test_dot_associative(self, a, b, c):
+        assert dot([(dot([(a, b)]), c)]) == dot([(a, dot([(b, c)]))])
+        assert assert_canonical((a * b) * c) == layered_mul(a, layered_mul(b, c))
+
+    @given(skews, skews)
+    def test_every_operation_stays_canonical(self, a, b):
+        for got in (a + b, a - b, -a, a * b, b * a, a - a, a + (-a)):
+            assert_canonical(got)
+        assert a - b == a + (-b)
+        for p, q in ((a.coeff(0), b.coeff(1)), (a.coeff(-1), a.coeff(-1))):
+            for got in (p + q, p - q, -p, p * q, p - p, p.shift(2), p.shift(-1)):
+                assert_canonical(got)
+            assert p - q == p + (-q)
+
+    def test_public_constructors_filter_zeros(self):
+        assert LaurentPoly({(): 0, ((0, 1),): 2}).coeffs == {((0, 1),): 2}
+        assert SkewLaurent({0: LaurentPoly.zero(), 1: LaurentPoly.one()}).coeffs == {1: LaurentPoly.one()}
+        assert LaurentPoly({(): 0}) == LaurentPoly.zero()
 
 
 class TestCollapse:

@@ -234,6 +234,23 @@ class TestPairwiseRelation:
         pairwise_relation(2, 5, 7)
         assert len(calls) == 1
 
+    def test_relation_proved_once_across_arities(self, monkeypatch):
+        import freenil.syzygy as syzygy
+
+        pairwise_relation.cache_clear()
+        pairwise_relation_y.cache_clear()
+        calls = []
+        real = syzygy._check_relation_y
+        monkeypatch.setattr(syzygy, "_check_relation_y", lambda c: calls.append(1) or real(c))
+        heads = set()
+        for n in (9, 4, 6, 12):
+            ys, xs = pairwise_relation_y(1, 3, n), pairwise_relation(1, 3, n)
+            assert len(ys) == len(xs) == n  # reduce_step zips the tuple against the state
+            assert all(c.is_zero() for c in ys[4:] + xs[4:])
+            heads.add((ys[:4], xs[:4]))
+        assert len(heads) == 1
+        assert len(calls) == 1
+
     def test_forged_vector_rejected(self):
         with pytest.raises(ValueError):
             RelationVector(2, (SkewLaurent.one(), SkewLaurent.zero()))

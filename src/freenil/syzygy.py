@@ -20,16 +20,17 @@ Two coordinate systems share the LaurentPoly and SkewLaurent types, and
   of sum W_i c_i are built and checked: `kernel_pair_y`,
   `pairwise_relation_y`, `defining_map_y`.  There a run y_0 ... y_{-n} is
   one monomial, so U_n has 4 terms and V_n has O(n).  Each of these sums
-  is one `skewpoly.dot` per side, and X(p, q) is proved once, at arity q + 1.
+  is one `skewpoly.dot` per side, and X(p, q) is proved once per (p, q).
 * x-coordinates are the public basis: `kernel_pair`, `pairwise_relation`
   and `defining_map` are in x, as the exact images of the y objects.
-  `pairwise_relation` returns the bare component tuple of a relation that
-  `pairwise_relation_y` has already proved.  RelationVector holds the
-  descent states (a random combination, a pair sum, each step's result),
-  and each one is proved once, when it is built.  Descent (`reduce_step`,
-  `ideal_decompose`, `complexity`) stays in x, because its inputs carry
-  negative exponents, which have no y image until a monomial unit clears
-  them.
+  Descent (`reduce_step`, `ideal_decompose`, `complexity`) stays in x,
+  because its inputs carry negative exponents, which have no y image
+  until a monomial unit clears them.
+
+A relation is a map from index to nonzero component; X(p, q) has at most
+three in any arity (`pairwise_relation` is its dense view).  Every descent
+state (a random combination, a pair sum, a step's result) is built by
+`_descent_state`, one `dot` per touched index, and proved once.
 
 Everything is exact; any failed internal assertion raises InvariantError
 because the identities involved are theorems, not runtime conditions.
@@ -39,10 +40,12 @@ ValueError when it is not a relation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
-from typing import Iterable, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InvariantError, LimitExceeded
 from .laurent import LaurentPoly, clearing_unit, one_minus_x, x_diff
@@ -167,86 +170,92 @@ class Complexity:
             return self.beta > other.beta
         return self.gamma < other.gamma
 
-    def as_tuple(self) -> tuple[float, float, int]:
-        return (self.alpha, self.beta, self.gamma)
-
 
 @dataclass(frozen=True)
 class RelationVector:
-    """Element (c_0, ..., c_{n-1}) with sum W_i c_i = (0, 0), validated."""
+    """Validated relation sum W_i c_i = (0, 0), as {i: c_i != 0} with 0 <= i < n."""
 
     n: int
-    c: tuple[SkewLaurent, ...]
+    c: dict[int, SkewLaurent]
 
     def __post_init__(self):
-        if self.n < 1 or len(self.c) != self.n:
-            raise ValueError(f"expected {self.n} components, got {len(self.c)}")
+        if self.n < 1 or any(not 0 <= i < self.n or ci.is_zero() for i, ci in self.c.items()):
+            raise ValueError(f"need n >= 1 and nonzero components in [0, n), got n={self.n}")
         # sum W_i c_i m = 0 iff sum W_i c_i = 0, for the unit m of _to_y.
-        _check_relation_y(_to_y(self.c)[0])
+        _check_relation_y(zip(self.c, _to_y(list(self.c.values()))[0]))
 
     def is_zero(self) -> bool:
-        return all(ci.is_zero() for ci in self.c)
+        return not self.c
 
 
-def _check_relation_y(c: Iterable[SkewLaurent]) -> None:
-    """Raise ValueError unless sum W_i c_i = (0, 0), all in y-coordinates."""
-    terms = [(kernel_pair_y(i), ci) for i, ci in enumerate(c) if not ci.is_zero()]
+def _check_relation_y(entries: Iterable[tuple[int, SkewLaurent]]) -> None:
+    """Raise ValueError unless sum W_i c_i = (0, 0) over the (i, c_i), all in y."""
+    terms = [(kernel_pair_y(i), ci) for i, ci in entries]
     first = dot((U, ci) for (U, _), ci in terms)
     second = dot((V, ci) for (_, V), ci in terms)
     if not (first.is_zero() and second.is_zero()):
         raise ValueError("not a relation: sum W_i c_i is nonzero")
 
 
-def _descent_state(n: int, comps: Iterable[SkewLaurent]) -> RelationVector:
-    """A RelationVector the library assembled from proven relations.
+def _check_arity(p: int, q: int, n: int) -> None:
+    if not 0 <= p < q < n:
+        raise ValueError(f"need 0 <= p < q < n, got p={p}, q={q}, n={n}")
 
-    If it fails its check, the library is wrong, not the input.
+
+def _descent_state(n: int, terms: Iterable, base=None) -> RelationVector:
+    """base + sum X(p, q) w over the terms (p, q, w), one `dot` per touched index.
+
+    Built from proven relations: a failed check means the library is wrong.
     """
+    touched: dict[int, list[tuple[SkewLaurent, SkewLaurent]]] = {}
+    for p, q, w in terms:
+        _check_arity(p, q, n)
+        for i, ci in pairwise_relation_x(p, q).items():
+            touched.setdefault(i, []).append((ci, w))
+    comps = dict(base or {})
+    for i, products in touched.items():
+        ci = comps.pop(i, SkewLaurent.zero()) + dot(products)
+        if not ci.is_zero():
+            comps[i] = ci
     try:
-        return RelationVector(n, tuple(comps))
+        return RelationVector(n, comps)
     except ValueError as exc:
         raise InvariantError(f"descent state: {exc}") from None
 
 
 @lru_cache(maxsize=None)
-def pairwise_relation_y(p: int, q: int, n: int) -> tuple[SkewLaurent, ...]:
+def pairwise_relation_y(p: int, q: int) -> Mapping[int, SkewLaurent]:
     """The relation W_q z_{-p} - W_p z_{-q} - W_{q-p-1} t^{p+1} z_1 y_0 ... y_{-p} = 0.
 
-    Components in y-coordinates, proved here (InvariantError otherwise):
-    c_p gets -z_{-q}, c_q gets z_{-p}, and c_{q-p-1} gets the twisted
-    correction (added, since q - p - 1 may collide with p).  Larger arities
-    pad the tuple proved at arity q + 1 with zeros.
+    Its nonzero components in y-coordinates, proved here (InvariantError
+    otherwise): c_p gets -z_{-q}, c_q gets z_{-p}, and c_{q-p-1} gets the
+    twisted correction (added, since q - p - 1 may collide with p, at
+    another t-degree).  The cached map is shared, so it is read-only.
     """
-    if not 0 <= p < q < n:
-        raise ValueError(f"need 0 <= p < q < n, got p={p}, q={q}, n={n}")
-    if n > q + 1:
-        return pairwise_relation_y(p, q, q + 1) + (SkewLaurent.zero(),) * (n - q - 1)
-    c = [SkewLaurent.zero() for _ in range(n)]
-    c[p] = c[p] - SkewLaurent.from_poly(_z(-q))
-    c[q] = c[q] + SkewLaurent.from_poly(_z(-p))
-    c[q - p - 1] = c[q - p - 1] - SkewLaurent.t(p + 1, _z(1) * _yrun(0, -p))
+    if not 0 <= p < q:
+        raise ValueError(f"need 0 <= p < q, got p={p}, q={q}")
+    c = {p: -SkewLaurent.from_poly(_z(-q)), q: SkewLaurent.from_poly(_z(-p))}
+    tail = SkewLaurent.t(p + 1, _z(1) * _yrun(0, -p))
+    c[q - p - 1] = c.get(q - p - 1, SkewLaurent.zero()) - tail
     try:
-        _check_relation_y(c)
+        _check_relation_y(c.items())
     except ValueError as exc:
-        raise InvariantError(f"pairwise relation ({p},{q}) at arity {n}: {exc}") from None
-    return tuple(c)
+        raise InvariantError(f"pairwise relation ({p},{q}): {exc}") from None
+    return MappingProxyType(c)
+
+
+@lru_cache(maxsize=None)
+def pairwise_relation_x(p: int, q: int) -> Mapping[int, SkewLaurent]:
+    """X(p, q) in x-coordinates, the read-only map the descent reads."""
+    return MappingProxyType({i: ci.change_basis() for i, ci in pairwise_relation_y(p, q).items()})
 
 
 @lru_cache(maxsize=None)
 def pairwise_relation(p: int, q: int, n: int) -> tuple[SkewLaurent, ...]:
-    """X(p, q) at arity n in x-coordinates: the image of `pairwise_relation_y`.
-
-    The components come back bare; `pairwise_relation_y` proved them.
-    """
-    ys = pairwise_relation_y(p, q, n)
-    if n > q + 1:
-        return pairwise_relation(p, q, q + 1) + ys[q + 1:]
-    return tuple(c.change_basis() for c in ys)
-
-
-def _last_projection(p: int, n: int) -> SkewLaurent:
-    """Last component of X(p, n-1, n), mapped back to x-coordinates."""
-    return pairwise_relation_y(p, n - 1, n)[-1].change_basis()
+    """X(p, q) at arity n in x-coordinates: `pairwise_relation_x` as a dense tuple."""
+    _check_arity(p, q, n)
+    xs = pairwise_relation_x(p, q)
+    return tuple(xs.get(i, SkewLaurent.zero()) for i in range(n))
 
 
 def _split_by_index(p: LaurentPoly, index: int) -> dict[int, LaurentPoly]:
@@ -307,20 +316,19 @@ def ideal_decompose(a: LaurentPoly, n: int) -> Optional[list[LaurentPoly]]:
     return coeffs
 
 
-def complexity(X: "RelationVector | Sequence[SkewLaurent]") -> Complexity:
-    comps = X.c if isinstance(X, RelationVector) else tuple(X)
-    if all(ci.is_zero() for ci in comps):
+def complexity(X: RelationVector) -> Complexity:
+    if X.is_zero():
         raise ValueError("the zero vector has no complexity")
-    nus = [ci.valuation() for ci in comps]
-    beta = min(nus)
-    gamma = max(k for k, nu in enumerate(nus) if nu == beta)
-    return Complexity(alpha=nus[-1], beta=beta, gamma=gamma)
+    nus = {k: ci.valuation() for k, ci in X.c.items()}
+    beta = min(nus.values())
+    gamma = max(k for k, nu in nus.items() if nu == beta)
+    return Complexity(alpha=nus.get(X.n - 1, math.inf), beta=beta, gamma=gamma)
 
 
 def reduce_step(X: RelationVector) -> RelationVector:
     """One descent step: cancel the lowest t-layer at position gamma.
 
-    Subtracts sum_j X(j, gamma, n) * a_j t^beta where the a_j decompose the
+    Subtracts sum_j X(j, gamma) * a_j t^beta where the a_j decompose the
     left layer coefficient of c_gamma at t-degree beta over the ideal
     (z_0, ..., z_{1-gamma}).  The result is a validated relation vector
     which is either zero or of strictly smaller complexity.
@@ -337,10 +345,10 @@ def reduce_step(X: RelationVector) -> RelationVector:
         raise InvariantError(f"lowest t-degree {beta} of a nonzero vector is not finite")
 
     # Left layer coefficients at t-degree beta: c_k = ... + layer_k t^beta + ...
-    layer = [X.c[k].coeff(beta).shift(beta) for k in range(X.n)]
+    layer = {k: ck.coeff(beta).shift(beta) for k, ck in X.c.items() if k <= gamma}
     identity = LaurentPoly.zero()
-    for k in range(gamma + 1):
-        identity = identity + x_diff(-k) * layer[k]
+    for k, layer_k in layer.items():
+        identity = identity + x_diff(-k) * layer_k
     if not identity.is_zero():
         raise InvariantError("lowest-layer identity violated")
 
@@ -348,13 +356,12 @@ def reduce_step(X: RelationVector) -> RelationVector:
     if parts is None:
         raise InvariantError("layer coefficient escapes the expected ideal")
 
-    comps = list(X.c)
-    for j, aj in enumerate(parts):
-        if aj.is_zero():
-            continue
-        w = SkewLaurent.from_poly(aj) * SkewLaurent.t(beta)
-        comps = [a - b * w for a, b in zip(comps, pairwise_relation(j, gamma, X.n))]
-    out = _descent_state(X.n, comps)
+    terms = [
+        (j, gamma, -SkewLaurent.from_poly(aj) * SkewLaurent.t(beta))
+        for j, aj in enumerate(parts)
+        if not aj.is_zero()
+    ]
+    out = _descent_state(X.n, terms, X.c)
     if not out.is_zero() and not complexity(out) < chi:
         raise InvariantError("descent step failed to lower the complexity")
     return out
@@ -379,8 +386,8 @@ def _descent_summary(trace: list[RelationVector]) -> tuple[list[Complexity], boo
 
 
 def last_projection_generator(p: int, n: int) -> LaurentPoly:
-    """The witness z_{-p} produced as the last component of X(p, n-1, n)."""
-    if _last_projection(p, n) != SkewLaurent.from_poly(x_diff(-p)):
+    """The witness z_{-p} produced as the last component of X(p, n-1) at arity n."""
+    if pairwise_relation_y(p, n - 1)[n - 1].change_basis() != SkewLaurent.from_poly(x_diff(-p)):
         raise InvariantError("last projection of the pairwise relation is off")
     return x_diff(-p)
 
@@ -399,13 +406,12 @@ def verify_kernel_pairs(max_n: int) -> list[CheckItem]:
 def verify_relations(max_q: int) -> list[CheckItem]:
     items = []
     for q in range(1, max_q + 1):
-        n = q + 1
         for p in range(q):
-            pairwise_relation_y(p, q, n)  # proves the relation, or raises InvariantError
+            pairwise_relation_y(p, q)  # proves the relation, or raises InvariantError
             items.append(item(f"relation ({p},{q}) validates", True, True))
     for n in range(2, max_q + 2):
         for p in range(n - 1):
-            got = _last_projection(p, n)
+            got = pairwise_relation_y(p, n - 1)[n - 1].change_basis()
             want = SkewLaurent.from_poly(x_diff(-p))
             items.append(
                 item(
@@ -418,23 +424,18 @@ def verify_relations(max_q: int) -> list[CheckItem]:
 
 
 def random_relation(n: int, rng: Random) -> RelationVector:
-    """Random right-combination of pairwise relations at arity n.
-
-    The components are summed directly and the sum is validated once.
-    """
-    comps = [SkewLaurent.zero()] * n
+    """Random right-combination of pairwise relations at arity n."""
+    terms = []
     pairs = [(p, q) for q in range(1, n) for p in range(q)]
     rng.shuffle(pairs)
-    used = 0
     for p, q in pairs:
-        if used >= 2 and rng.random() < 0.5:
+        if len(terms) >= 2 and rng.random() < 0.5:
             break
         mono = LaurentPoly.x(rng.randint(-RANDOM_SPREAD, RANDOM_SPREAD), rng.randint(-1, 1))
         coef = rng.choice([-2, -1, 1, 2]) * mono
         w = SkewLaurent.t(rng.randint(0, RANDOM_SPREAD), coef)
-        comps = [a + b * w for a, b in zip(comps, pairwise_relation(p, q, n))]
-        used += 1
-    return _descent_state(n, comps)
+        terms.append((p, q, w))
+    return _descent_state(n, terms)
 
 
 def reduce_pair_sum(
@@ -446,10 +447,8 @@ def reduce_pair_sum(
     items, and one trace entry per vector: its complexity as
     "chi=(alpha, beta, gamma)", then "zero" for the final state.
     """
-    comps = [SkewLaurent.zero()] * n
-    for p, q in pairs:
-        comps = [a + b for a, b in zip(comps, pairwise_relation(p, q, n))]
-    chis, ended, decreasing = _descent_summary(reduce_chain(_descent_state(n, comps)))
+    start = _descent_state(n, ((p, q, SkewLaurent.one()) for p, q in pairs))
+    chis, ended, decreasing = _descent_summary(reduce_chain(start))
     steps = [f"chi=({c.alpha}, {c.beta}, {c.gamma})" for c in chis]
     if ended:
         steps.append("zero")

@@ -6,16 +6,21 @@ command lines with their frozen outputs, report reproducibility, and the
 FREENIL_LIMITS ceilings.
 """
 
+import contextlib
+import copy
 import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 from random import Random
 from time import perf_counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from freenil import cli, nilobj, store, syzygy
 from freenil.cli import Limits, main, read_limits
@@ -262,14 +267,14 @@ class TestGrouph:
     def test_broken_pairwise_relation_exits_four(self, capsys, monkeypatch):
         # A library-built relation that fails its proof is an invariant
         # violation, not an input error.
-        real = syzygy.pairwise_relation
+        real = syzygy.pairwise_relation_x
 
-        def broken(p, q, n):
-            c = list(real(p, q, n))
-            c[-1] = c[-1] + SkewLaurent.t(5)
-            return tuple(c)
+        def broken(p, q):
+            c = dict(real(p, q))
+            c[q] = c[q] + SkewLaurent.t(5)
+            return c
 
-        monkeypatch.setattr(syzygy, "pairwise_relation", broken)
+        monkeypatch.setattr(syzygy, "pairwise_relation_x", broken)
         code, payload = run_json(capsys, "grouph", "reduce", "--arity", "3", "--pair", "0,2")
         assert code == 4
         assert payload["status"] == "error"
@@ -674,6 +679,113 @@ class TestReportContract:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "words", "frobnicate")
         assert code == 2
+
+
+SHIPPED = {
+    name: (resources.files("freenil") / "data" / f"{name}.json").read_text()
+    for name in ("bs12", "dinf", "s3", "s3z2", "nil_example")
+}
+
+
+def shipped(name):
+    return json.loads(SHIPPED[name])
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("sample,mode,field,value,path", [
+        ("bs12", "--hnn", "base", 1, "$.base"),
+        ("s3z2", "--amalgam", "embedding1", "x", "$.embedding1"),
+        ("bs12", "--hnn", None, [1, 2], "$"),
+    ], ids=["bs12-base", "s3z2-embedding1", "top-level-list"])
+    def test_non_object_exits_two_naming_the_path(self, capsys, tmp_path, sample, mode, field, value, path):
+        data = shipped(sample)
+        if field is None:
+            data = value
+        else:
+            data[field] = value
+        file = tmp_path / "bad.json"
+        file.write_text(json.dumps(data))
+        code, out = run_cli(capsys, "algebra", "normalize", mode, str(file), "--word", "1")
+        assert code == 2
+        assert "Traceback" not in out
+        assert json.loads(out)["data"]["error"].startswith(f"{path} must be an object, got ")
+
+    # Every mutant of a shipped file runs through the commands that read its kind.
+    CONTRACT_COMMANDS = {
+        "bs12": [("normalize", "--hnn", "FILE", "--word", "T- a T+"),
+                 ("decompose", "--hnn", "FILE", "--word", "a T+ a T-", "--word", "T+ a")],
+        "dinf": [("normalize", "--amalgam", "FILE", "--word", "1:s 2:r 1:s"),
+                 ("decompose", "--amalgam", "FILE", "--word", "1:s 2:r")],
+        "s3z2": [("normalize", "--amalgam", "FILE", "--word", "1:(12) 2:r 1:(13)"),
+                 ("decompose", "--amalgam", "FILE", "--word", "2:r 1:(12)")],
+        "s3": [("cosets", "FILE", "--left", "(12)", "--right", "(13)")],
+        "nil_example": [("nil-check", "FILE"), ("nil-map", "FILE", "--restrict", "p"),
+                        ("nil-map", "FILE", "--twist", "f,g"),
+                        ("nil-map", "FILE", "--fold", "q", "--onto", "p")],
+    }
+    SCALARS = st.none() | st.booleans() | st.integers(-2, 3) | st.floats(-2, 2) | st.text("pq1(2)", max_size=3)
+    VALUES = st.one_of(
+        SCALARS,
+        st.lists(SCALARS | st.lists(SCALARS, max_size=2), max_size=3),
+        st.dictionaries(st.sampled_from(["kind", "names", "table", "rank", "name", "matrix", "x"]),
+                        SCALARS, max_size=3),
+    )
+
+    @staticmethod
+    def nodes(node, path=()):
+        yield path
+        items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+        for key, child in items:
+            yield from TestMalformedFiles.nodes(child, path + (key,))
+
+    HOW = st.sampled_from(["replace", "delete", "duplicate"])
+
+    @classmethod
+    def mutate(cls, data, draw):
+        paths = list(cls.nodes(data))
+        path = paths[draw(st.integers(0, len(paths) - 1))]
+        *head, last = path or (None,)
+        parent = data
+        for key in head:
+            parent = parent[key]
+        node = parent[last] if path else data
+        how = draw(cls.HOW)
+        if how == "delete" and path and isinstance(parent, dict):
+            del parent[last]
+        elif how == "duplicate" and isinstance(node, list) and node:
+            node.append(copy.deepcopy(node[draw(st.integers(0, len(node) - 1))]))
+        elif path:
+            parent[last] = draw(cls.VALUES)
+        else:
+            return draw(cls.VALUES)
+        return data
+
+    def test_mutated_shipped_files_keep_the_exit_code_contract(self, tmp_path):
+        # A mutant that reaches exit 4 or escapes main is a library bug.
+        file = tmp_path / "mutant.json"
+        samples = st.sampled_from(sorted(self.CONTRACT_COMMANDS))
+        commands = {name: st.sampled_from(argvs) for name, argvs in self.CONTRACT_COMMANDS.items()}
+
+        @given(data=st.data())
+        @settings(max_examples=2000, derandomize=True, deadline=None, database=None,
+                  suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+        def case(data):
+            sample = data.draw(samples)
+            mutant = shipped(sample)
+            for _ in range(data.draw(st.integers(1, 3))):
+                mutant = self.mutate(mutant, data.draw)
+            file.write_text(json.dumps(mutant))
+            argv = ["algebra", *data.draw(commands[sample])]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([str(file) if a == "FILE" else a for a in argv])
+            assert code in (0, 1, 2, 3), out.getvalue()
+            json.loads(out.getvalue())  # exactly one report: a second would be extra data
+            assert err.getvalue() == ""
+
+        start = perf_counter()
+        case()
+        assert perf_counter() - start < 20.0
 
 
 class TestParserReuse:

@@ -9,7 +9,7 @@ x-coordinate constructors below are kept as references for their images.
 
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from random import Random
 
 import pytest
@@ -22,6 +22,7 @@ from freenil.skewpoly import SkewLaurent
 from freenil.syzygy import (
     Complexity,
     kernel_pair_y,
+    pairwise_relation_x,
     pairwise_relation_y,
     RelationVector,
     collapse_certificate,
@@ -75,11 +76,28 @@ def reference_pairwise_relation(p: int, q: int, n: int) -> tuple[SkewLaurent, ..
 
 
 def combine(n: int, *terms) -> RelationVector:
-    """The validated relation sum_k X_k w_k, for component tuples X_k and right factors w_k."""
+    """The validated relation sum_k X_k w_k, for dense component tuples X_k and right factors w_k.
+
+    Summed densely, component by component, as an oracle for the sparse descent states.
+    """
     comps = [SkewLaurent.zero()] * n
     for X, w in terms:
         comps = [a + b * w for a, b in zip(comps, X)]
-    return RelationVector(n, tuple(comps))
+    return RelationVector(n, {i: c for i, c in enumerate(comps) if not c.is_zero()})
+
+
+def unchecked(n: int, c: dict) -> RelationVector:
+    """A RelationVector that skips validation, for raw complexity profiles."""
+    X = object.__new__(RelationVector)
+    object.__setattr__(X, "n", n)
+    object.__setattr__(X, "c", c)
+    return X
+
+
+def clear_relation_caches():
+    pairwise_relation.cache_clear()
+    pairwise_relation_x.cache_clear()
+    pairwise_relation_y.cache_clear()
 
 
 small_skews = st.dictionaries(
@@ -124,8 +142,9 @@ class TestAgainstXReferences:
 
     def test_y_relation_maps_to_x_relation(self):
         for p, q, n in [(0, 1, 2), (1, 3, 4), (2, 5, 7)]:
-            ys = pairwise_relation_y(p, q, n)
-            assert tuple(c.change_basis() for c in ys) == pairwise_relation(p, q, n)
+            xs = {i: c.change_basis() for i, c in pairwise_relation_y(p, q).items()}
+            assert xs == pairwise_relation_x(p, q)
+            assert tuple(xs.get(i, SkewLaurent.zero()) for i in range(n)) == pairwise_relation(p, q, n)
 
 
 class TestDefiningMap:
@@ -226,8 +245,7 @@ class TestPairwiseRelation:
     def test_fresh_relation_proved_once(self, monkeypatch):
         import freenil.syzygy as syzygy
 
-        pairwise_relation.cache_clear()
-        pairwise_relation_y.cache_clear()
+        clear_relation_caches()
         calls = []
         real = syzygy._check_relation_y
         monkeypatch.setattr(syzygy, "_check_relation_y", lambda c: calls.append(1) or real(c))
@@ -237,32 +255,45 @@ class TestPairwiseRelation:
     def test_relation_proved_once_across_arities(self, monkeypatch):
         import freenil.syzygy as syzygy
 
-        pairwise_relation.cache_clear()
-        pairwise_relation_y.cache_clear()
+        clear_relation_caches()
         calls = []
         real = syzygy._check_relation_y
         monkeypatch.setattr(syzygy, "_check_relation_y", lambda c: calls.append(1) or real(c))
         heads = set()
         for n in (9, 4, 6, 12):
-            ys, xs = pairwise_relation_y(1, 3, n), pairwise_relation(1, 3, n)
-            assert len(ys) == len(xs) == n  # reduce_step zips the tuple against the state
-            assert all(c.is_zero() for c in ys[4:] + xs[4:])
-            heads.add((ys[:4], xs[:4]))
+            ys, xs = pairwise_relation_y(1, 3), pairwise_relation_x(1, 3)
+            dense = pairwise_relation(1, 3, n)
+            # q - p - 1 = p here, so X(1, 3) has two entries, and no zero is stored.
+            assert sorted(ys) == sorted(xs) == [1, 3]
+            assert not any(c.is_zero() for c in [*ys.values(), *xs.values()])
+            assert len(dense) == n and all(c.is_zero() for c in dense[4:])
+            heads.add((tuple(sorted(ys.items())), tuple(sorted(xs.items())), dense[:4]))
         assert len(heads) == 1
         assert len(calls) == 1
 
     def test_forged_vector_rejected(self):
         with pytest.raises(ValueError):
-            RelationVector(2, (SkewLaurent.one(), SkewLaurent.zero()))
+            RelationVector(2, {0: SkewLaurent.one()})
+
+    @pytest.mark.parametrize("n,c", [
+        (4, {4: SkewLaurent.one()}),
+        (4, {-1: SkewLaurent.one()}),
+        (0, {}),
+        (-1, {}),
+        (4, {1: SkewLaurent.zero()}),
+    ], ids=["index-n", "negative-index", "arity-zero", "negative-arity", "stored-zero"])
+    def test_shape_rejected(self, n, c):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            RelationVector(n, c)
 
     def test_negative_exponents_validate(self):
         # The y-basis check first clears x-denominators with a right unit.
         w = SkewLaurent.t(-2, 3 * LaurentPoly.x(2, -3) * LaurentPoly.x(-1, -1))
         X = combine(4, (pairwise_relation(1, 3, 4), w))
-        forged = list(X.c)
-        forged[0] = forged[0] + sk(LaurentPoly.x(0, -1))
-        with pytest.raises(ValueError):
-            RelationVector(4, tuple(forged))
+        forged = dict(X.c)
+        forged[0] = forged.get(0, SkewLaurent.zero()) + sk(LaurentPoly.x(0, -1))
+        with pytest.raises(ValueError, match="not a relation"):
+            RelationVector(4, forged)
 
 
 small_polys = st.dictionaries(
@@ -321,21 +352,21 @@ class TestIdealDecompose:
 
 class TestComplexity:
     def test_raw_single_entry(self):
-        chi = complexity([SkewLaurent.t(2, x_diff(1))])
-        assert chi.as_tuple() == (2, 2, 0)
+        chi = complexity(unchecked(1, {0: SkewLaurent.t(2, x_diff(1))}))
+        assert astuple(chi) == (2, 2, 0)
 
     def test_relation_profile(self):
-        X = pairwise_relation(0, 3, 4)
-        assert complexity(X).as_tuple() == (0, 0, 3)
+        X = RelationVector(4, dict(pairwise_relation_x(0, 3)))
+        assert astuple(complexity(X)) == (0, 0, 3)
 
     def test_vanishing_last_component(self):
-        X = pairwise_relation(0, 1, 3)
+        X = RelationVector(3, dict(pairwise_relation_x(0, 1)))
         chi = complexity(X)
         assert chi.alpha == math.inf and chi.beta == 0 and chi.gamma == 1
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
-            complexity([SkewLaurent.zero()])
+            complexity(RelationVector(1, {}))
 
     def test_order_prefers_higher_alpha(self):
         assert Complexity(3, 1, 2) < Complexity(2, 1, 2)
@@ -358,15 +389,13 @@ class TestReduceStep:
     def test_gamma_zero_breaks_the_layer_identity(self):
         # Validation rules gamma = 0 out, so build the vector around it: the
         # identity z_0 * layer_0 = 0 fails first.
-        X = object.__new__(RelationVector)
-        object.__setattr__(X, "n", 2)
-        object.__setattr__(X, "c", (SkewLaurent.one(), SkewLaurent.zero()))
+        X = unchecked(2, {0: SkewLaurent.one()})
         assert complexity(X).gamma == 0
         with pytest.raises(InvariantError, match="lowest-layer identity"):
             reduce_step(X)
 
     def test_zero_vector_rejected(self):
-        Z = RelationVector(2, (SkewLaurent.zero(), SkewLaurent.zero()))
+        Z = RelationVector(2, {})
         with pytest.raises(ValueError):
             reduce_step(Z)
 
@@ -391,6 +420,34 @@ class TestReduceStep:
         assert isinstance(Y, RelationVector)
         # Constructing a copy revalidates the membership condition.
         RelationVector(Y.n, Y.c)
+
+
+    def test_all_pairs_at_arity_14_multiply_only_stored_entries(self, capsys, monkeypatch):
+        import freenil.skewpoly as skewpoly
+        import freenil.syzygy as syzygy
+
+        kernel_pair_y.cache_clear()
+        clear_relation_caches()
+        calls, idle = [], []
+        real = skewpoly.dot
+
+        def counting(pairs):
+            pairs = list(pairs)
+            calls.append(1)
+            if all(a.is_zero() or b.is_zero() for a, b in pairs):
+                idle.append(1)
+            return real(pairs)
+
+        monkeypatch.setattr(skewpoly, "dot", counting)
+        monkeypatch.setattr(syzygy, "dot", counting)
+        flags = [x for q in range(1, 14) for p in range(q) for x in ("--pair", f"{p},{q}")]
+        assert main(["grouph", "reduce", "--arity", "14", *flags]) == 0
+        assert json.loads(capsys.readouterr().out)["data"]["trace"][-1] == "zero"
+        # Zipping dense tuples against the state took 1,673 calls, 1,010 of
+        # them on zeros alone.  Now only the proof of the final zero state
+        # sums nothing: one empty sum per side.
+        assert len(calls) == 517
+        assert len(idle) == 2
 
 
 class TestRandomRelation:

@@ -1,17 +1,24 @@
 """Exact arithmetic in Laurent polynomial rings over the integers.
 
 `LaurentPoly` is the commutative ring with one invertible variable x_i
-per integer index i; it carries an index-shift map x_i -> x_{i+m} used by
-the twisted multiplication one level up.  The same class, read with x at
-index 0 and t at index 1, is the two-variable ring Z[x^{+-1}, t^{+-1}]
-that receives the collapse homomorphism (`collapse_poly`) sending every
-x_i to x.
+per integer index i <= TOP_INDEX; it carries an index-shift map
+x_i -> x_{i+m} used by the twisted multiplication one level up.  The same
+class, read with x at index 0 and t at index 1, is the two-variable ring
+Z[x^{+-1}, t^{+-1}] that receives the collapse homomorphism
+(`collapse_poly`) sending every x_i to x.
 
-Coefficients are arbitrary-precision ints throughout; nothing here is
-floating point.  Monomials are sorted tuples of (index, exponent) pairs
-with all exponents nonzero and no zero coefficient is stored, so equality
-of elements is dict equality.  The constructor filters caller input; the
-arithmetic drops its own zeros and wraps its dicts with `_trusted`.
+Coefficients are arbitrary-precision ints; nothing here is floating
+point.  A monomial is one packed int (Monagan and Pearce, 2007): prod
+x_i^{e_i} is sum e_i * 2^(8 (TOP_INDEX - i)), one signed 8-bit digit per
+index, so indices are unbounded below, a monomial product is one int
+addition and the shift by m is a multiplication by 2^(-8m).  Stored
+exponents lie in [-EXP_BOUND, EXP_BOUND), so two sum exactly within a
+digit; each product checks its result against that bound.  An index above
+TOP_INDEX or an exponent past the bound raises LimitExceeded, never a
+wrong key.  The constructor takes the sorted (index, exponent) tuples
+that `terms()` and `unpack` give back, and indices are decoded only where
+they are read one at a time.  No zero coefficient is stored, so equality
+is dict equality; the arithmetic wraps its own dicts with `_trusted`.
 
 The variables are just indexed symbols.  The twisted-ring layer reads
 them either as x_i or as y_i = 1 - x_i; `LaurentPoly.change_basis` is the
@@ -19,61 +26,84 @@ exact change between the two readings on polynomials, and
 `clearing_unit` finds the monomial that first turns a Laurent polynomial
 into one.
 """
-
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from operator import add, sub
+from functools import lru_cache, reduce
+from operator import add, or_, sub
 from typing import Iterable, Mapping
+
+from .errors import LimitExceeded
 
 Monomial = tuple[tuple[int, int], ...]
 
+TOP_INDEX = 16  # x_i is the digit at position TOP_INDEX - i
+EXP_BOUND = 64  # stored exponents lie in [-EXP_BOUND, EXP_BOUND)
+_W = 8  # bits per digit; digit sums lie in [-2 EXP_BOUND, 2 EXP_BOUND)
+_HALF = 1 << (_W - 1)
 
-def _mul_monomials(a: Monomial, b: Monomial) -> Monomial:
-    """Merge two sorted monomials, dropping exponents that cancel."""
-    if not a:
-        return b
-    if not b:
-        return a
-    if a[-1][0] < b[0][0]:
-        return a + b
-    if b[-1][0] < a[0][0]:
-        return b + a
-    out = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        ia, ea = a[i]
-        ib, eb = b[j]
-        if ia < ib:
-            out.append(a[i])
-            i += 1
-        elif ib < ia:
-            out.append(b[j])
-            j += 1
-        else:
-            if ea + eb:
-                out.append((ia, ea + eb))
-            i += 1
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+
+@lru_cache(maxsize=None)
+def _masks(n: int) -> tuple[int, int, int]:
+    """Digit EXP_BOUND, digit _HALF, and both, at each position below n.  A key
+    has a negative exponent iff it is negative or meets the last mask."""
+    ones = ((1 << (_W * n)) - 1) // ((1 << _W) - 1)
+    return EXP_BOUND * ones, _HALF * ones, (EXP_BOUND + _HALF) * ones
+
+
+def pack(mono: Iterable[tuple[int, int]]) -> int:
+    """The packed key of a monomial given as (index, exponent) pairs."""
+    key = 0
+    for i, e in mono:
+        if i > TOP_INDEX or not -EXP_BOUND <= e < EXP_BOUND:
+            raise LimitExceeded(f"x_{i}^{e} is outside the packed monomials: indices up to "
+                                f"{TOP_INDEX}, exponents in [{-EXP_BOUND}, {EXP_BOUND})")
+        key += e << (_W * (TOP_INDEX - i))
+    return key
+
+
+def _digits(key: int) -> bytes:
+    """The digits of a packed key plus _HALF, from position 0 up, with zeros above."""
+    n = key.bit_length() // _W + 2
+    return (key + _masks(n)[1]).to_bytes(n, "little")
+
+
+def unpack(key: int) -> Monomial:
+    """The sorted (index, exponent) pairs of a packed key."""
+    digits = _digits(key)
+    return tuple((TOP_INDEX - p, digits[p] - _HALF) for p in range(len(digits) - 1, -1, -1)
+                 if digits[p] != _HALF)
+
+
+def _check_bound(keys) -> None:
+    """LimitExceeded unless every exponent of the keys (a collection) is in bound.
+    Each digit is an exact sum of two in-bound exponents; offset by EXP_BOUND per
+    digit, a key is in bound iff it is nonnegative with no digit's top bit set."""
+    if keys:
+        offset, high, _ = _masks(max(map(int.bit_length, keys)) // _W + 2)
+        spread = reduce(or_, map(offset.__add__, keys))
+        if spread < 0 or spread & high:
+            raise LimitExceeded(f"a product has an exponent outside [{-EXP_BOUND}, {EXP_BOUND})")
+
+
+def _split_digit(key: int, bits: int) -> tuple[int, int]:
+    """(e, rest): the exponent at bit offset `bits` of a packed key, and the
+    key without it.  The digits below are less than 2^(bits-1) in size, so
+    adding that much before the shift rounds them off exactly."""
+    e = ((((key + (1 << bits >> 1)) >> bits) + _HALF) & ((1 << _W) - 1)) - _HALF
+    return e, key - (e << bits)
 
 
 class LaurentPoly:
-    """Element of Z[x_i^{+-1} : i in Z], stored as monomial -> coefficient."""
+    """Element of Z[x_i^{+-1} : i <= TOP_INDEX], stored as packed monomial -> coefficient."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Mapping[Monomial, int] | None = None):
-        self.coeffs: dict[Monomial, int] = {
-            m: c for m, c in (coeffs or {}).items() if c != 0
-        }
+        self.coeffs: dict[int, int] = {pack(m): c for m, c in (coeffs or {}).items() if c}
 
     @classmethod
-    def _trusted(cls, coeffs: dict[Monomial, int]) -> "LaurentPoly":
+    def _trusted(cls, coeffs: dict[int, int]) -> "LaurentPoly":
         """Wrap, unfiltered, a dict that the arithmetic keeps free of zeros."""
         p = cls.__new__(cls)
         p.coeffs = coeffs
@@ -85,7 +115,7 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, c: int) -> "LaurentPoly":
-        return cls({(): c})
+        return cls._trusted({0: c} if c else {})
 
     @classmethod
     def one(cls) -> "LaurentPoly":
@@ -95,7 +125,11 @@ class LaurentPoly:
     def x(cls, index: int, exponent: int = 1) -> "LaurentPoly":
         if exponent == 0:
             return cls.one()
-        return cls({((index, exponent),): 1})
+        return cls._trusted({pack([(index, exponent)]): 1})
+
+    def terms(self) -> dict[Monomial, int]:
+        """The decoded view: tuple monomial -> coefficient."""
+        return {unpack(m): c for m, c in self.coeffs.items()}
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -128,18 +162,20 @@ class LaurentPoly:
         return LaurentPoly._trusted({m: -c for m, c in self.coeffs.items()})
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[Monomial, int] = {}
+        out: dict[int, int] = {}
         right = other.coeffs.items()
         for ma, ca in self.coeffs.items():
             for mb, cb in right:
-                m = _mul_monomials(ma, mb)
+                m = ma + mb
                 out[m] = out.get(m, 0) + ca * cb
-        return LaurentPoly._trusted({m: c for m, c in out.items() if c})
+        kept = {m: c for m, c in out.items() if c}
+        _check_bound(kept)
+        return LaurentPoly._trusted(kept)
 
     def __rmul__(self, scalar: int) -> "LaurentPoly":
         if not isinstance(scalar, int):
             return NotImplemented
-        return LaurentPoly({m: scalar * c for m, c in self.coeffs.items()})
+        return LaurentPoly._trusted({m: scalar * c for m, c in self.coeffs.items()} if scalar else {})
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
@@ -154,12 +190,16 @@ class LaurentPoly:
         return result
 
     def shift(self, m: int) -> "LaurentPoly":
-        """Ring automorphism relabelling x_i to x_{i+m}."""
+        """Ring automorphism relabelling x_i to x_{i+m}; LimitExceeded past TOP_INDEX."""
         if m == 0:
             return self
-        return LaurentPoly._trusted(
-            {tuple([(i + m, e) for i, e in mono]): c for mono, c in self.coeffs.items()}
-        )
+        if m < 0:
+            return LaurentPoly._trusted({k << (-_W * m): c for k, c in self.coeffs.items()})
+        bits = _W * m
+        low = (1 << bits) - 1
+        if any(k & low for k in self.coeffs):
+            raise LimitExceeded(f"shifting by {m} moves an index above x_{TOP_INDEX}")
+        return LaurentPoly._trusted({k >> bits: c for k, c in self.coeffs.items()})
 
     def change_basis(self) -> "LaurentPoly":
         """The substitution v_i -> 1 - v_i at every index; its own inverse.
@@ -172,28 +212,30 @@ class LaurentPoly:
         and output: the 2^d-term expansion of a run of d factors maps to
         one monomial without the 3^d terms of expanding each monomial.
         """
-        indices = set()
-        for mono in self.coeffs:
-            for i, e in mono:
-                if e < 0:
-                    raise ValueError(f"change of basis needs a polynomial, got x_{i}^{e}")
-                indices.add(i)
+        spread = reduce(or_, self.coeffs, 0)  # with no negative digit, the union of supports
+        n = spread.bit_length() // _W + 1
+        if spread < 0 or spread & _masks(n)[2]:
+            i, e = next(f for key in self.coeffs for f in unpack(key) if f[1] < 0)
+            raise ValueError(f"change of basis needs a polynomial, got x_{i}^{e}")
+        support = spread.to_bytes(n, "little")
         terms = self.coeffs
-        for index in sorted(indices):
-            out: dict[Monomial, int] = {}
-            for mono, c in terms.items():
-                for pos, (i, e) in enumerate(mono):
-                    if i == index:
-                        break
-                else:
-                    out[mono] = out.get(mono, 0) + c
-                    continue
-                head, tail = mono[:pos], mono[pos + 1:]
+        for bits in [_W * p for p in range(n - 1, -1, -1) if support[p]]:
+            out: dict[int, int] = {}
+            for key, c in terms.items():
+                e, rest = _split_digit(key, bits)
                 for k, b in _one_minus_power(e):
-                    key = head + ((index, k),) + tail if k else head + tail
-                    out[key] = out.get(key, 0) + b * c
+                    m = rest + (k << bits)
+                    out[m] = out.get(m, 0) + b * c
             terms = {m: c for m, c in out.items() if c}
-        return LaurentPoly(terms)
+        return LaurentPoly._trusted(terms)
+
+    def by_power(self, index: int) -> dict[int, "LaurentPoly"]:
+        """{e: a_e} with self = sum_e a_e * x_index^e and each a_e free of x_index."""
+        bits, out = _W * (TOP_INDEX - index), {}
+        for key, c in self.coeffs.items():
+            e, rest = _split_digit(key, bits)
+            out.setdefault(e, {})[rest] = c
+        return {e: LaurentPoly._trusted(d) for e, d in out.items()}
 
     def __repr__(self) -> str:
         return f"LaurentPoly({format_poly(self)!r})"
@@ -209,12 +251,14 @@ def clearing_unit(polys: Iterable[LaurentPoly]) -> tuple[LaurentPoly, LaurentPol
     """(m, m^-1) for the least monomial m that makes every p * m a polynomial."""
     need: dict[int, int] = {}
     for p in polys:
-        for mono in p.coeffs:
-            for i, e in mono:
-                if e < need.get(i, 0):
-                    need[i] = e
-    mono = tuple(sorted((i, -e) for i, e in need.items()))
-    return LaurentPoly({mono: 1}), LaurentPoly({tuple((i, -e) for i, e in mono): 1})
+        signs = _masks(max(map(int.bit_length, p.coeffs), default=0) // _W + 1)[2]
+        for key in p.coeffs:
+            if key < 0 or key & signs:
+                for i, e in unpack(key):
+                    if e < need.get(i, 0):
+                        need[i] = e
+    key = pack((i, -e) for i, e in need.items())
+    return LaurentPoly._trusted({key: 1}), LaurentPoly._trusted({-key: 1})
 
 
 def one_minus_x(index: int) -> LaurentPoly:
@@ -236,10 +280,7 @@ def format_monomial(mono: Monomial) -> str:
 def format_poly(p: LaurentPoly) -> str:
     if p.is_zero():
         return "0"
-    parts = []
-    for mono in sorted(p.coeffs):
-        parts.append(f"[{format_monomial(mono)}] * {p.coeffs[mono]}")
-    return " + ".join(parts)
+    return " + ".join(f"[{format_monomial(m)}] * {c}" for m, c in sorted(p.terms().items()))
 
 
 def collapse_poly(p: LaurentPoly, t_exp: int = 0) -> LaurentPoly:
@@ -249,8 +290,8 @@ def collapse_poly(p: LaurentPoly, t_exp: int = 0) -> LaurentPoly:
     index 0 and t at index 1.
     """
     by_x: dict[int, int] = {}
-    for mono, c in p.coeffs.items():
-        xe = sum(e for _, e in mono)
+    for key, c in p.coeffs.items():
+        digits = _digits(key)
+        xe = sum(digits) - _HALF * len(digits)
         by_x[xe] = by_x.get(xe, 0) + c
-    t = ((1, t_exp),) if t_exp else ()
-    return LaurentPoly({((0, xe),) + t if xe else t: c for xe, c in by_x.items()})
+    return LaurentPoly._trusted({pack(((0, xe), (1, t_exp))): c for xe, c in by_x.items() if c})

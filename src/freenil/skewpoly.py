@@ -13,6 +13,8 @@ Every product goes through `dot`, which sums products term by term into
 one {monomial: coefficient} table per t-degree and drops zeros once, at
 the end (sparse multiply-accumulate, as in Monagan and Pearce, 2009), so
 a caller needing a sum of products calls it once and builds no partial sum.
+On the packed monomials of `laurent` a term product is one int addition,
+and one check per call keeps the results within the exponent bound.
 
 The module also owns the line-oriented text format for these elements
 (one term per `t^K * [MONO] * COEFF` chunk, " + "-joined, canonically
@@ -28,7 +30,7 @@ import re
 from operator import add, sub
 from typing import Iterable, Mapping
 
-from .laurent import LaurentPoly, Monomial, _mul_monomials, collapse_poly, format_monomial
+from .laurent import _W, LaurentPoly, Monomial, _check_bound, collapse_poly, format_monomial
 
 
 class SkewLaurent:
@@ -133,7 +135,7 @@ class SkewLaurent:
         The image is a LaurentPoly with x at index 0 and t at index 1; the
         layers land on distinct powers of t, so their terms never collide.
         """
-        return LaurentPoly(
+        return LaurentPoly._trusted(
             {m: c for k, a in self.coeffs.items() for m, c in collapse_poly(a, k).coeffs.items()}
         )
 
@@ -155,19 +157,23 @@ def dot(pairs: Iterable[tuple[SkewLaurent, SkewLaurent]]) -> SkewLaurent:
     """The sum of a * b over the pairs, accumulated in place; the twist
     shifts each left monomial by -l as it meets layer t^l on the right.
     """
-    out: dict[int, dict[Monomial, int]] = {}
+    out: dict[int, dict[int, int]] = {}
     for a, b in pairs:
         for l, bl in b.coeffs.items():
             right = bl.coeffs.items()
+            # t^l moves each left index down by l: for l > 0 the key shifts in
+            # place (no LaurentPoly per layer pair on this hot path); for l < 0
+            # `shift` checks the top index.
+            down = _W * l if l > 0 else 0
             for k, ak in a.coeffs.items():
                 layer = out.setdefault(k + l, {})
-                for ma, ca in ak.coeffs.items():
-                    if l:
-                        ma = tuple([(i - l, e) for i, e in ma])
+                for ma, ca in (ak if l >= 0 else ak.shift(-l)).coeffs.items():
+                    ma <<= down
                     for mb, cb in right:
-                        m = _mul_monomials(ma, mb)
+                        m = ma + mb
                         layer[m] = layer.get(m, 0) + ca * cb
     kept = {k: {m: c for m, c in layer.items() if c} for k, layer in out.items()}
+    _check_bound([m for d in kept.values() for m in d])
     return SkewLaurent._trusted({k: LaurentPoly._trusted(d) for k, d in kept.items() if d})
 
 
@@ -177,9 +183,8 @@ def format_skew(p: SkewLaurent) -> str:
         return "0"
     parts = []
     for k in sorted(p.coeffs):
-        a = p.coeffs[k]
-        for mono in sorted(a.coeffs):
-            parts.append(f"t^{k} * [{format_monomial(mono)}] * {a.coeffs[mono]}")
+        for mono, c in sorted(p.coeffs[k].terms().items()):
+            parts.append(f"t^{k} * [{format_monomial(mono)}] * {c}")
     return " + ".join(parts)
 
 
@@ -205,7 +210,8 @@ def _parse_monomial(text: str) -> Monomial:
 
 
 def parse_skew(text: str) -> SkewLaurent:
-    """Inverse of format_skew; raises ValueError on malformed input."""
+    """Inverse of format_skew; raises ValueError on malformed input, and
+    LimitExceeded on an index or exponent outside the packed monomials."""
     text = text.strip()
     if text == "0":
         return SkewLaurent.zero()

@@ -22,27 +22,36 @@ from .hnn import hnn_from_dict
 from .nilobj import NilObject, from_json_dict, to_json_dict
 
 
-# The JSON shape of each file: a field holds an object (dict), an array
-# (list), or an object with shaped fields of its own.
-_GROUP = {"names": list, "table": list, "letters": list}
-_EMBEDDING = {"generator_images": dict, "transversal": list, "images": list}
+# The JSON shape of each file: a field holds a type (dict is an object,
+# list an array) or a tuple of types, an array of one shape ([shape]), or
+# an object with shaped fields.  Null stands where the reader has a default.
+_ARRAY_OR_NULL = (list, type(None))
+_GROUP = {"kind": str, "names": list, "table": list, "letters": _ARRAY_OR_NULL, "rank": int}
+_EMBEDDING = {"kind": str, "generator_images": dict, "transversal": _ARRAY_OR_NULL, "images": list}
 _CONSTRUCTION = {
+    "construction": str,
     **dict.fromkeys(("group", "subgroup", "factor1", "factor2", "base"), _GROUP),
     **dict.fromkeys(("embedding1", "embedding2", "alpha", "beta"), _EMBEDDING),
 }
-_NIL = {"units": list, "dims": dict, "letters": list}
+_LETTER = {"name": str, "src": str, "dst": str, "matrix": list}
+_NIL = {"units": [str], "base": str, "dims": dict, "letters": [_LETTER]}
+_WANTED = {dict: "an object", list: "an array", str: "a string", int: "an integer", type(None): "null"}
 
 
 def _check_shape(value, shape, path: str = "$") -> None:
     """Raise ValueError, naming the JSON path, where value departs from shape;
-    absent fields and null arrays are left to the reader's defaults and checks."""
+    absent fields are left to the reader's defaults and checks."""
     if isinstance(shape, dict):
         _check_shape(value, dict, path)
         for key, field in shape.items():
             if key in value:
                 _check_shape(value[key], field, f"{path}.{key}")
-    elif not isinstance(value, shape) and not (shape is list and value is None):
-        wanted = "an object" if shape is dict else "an array"
+    elif isinstance(shape, list):
+        _check_shape(value, list, path)
+        for i, item in enumerate(value):
+            _check_shape(item, shape[0], f"{path}[{i}]")
+    elif not isinstance(value, shape):
+        wanted = " or ".join(_WANTED[t] for t in (shape if isinstance(shape, tuple) else (shape,)))
         raise ValueError(f"{path} must be {wanted}, got {json.dumps(value)[:40]}")
 
 

@@ -82,18 +82,22 @@ def _to_y(elements: Sequence[SkewLaurent]) -> tuple[list[SkewLaurent], LaurentPo
     return [c.change_basis() for c in elements], inverse
 
 
-def defining_map_y(U: SkewLaurent, V: SkewLaurent) -> SkewLaurent:
-    """f(U, V) = (1 - t*y_0) U - (1 - t*y_1) V, everything in y-coordinates."""
-    one = SkewLaurent.one()
-    got = dot([(one - SkewLaurent.t(1, LaurentPoly.x(0)), U),
-               (-(one - SkewLaurent.t(1, LaurentPoly.x(1))), V)])
-    # Same map, written with bare x conjugates: the factor in front of V is
-    # 1 - t + t^2 x t^{-1}; both spellings must collapse to one element.
-    # In y-coordinates x_0 is 1 - y_0.
+@lru_cache(maxsize=None)
+def _defining_factors() -> tuple[SkewLaurent, ...]:
+    """f's left factors in y: 1 - t*y_0 and -(1 - t*y_1), then the same
+    with bare x conjugates, 1 - t + t*x and -(1 - t + t^2 x t^{-1}), x = 1 - y_0."""
+    one, t, tinv = SkewLaurent.one(), SkewLaurent.t(1), SkewLaurent.t(-1)
     x = SkewLaurent.from_poly(one_minus_x(0))
-    t = SkewLaurent.t(1)
-    tinv = SkewLaurent.t(-1)
-    literal = dot([(one - t + t * x, U), (-(one - t + t * t * x * tinv), V)])
+    return (one - SkewLaurent.t(1, LaurentPoly.x(0)), -(one - SkewLaurent.t(1, LaurentPoly.x(1))),
+            one - t + t * x, -(one - t + t * t * x * tinv))
+
+
+def defining_map_y(U: SkewLaurent, V: SkewLaurent) -> SkewLaurent:
+    """f(U, V) = (1 - t*y_0) U - (1 - t*y_1) V, everything in y-coordinates;
+    both spellings of f must give one element."""
+    fu, fv, literal_u, literal_v = _defining_factors()
+    got = dot([(fu, U), (fv, V)])
+    literal = dot([(literal_u, U), (literal_v, V)])
     if got != literal:
         raise InvariantError("two spellings of the defining map disagree")
     return got
@@ -258,21 +262,6 @@ def pairwise_relation(p: int, q: int, n: int) -> tuple[SkewLaurent, ...]:
     return tuple(xs.get(i, SkewLaurent.zero()) for i in range(n))
 
 
-def _split_by_index(p: LaurentPoly, index: int) -> dict[int, LaurentPoly]:
-    """Write p = sum_e (coefficient free of x_index) * x_index^e."""
-    out: dict[int, dict] = {}
-    for mono, coef in p.coeffs.items():
-        e = 0
-        rest = []
-        for i, exp in mono:
-            if i == index:
-                e = exp
-            else:
-                rest.append((i, exp))
-        out.setdefault(e, {})[tuple(rest)] = coef
-    return {e: LaurentPoly(d) for e, d in out.items()}
-
-
 def _power_diff_quotient(e: int, u_index: int, v_index: int) -> LaurentPoly:
     """g with x_u^e - x_v^e = (x_u - x_v) * g, for any integer e."""
     if e == 0:
@@ -298,7 +287,7 @@ def ideal_decompose(a: LaurentPoly, n: int) -> Optional[list[LaurentPoly]]:
     coeffs = [LaurentPoly.zero() for _ in range(n)]
     b = a
     for j in range(n, 0, -1):
-        parts = _split_by_index(b, -j)
+        parts = b.by_power(-j)
         harvested = LaurentPoly.zero()
         substituted = LaurentPoly.zero()
         for e, be in parts.items():

@@ -710,6 +710,27 @@ class TestMalformedFiles:
         assert "Traceback" not in out
         assert json.loads(out)["data"]["error"].startswith(f"{path} must be an object, got ")
 
+    @pytest.mark.parametrize("sample,argv,field,value,message", [
+        ("nil_example", ["nil-check"], ("letters", 0, "name"), {"a": 1},
+         '$.letters[0].name must be a string, got {"a": 1}'),
+        ("nil_example", ["nil-check"], ("letters", 0, "dst"), {"a": 1},
+         '$.letters[0].dst must be a string, got {"a": 1}'),
+        ("s3", ["cosets", "--left", "(12)", "--right", "(13)"], ("group", "table"), None,
+         "$.group.table must be an array, got null"),
+    ], ids=["letter-name", "letter-dst", "null-table"])
+    def test_misshapen_field_exits_two_naming_the_path(self, capsys, tmp_path, sample, argv, field, value, message):
+        data = shipped(sample)
+        *head, last = field
+        node = data
+        for key in head:
+            node = node[key]
+        node[last] = value
+        file = tmp_path / "bad.json"
+        file.write_text(json.dumps(data))
+        code, out = run_cli(capsys, "algebra", argv[0], str(file), *argv[1:])
+        assert code == 2
+        assert json.loads(out)["data"]["error"] == message
+
     # Every mutant of a shipped file runs through the commands that read its kind.
     CONTRACT_COMMANDS = {
         "bs12": [("normalize", "--hnn", "FILE", "--word", "T- a T+"),
@@ -786,6 +807,63 @@ class TestMalformedFiles:
         start = perf_counter()
         case()
         assert perf_counter() - start < 20.0
+
+
+class TestTextAndLimitsContract:
+    """Random word texts and FREENIL_LIMITS strings keep the exit-code contract."""
+
+    TOKENS = ["T+", "T-", "a", "a^-1", "a^2", "b", "1", "1:s", "2:r", "1:(12)", "1:(13)",
+              "2:r,r", "1:", ":s", "3:s", "(12)", "(123)", "c", "x,y", "", "-", "^", "a,b"]
+    TEXTS = (st.lists(st.sampled_from(TOKENS), max_size=4).map(" ".join)
+             | st.text("12:srabcT+-(3), ^x", max_size=8))
+    # Each WORD slot takes a drawn text; the grouph commands are small, so
+    # that a large n still finishes at once.
+    COMMANDS = [
+        ("algebra", "normalize", "--amalgam", "dinf", "--word=WORD"),
+        ("algebra", "normalize", "--amalgam", "s3z2", "--word=WORD"),
+        ("algebra", "normalize", "--hnn", "bs12", "--word=WORD"),
+        ("algebra", "decompose", "--hnn", "bs12", "--word=WORD", "--word=WORD"),
+        ("algebra", "decompose", "--amalgam", "s3z2", "--word=WORD"),
+        ("algebra", "cosets", "s3", "--left=WORD", "--right=WORD"),
+        ("algebra", "nil-map", "nil_example", "--twist=WORD"),
+        ("algebra", "nil-check", "nil_example"),
+        ("words", "sieve", "--alphabet=WORD", "-L", "4"),
+        ("words", "enumerate", "--alphabet=WORD", "-L", "3"),
+        ("grouph", "verify-kernel", "--max-n", "3"),
+        ("grouph", "relations", "--max-q", "3"),
+        ("grouph", "collapse", "--max-n", "3"),
+        ("grouph", "reduce", "--arity", "3", "--count", "2"),
+    ]
+    # Well-formed entries (zero, negative and large values among them), or
+    # well-formed and malformed ones mixed.
+    LIMIT_ENTRIES = st.tuples(
+        st.sampled_from(["n", "l", "dim"]), st.integers(-2, 20) | st.sampled_from([10**6, 10**9]),
+    ).map(lambda kv: f"{kv[0]}={kv[1]}")
+    MALFORMED_ENTRIES = st.tuples(
+        st.sampled_from(["n", "l", "dim", "N", "cpu", ""]), st.sampled_from(["=", "", "=="]),
+        st.sampled_from(["", "x", "1.5", " 7", "10**6", "-0"]),
+    ).map("".join) | st.sampled_from([",", "n=1=2", "=", " "])
+    LIMITS = (st.lists(LIMIT_ENTRIES, max_size=3)
+              | st.lists(LIMIT_ENTRIES | MALFORMED_ENTRIES, min_size=1, max_size=3)).map(",".join)
+
+    def test_random_texts_and_limits_keep_the_exit_code_contract(self, monkeypatch):
+        @given(data=st.data())
+        @settings(max_examples=400, derandomize=True, deadline=None, database=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        def case(data):
+            argv = [a.replace("WORD", data.draw(self.TEXTS)) if "WORD" in a else a
+                    for a in data.draw(st.sampled_from(self.COMMANDS))]
+            monkeypatch.setenv("FREENIL_LIMITS", data.draw(self.LIMITS))
+            out, err = io.StringIO(), io.StringIO()
+            start = perf_counter()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert perf_counter() - start < 2.0, argv
+            assert code in (0, 1, 2, 3), out.getvalue()
+            json.loads(out.getvalue())  # exactly one report
+            assert err.getvalue() == ""
+
+        case()
 
 
 class TestParserReuse:

@@ -5,17 +5,24 @@ ring axioms on small random elements, exactly (integer coefficients, no
 tolerance anywhere).
 """
 
+import json
+
 from hypothesis import given, settings, strategies as st
 
 import pytest
 
+import tuple_ring
+from freenil.errors import LimitExceeded
 from freenil.laurent import (
+    EXP_BOUND,
+    TOP_INDEX,
     LaurentPoly,
-    _mul_monomials,
     clearing_unit,
     collapse_poly,
     format_poly,
     one_minus_x,
+    pack,
+    unpack,
     x_diff,
 )
 from freenil.skewpoly import SkewLaurent, dot, format_skew, parse_skew
@@ -76,7 +83,7 @@ def assert_canonical(p):
     else:
         layers = [p]
     for a in layers:
-        for mono, c in a.coeffs.items():
+        for mono, c in a.terms().items():
             assert isinstance(c, int) and c != 0
             indices = [i for i, _ in mono]
             assert indices == sorted(set(indices))
@@ -145,7 +152,9 @@ class TestLaurentPoly:
 
     @given(monomials, monomials)
     def test_monomial_merge_matches_reference(self, a, b):
-        assert _mul_monomials(a, b) == reference_mul_monomials(a, b)
+        want = reference_mul_monomials(a, b)
+        assert tuple_ring.mul_monomials(a, b) == want
+        assert unpack(pack(a) + pack(b)) == want
 
 
 class TestChangeOfBasis:
@@ -190,11 +199,11 @@ class TestChangeOfBasis:
         unit, inverse = clearing_unit([a])
         assert unit * inverse == LaurentPoly.one()
         cleared = a * unit
-        exponents = [e for mono in cleared.coeffs for _, e in mono]
+        exponents = [e for mono in cleared.terms() for _, e in mono]
         assert all(e > 0 for e in exponents)
         # The unit is the least one: each of its indices reaches exponent 0.
-        for i, _ in next(iter(unit.coeffs)):
-            assert any(all(j != i for j, _ in mono) for mono in cleared.coeffs)
+        for i, _ in next(iter(unit.terms())):
+            assert any(all(j != i for j, _ in mono) for mono in cleared.terms())
         assert cleared.change_basis().change_basis() * inverse == a
 
 
@@ -312,9 +321,118 @@ class TestFusedKernel:
             assert p - q == p + (-q)
 
     def test_public_constructors_filter_zeros(self):
-        assert LaurentPoly({(): 0, ((0, 1),): 2}).coeffs == {((0, 1),): 2}
+        assert LaurentPoly({(): 0, ((0, 1),): 2}).terms() == {((0, 1),): 2}
         assert SkewLaurent({0: LaurentPoly.zero(), 1: LaurentPoly.one()}).coeffs == {1: LaurentPoly.one()}
         assert LaurentPoly({(): 0}) == LaurentPoly.zero()
+
+
+# Packed keys at their edges: indices at the top, near zero and far below
+# it; exponents small or at the digit bound, where products may pass it.
+far_below = st.integers(-1003, -997)
+edge_exponents = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.sampled_from([-EXP_BOUND, 1 - EXP_BOUND, EXP_BOUND - 2, EXP_BOUND - 1]),
+)
+
+
+def edge_polys(indices, max_size=3):
+    monos = st.dictionaries(indices, edge_exponents, max_size=3).map(lambda d: tuple(sorted(d.items())))
+    return st.dictionaries(monos, st.integers(-3, 3).filter(bool), max_size=max_size).map(LaurentPoly)
+
+
+top_polys = edge_polys(st.one_of(st.integers(-3, 3), far_below, st.integers(TOP_INDEX - 2, TOP_INDEX)))
+# At most TOP_INDEX - 2, so that twists by up to two stay below the top.
+twist_skews = st.dictionaries(
+    st.integers(-2, 2), edge_polys(st.one_of(st.integers(-3, 3), far_below, st.just(TOP_INDEX - 2))),
+    max_size=3,
+).map(SkewLaurent)
+
+
+def in_bound(tables):
+    return all(-EXP_BOUND <= e < EXP_BOUND for t in tables for mono in t for _, e in mono)
+
+
+def or_limit(compute):
+    try:
+        return compute()
+    except LimitExceeded:
+        return LimitExceeded
+
+
+class TestPackedKeys:
+    """Packed monomials against the tuple oracle in `tuple_ring`."""
+
+    @given(top_polys, top_polys)
+    @settings(max_examples=150)
+    def test_products_match_tuple_products(self, a, b):
+        want = tuple_ring.poly_mul(a.terms(), b.terms())
+        assert or_limit(lambda: (a * b).terms()) == (want if in_bound([want]) else LimitExceeded)
+
+    @given(st.lists(st.tuples(twist_skews, twist_skews), max_size=3))
+    @settings(max_examples=150)
+    def test_dot_matches_tuple_dot(self, pairs):
+        want = tuple_ring.dot(pairs)
+        expect = want if in_bound(want.values()) else LimitExceeded
+        assert or_limit(lambda: tuple_ring.skew_terms(dot(pairs))) == expect
+        if expect is not LimitExceeded:
+            cancelled = pairs + [(-a, b) for a, b in pairs]
+            assert dot(cancelled).coeffs == {} and tuple_ring.dot(cancelled) == {}
+
+    @given(top_polys, st.integers(-3, 3))
+    def test_shift_matches_tuple_shift(self, a, m):
+        want = tuple_ring.shift(a.terms(), m)
+        fits = all(i <= TOP_INDEX for mono in want for i, _ in mono)
+        assert or_limit(lambda: a.shift(m).terms()) == (want if fits else LimitExceeded)
+
+    @given(edge_polys(st.one_of(st.integers(-3, 3), far_below, st.just(TOP_INDEX)), max_size=2))
+    @settings(max_examples=40, deadline=None)
+    def test_change_basis_matches_tuple_change_basis(self, a):
+        if any(e < 0 for mono in a.terms() for _, e in mono):
+            with pytest.raises(ValueError):
+                a.change_basis()
+            return
+        got = a.change_basis()
+        assert got.terms() == tuple_ring.change_basis(a.terms())
+        assert got.change_basis() == a
+
+    @given(twist_skews)
+    def test_collapse_matches_tuple_collapse(self, p):
+        want = tuple_ring.collapse(p)
+        assert or_limit(lambda: p.collapse().terms()) == (want if in_bound([want]) else LimitExceeded)
+
+    @given(top_polys)
+    def test_pack_round_trip(self, a):
+        for mono in a.terms():
+            assert unpack(pack(mono)) == mono
+
+    def test_bounds_are_exact(self):
+        assert LaurentPoly.x(TOP_INDEX, EXP_BOUND - 1).terms() == {((TOP_INDEX, EXP_BOUND - 1),): 1}
+        assert LaurentPoly.x(-10**4, -EXP_BOUND).terms() == {((-10**4, -EXP_BOUND),): 1}
+        for index, exponent in ((0, EXP_BOUND), (0, -EXP_BOUND - 1), (TOP_INDEX + 1, 1)):
+            with pytest.raises(LimitExceeded):
+                LaurentPoly.x(index, exponent)
+        half = LaurentPoly.x(-3, EXP_BOUND // 2)
+        assert (half * LaurentPoly.x(-3, -EXP_BOUND // 2)) == LaurentPoly.one()
+        with pytest.raises(LimitExceeded):
+            half * half
+
+    def test_exponent_past_the_bound_exits_three_before_any_product(self, capsys, monkeypatch):
+        import freenil.skewpoly as skewpoly
+        import freenil.syzygy as syzygy
+        from freenil.cli import main
+
+        products = []
+        real_mul, real_dot = LaurentPoly.__mul__, skewpoly.dot
+        monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: products.append(1) or real_mul(a, b))
+        for module in (skewpoly, syzygy):
+            monkeypatch.setattr(module, "dot", lambda pairs: products.append(1) or real_dot(pairs))
+        # A generator x_{i-1}^EXP_BOUND - x_i, one step past the bound.
+        monkeypatch.setattr(syzygy, "x_diff", lambda i: LaurentPoly.x(i - 1, EXP_BOUND) - LaurentPoly.x(i))
+        code = main(["grouph", "collapse", "--max-n", "2"])
+        out = capsys.readouterr()
+        assert code == 3 and out.err == ""
+        assert f"x_-1^{EXP_BOUND} is outside the packed monomials" in json.loads(out.out)["data"]["limit"]
+        assert products == []
 
 
 class TestCollapse:

@@ -427,6 +427,7 @@ class TestReduceStep:
         import freenil.syzygy as syzygy
 
         kernel_pair_y.cache_clear()
+        syzygy._defining_factors.cache_clear()
         clear_relation_caches()
         calls, idle = [], []
         real = skewpoly.dot
@@ -445,8 +446,9 @@ class TestReduceStep:
         assert json.loads(capsys.readouterr().out)["data"]["trace"][-1] == "zero"
         # Zipping dense tuples against the state took 1,673 calls, 1,010 of
         # them on zeros alone.  Now only the proof of the final zero state
-        # sums nothing: one empty sum per side.
-        assert len(calls) == 517
+        # sums nothing: one empty sum per side.  The defining map builds its
+        # four factors once (4 calls), not once per kernel pair (4 x 14).
+        assert len(calls) == 465
         assert len(idle) == 2
 
 

@@ -44,33 +44,22 @@ class Amalgam:
         return AmalgamWord(self.subgroup.identity, ())
 
     def normalize(self, tokens):
-        """Fold raw (factor, element) tokens into the normal form."""
-        head = self.subgroup.identity
+        """Fold raw (factor, element) tokens into the normal form.
+
+        Each token is checked here, once; the fold and the sweep then use
+        the factors' trusted operations, which do not check again.
+        """
+        subgroup = self.subgroup
+        head = subgroup.identity
         stack = []
-
-        def absorb(k, g):
-            nonlocal head
-            factor = self.factors[k - 1]
-            if g == factor.identity:
-                return
-            if stack and stack[-1][0] == k:
-                _, top = stack.pop()
-                absorb(k, factor.multiply(top, g))
-                return
-            embed = self.embeddings[k - 1]
-            if embed.image.membership(g):
-                c = embed.preimage(g)
-                if c is None:
-                    raise InvariantError("image membership without a preimage")
-                if stack:
-                    j, top = stack.pop()
-                    other = self.factors[j - 1]
-                    absorb(j, other.multiply(top, self.embeddings[j - 1].apply(c)))
-                else:
-                    head = self.subgroup.multiply(head, c)
-                return
-            stack.append((k, g))
-
+        # each factor's operations, indexed by its tag k (slot 0 is unused)
+        check, identity, multiply, invert, member, rep, apply, preimage = zip(
+            (None,) * 8,
+            *(
+                (f.check, f.identity, f.multiply, f.invert, *e.image.trusted(), *e.trusted())
+                for f, e in zip(self.factors, self.embeddings)
+            ),
+        )
         for token in tokens:
             try:
                 k, g = token
@@ -78,30 +67,43 @@ class Amalgam:
                 raise ValueError(f"malformed token {token!r}") from None
             if k not in (1, 2):
                 raise ValueError("factor tag must be 1 or 2")
-            self.factors[k - 1].check(g)
-            absorb(k, g)
+            check[k](g)
+            # absorb (k, g): merge it into a same-factor top, or carry its
+            # subgroup-image part into whatever sits to its left
+            while g != identity[k]:
+                if stack and stack[-1][0] == k:
+                    g = multiply[k](stack.pop()[1], g)
+                elif member[k](g):
+                    c = preimage[k](g)
+                    if c is None:
+                        raise InvariantError("image membership without a preimage")
+                    if not stack:
+                        head = subgroup.multiply(head, c)
+                        break
+                    k, top = stack.pop()
+                    g = multiply[k](top, apply[k](c))
+                else:
+                    stack.append((k, g))
+                    break
 
         # sweep right to left onto canonical coset representatives; the
         # surplus subgroup part commutes across the seam via the embeddings
         for i in range(len(stack) - 1, -1, -1):
             k, g = stack[i]
-            factor = self.factors[k - 1]
-            embed = self.embeddings[k - 1]
-            r = embed.image.rep(g)
-            if r == factor.identity:
+            r = rep[k](g)
+            if r == identity[k]:
                 raise InvariantError("a syllable collapsed during the canonical sweep")
-            c = embed.preimage(factor.multiply(g, factor.invert(r)))
+            c = preimage[k](multiply[k](g, invert[k](r)))
             if c is None:
                 raise InvariantError("coset head escaped the subgroup image")
             stack[i] = (k, r)
-            if c == self.subgroup.identity:
+            if c == subgroup.identity:
                 continue
             if i == 0:
-                head = self.subgroup.multiply(head, c)
+                head = subgroup.multiply(head, c)
             else:
                 j, left = stack[i - 1]
-                other = self.factors[j - 1]
-                stack[i - 1] = (j, other.multiply(left, self.embeddings[j - 1].apply(c)))
+                stack[i - 1] = (j, multiply[j](left, apply[j](c)))
         return AmalgamWord(head, tuple(stack))
 
     def word_tokens(self, word):

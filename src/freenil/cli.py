@@ -1,9 +1,11 @@
 """Command-line front end: verification suites and ad-hoc computations.
 
 Every invocation prints one structured report, JSON by default or a plain
-table with ``--plain``.  Reports are deterministic: two runs with the same
-arguments agree bit for bit once the timing field is stripped, and item
-order follows declaration order, never completion order.
+table with ``--plain``; a command line the parser rejects is reported in
+JSON, and only ``--help`` prints plain help text instead.  Reports are
+deterministic: two runs with the same arguments agree bit for bit once the
+timing field is stripped, and item order follows declaration order, never
+completion order.
 
 Exit codes: 0 every check passed, 1 a check failed, 2 usage or parse
 error, 3 a resource ceiling was hit, or memory or the recursion depth ran
@@ -155,43 +157,38 @@ def _load_tagged(args):
 def parse_word_tokens(construction, text: str):
     if text.strip() == "1":
         return []  # the identity, as `render_word` prints it
-    tokens = []
-    for raw in text.split():
-        if isinstance(construction, HNN):
-            if raw == "T+":
-                tokens.append(("t", 1))
-            elif raw == "T-":
-                tokens.append(("t", -1))
+    raws = text.split()
+    hnn = isinstance(construction, HNN)
+    if raws and not hnn and not isinstance(construction, Amalgam):
+        raise ValueError("words need an amalgam or HNN construction")
+    parsed = {}  # each distinct text once, in order of first appearance
+    for raw in dict.fromkeys(raws):
+        if hnn:
+            if raw in ("T+", "T-"):
+                parsed[raw] = ("t", 1 if raw == "T+" else -1)
             elif raw != "1":  # the identity anywhere: `HNN.__init__` reserves "1"
-                element = parse_element(construction.base, raw.replace(",", " "))
-                tokens.append(("g", element))
-        elif isinstance(construction, Amalgam):
-            tag, sep, rest = raw.partition(":")
-            if not sep or tag not in ("1", "2"):
-                raise ValueError(
-                    f"amalgam tokens look like 1:ELEMENT or 2:ELEMENT, got {raw!r}"
-                )
-            k = int(tag)
-            element = parse_element(construction.factors[k - 1], rest.replace(",", " "))
-            tokens.append((k, element))
-        else:
-            raise ValueError("words need an amalgam or HNN construction")
-    return tokens
+                parsed[raw] = ("g", parse_element(construction.base, raw.replace(",", " ")))
+            continue
+        tag, sep, rest = raw.partition(":")
+        if not sep or tag not in ("1", "2"):
+            raise ValueError(f"amalgam tokens look like 1:ELEMENT or 2:ELEMENT, got {raw!r}")
+        k = int(tag)
+        parsed[raw] = (k, parse_element(construction.factors[k - 1], rest.replace(",", " ")))
+    return [parsed[raw] for raw in raws if raw in parsed]
 
 
 def render_word(construction, word) -> str:
-    parts = []
-    if isinstance(construction, HNN):
-        for kind, value in construction.word_tokens(word):
-            if kind == "t":
-                parts.append("T+" if value == 1 else "T-")
-            else:
-                parts.append(format_element(construction.base, value).replace(" ", ","))
-    else:
-        for k, g in construction.word_tokens(word):
-            text = format_element(construction.factors[k - 1], g).replace(" ", ",")
-            parts.append(f"{k}:{text}")
-    return " ".join(parts) if parts else "1"
+    tokens = construction.word_tokens(word)
+    texts = {}  # each distinct token once
+    for kind, value in dict.fromkeys(tokens):
+        if kind == "t":
+            texts[kind, value] = "T+" if value == 1 else "T-"
+        elif kind == "g":
+            texts[kind, value] = format_element(construction.base, value).replace(" ", ",")
+        else:
+            text = format_element(construction.factors[kind - 1], value).replace(" ", ",")
+            texts[kind, value] = f"{kind}:{text}"
+    return " ".join(map(texts.__getitem__, tokens)) if tokens else "1"
 
 
 # Runners.  Each sets the command echo first so a partial report still
@@ -434,8 +431,17 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ValueError where argparse would print usage to stderr and exit,
+    so `main` reports a rejected command line like any other usage error.
+    Subparsers inherit the class."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="freenil",
         description="Exact verification suites and computations for generalized free products.",
     )
@@ -523,19 +529,17 @@ _PARSER = build_parser()
 
 def _emit(report: Report, args, start: float, code: int) -> int:
     report.timing = time.perf_counter() - start
-    fmt = "plain" if args.plain else args.format
+    fmt = "json" if args is None else "plain" if args.plain else args.format
     print(report.to_json() if fmt == "json" else report.to_plain())
     return code
 
 
 def main(argv=None) -> int:
-    try:
-        args = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
     report = Report(command="")
     start = time.perf_counter()
+    args = None  # a rejected command line is reported in JSON
     try:
+        args = _PARSER.parse_args(argv)
         limits = read_limits()
         globals()[args.runner](args, report, limits)
     except LimitExceeded as exc:
@@ -551,6 +555,8 @@ def main(argv=None) -> int:
         report.status = "error"
         report.data["invariant"] = str(exc)
         return _emit(report, args, start, 4)
+    except SystemExit as exc:  # --help printed the help text
+        return exc.code if isinstance(exc.code, int) else 2
     except (ValueError, KeyError, TypeError, OSError, UnsupportedOperation) as exc:
         report.status = "error"
         message = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)

@@ -15,6 +15,7 @@ as ``rep(g) == identity``.
 from __future__ import annotations
 
 import itertools
+from operator import add, itemgetter, neg
 
 from .errors import InvariantError
 
@@ -24,7 +25,7 @@ _DEFAULT_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 def _check_name(name):
     if not isinstance(name, str) or not name:
         raise ValueError("element names must be nonempty strings")
-    if any(ch.isspace() for ch in name) or set(name) & set(",^*"):
+    if any(map(str.isspace, name)) or not set(name).isdisjoint(",^*"):
         raise ValueError(f"element name {name!r} uses a reserved character")
     return name
 
@@ -99,32 +100,31 @@ class FiniteGroup:
         if len(set(names)) != n:
             raise ValueError("element names must be distinct")
         rows = tuple(tuple(row) for row in table)
-        if len(rows) != n or any(len(row) != n for row in rows):
+        if len(rows) != n or set(map(len, rows)) != {n}:
             raise ValueError("multiplication table must be square")
-        if any(not isinstance(v, int) or not 0 <= v < n for row in rows for v in row):
+        types = set(map(type, itertools.chain.from_iterable(rows)))  # at C level
+        if not all(issubclass(t, int) for t in types) or not (
+            0 <= min(map(min, rows)) and max(map(max, rows)) < n
+        ):
             raise ValueError("table entries must index the element list")
-        for row in rows:
-            if len(set(row)) != n:
-                raise ValueError("every table row must be a permutation")
-        for j in range(n):
-            if len({rows[i][j] for i in range(n)}) != n:
-                raise ValueError("every table column must be a permutation")
-        ident = None
-        for e in range(n):
-            if all(rows[e][j] == j for j in range(n)) and all(rows[i][e] == i for i in range(n)):
-                ident = e
-                break
-        if ident is None:
+        if set(map(len, map(set, rows))) != {n}:
+            raise ValueError("every table row must be a permutation")
+        cols = tuple(zip(*rows))
+        if set(map(len, map(set, cols))) != {n}:
+            raise ValueError("every table column must be a permutation")
+        # columns are permutations, so at most one row is the identity row
+        ident_row = tuple(range(n))
+        ident = rows.index(ident_row) if ident_row in rows else None
+        if ident is None or cols[ident] != ident_row:
             raise ValueError("table has no two-sided identity")
         inv = [row.index(ident) for row in rows]  # rows are permutations
         for i, j in enumerate(inv):
             if rows[j][i] != ident:
                 raise ValueError(f"{names[i]!r} has no two-sided inverse")
+        # Light's test for generator a: row (x*a) equals x's row read through a's
         for a in _magma_generators(rows, ident):
-            row_a = rows[a]
-            for row_x in rows:
-                if rows[row_x[a]] != tuple(map(row_x.__getitem__, row_a)):
-                    raise ValueError("multiplication table is not associative")
+            if list(map(rows.__getitem__, cols[a])) != list(map(itemgetter(*rows[a]), rows)):
+                raise ValueError("multiplication table is not associative")
         self.names = names
         self.identity = names[ident]
         self._index = {name: i for i, name in enumerate(names)}
@@ -273,10 +273,10 @@ class FreeAbelianGroup:
         return g
 
     def multiply(self, g, h):
-        return tuple(a + b for a, b in zip(g, h))
+        return tuple(map(add, g, h))
 
     def invert(self, g):
-        return tuple(-a for a in g)
+        return tuple(map(neg, g))
 
     def sort_key(self, g):
         return (sum(abs(v) for v in g), g)
@@ -437,9 +437,8 @@ def subgroup_members(group, elements):
     for g in members:
         if group.invert(g) not in members:
             raise ValueError("subgroup is not closed under inverses")
-        for h in members:
-            if group.multiply(g, h) not in members:
-                raise ValueError("subgroup is not closed under multiplication")
+        if not members.issuperset(map(group.multiply, itertools.repeat(g), members)):
+            raise ValueError("subgroup is not closed under multiplication")
     return members
 
 
@@ -456,16 +455,17 @@ class FiniteSubgroup:
 
     def __init__(self, group, elements, transversal=None):
         members = subgroup_members(group, elements)
-        cosets = {}
+        # each right coset H*g is built once, from its first element
+        coset_of = {}
         for g in group.elements():
-            key = frozenset(group.multiply(h, g) for h in members)
-            cosets.setdefault(key, []).append(g)
+            if g not in coset_of:
+                coset = frozenset(map(group.multiply, members, itertools.repeat(g)))
+                coset_of.update(dict.fromkeys(coset, coset))
+        cosets = dict.fromkeys(coset_of.values())
         if transversal is None:
             reps = {
-                key: group.identity
-                if group.identity in key
-                else min(elems, key=group.sort_key)
-                for key, elems in cosets.items()
+                key: group.identity if group.identity in key else min(key, key=group.sort_key)
+                for key in cosets
             }
         else:
             chosen = tuple(group.check(g) for g in transversal)
@@ -473,7 +473,7 @@ class FiniteSubgroup:
                 raise ValueError("transversal must list one representative per coset")
             reps = {}
             for r in chosen:
-                key = frozenset(group.multiply(h, r) for h in members)
+                key = coset_of[r]
                 if key in reps:
                     raise ValueError("transversal repeats a coset")
                 reps[key] = r
@@ -481,7 +481,7 @@ class FiniteSubgroup:
                 raise ValueError("the subgroup's own representative must be the identity")
         self.group = group
         self.members = members
-        self._rep = {g: reps[key] for key, elems in cosets.items() for g in elems}
+        self._rep = {g: reps[key] for g, key in coset_of.items()}
         self.transversal = tuple(
             sorted(reps.values(), key=lambda r: (r != group.identity, group.sort_key(r)))
         )
@@ -499,6 +499,10 @@ class FiniteSubgroup:
 
     def rep(self, g):
         return self._rep[self.group.check(g)]
+
+    def trusted(self):
+        """(membership, rep) for elements already checked where they entered."""
+        return self.members.__contains__, self._rep.__getitem__
 
     def transversal_list(self, bound=None):
         return self.transversal
@@ -540,6 +544,10 @@ class TrivialSubgroup:
 
     def rep(self, g):
         return self.group.check(g)
+
+    def trusted(self):
+        identity = self.group.identity
+        return (lambda g: g == identity), (lambda g: g)
 
     def transversal_list(self, bound=4):
         group = self.group
@@ -590,6 +598,10 @@ class FreeAbelianSubgroup:
     def rep(self, g):
         residue, _ = self.lattice.reduce(self.group.check(g))
         return residue
+
+    def trusted(self):
+        reduce = self.lattice.reduce
+        return (lambda g: not any(reduce(g)[0])), (lambda g: reduce(g)[0])
 
     def transversal_list(self, bound=4):
         if self.finite_index:
@@ -651,6 +663,10 @@ class FiniteEmbedding:
     def preimage(self, g):
         return self._pre.get(g)
 
+    def trusted(self):
+        """(apply, preimage) for elements already checked where they entered."""
+        return self._map.__getitem__, self._pre.get
+
 
 class FreeAbelianEmbedding:
     """Injective homomorphism between free abelian oracles.
@@ -675,17 +691,25 @@ class FreeAbelianEmbedding:
             raise ValueError("the homomorphism is not injective")
 
     def apply(self, c):
-        self.src.check(c)
+        return self._apply(self.src.check(c))
+
+    def preimage(self, g):
+        return self._preimage(self.dst.check(g))
+
+    def trusted(self):
+        return self._apply, self._preimage
+
+    def _apply(self, c):
         return tuple(
             sum(c[i] * self.generator_images[i][j] for i in range(self.src.rank))
             for j in range(self.dst.rank)
         )
 
-    def preimage(self, g):
-        residue, combo = self.image.lattice.reduce(self.dst.check(g))
+    def _preimage(self, g):
+        residue, combo = self.image.lattice.reduce(g)
         if any(residue):
             return None
-        if self.apply(combo) != tuple(g):
+        if self._apply(combo) != tuple(g):
             raise InvariantError("lattice preimage certificate failed to recombine")
         return combo
 

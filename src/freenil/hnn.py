@@ -31,10 +31,11 @@ class HNNWord:
         return len(self.tail)
 
 
-def _find_pinch(hnn, tail):
-    """Index of the leftmost pinch in a tail of (sign, middle) pairs, or None."""
+def _find_pinch(tail, membership):
+    """Index of the leftmost pinch in a tail of (sign, middle) pairs, or None;
+    ``membership[sign]`` tests a middle against the source image of t^sign."""
     for i, ((sign, g), (after, _)) in enumerate(zip(tail, tail[1:])):
-        if sign == -after and hnn._carry(sign)[0].image.membership(g):
+        if sign == -after and membership[sign](g):
             return i
     return None
 
@@ -76,9 +77,19 @@ class HNN:
 
         Pinches are removed as the stable letters arrive: the open segment
         segs[-1] sits between the last stable letter and the new one, and
-        every earlier middle segment is already pinch-free.
+        every earlier middle segment is already pinch-free.  Each base
+        element is checked here, once; the rest uses trusted operations.
         """
-        segs = [self.base.identity]
+        base = self.base
+        identity, multiply, check = base.identity, base.multiply, base.check
+        # the trusted operations of `_carry(sign)`, keyed by the sign
+        member, rep, preimage, apply = {}, {}, {}, {}
+        for sign in (1, -1):
+            source, target = self._carry(sign)
+            member[sign], rep[sign] = source.image.trusted()
+            preimage[sign] = source.trusted()[1]
+            apply[sign] = target.trusted()[0]
+        segs = [identity]
         signs = []
         for token in tokens:
             try:
@@ -88,21 +99,20 @@ class HNN:
             if kind == "t":
                 if value not in (1, -1):
                     raise ValueError("stable-letter exponent must be +1 or -1")
-                if signs and signs[-1] == -value:
-                    source, target = self._carry(signs[-1])
-                    if source.image.membership(segs[-1]):
-                        c = source.preimage(segs[-1])
-                        if c is None:
-                            raise InvariantError("image membership without a preimage")
-                        segs.pop()
-                        signs.pop()
-                        segs[-1] = self.base.multiply(segs[-1], target.apply(c))
-                        continue
+                last = signs[-1] if signs else 0
+                if last == -value and member[last](segs[-1]):
+                    c = preimage[last](segs[-1])
+                    if c is None:
+                        raise InvariantError("image membership without a preimage")
+                    segs.pop()
+                    signs.pop()
+                    segs[-1] = multiply(segs[-1], apply[last](c))
+                    continue
                 signs.append(value)
-                segs.append(self.base.identity)
+                segs.append(identity)
             elif kind == "g":
-                self.base.check(value)
-                segs[-1] = self.base.multiply(segs[-1], value)
+                check(value)
+                segs[-1] = multiply(segs[-1], value)
             else:
                 raise ValueError(f"unknown token kind {kind!r}")
 
@@ -110,23 +120,23 @@ class HNN:
         # head through t^e cannot create a new pinch because membership in
         # either image is stable under right multiplication from it
         for i in range(len(signs) - 1, -1, -1):
-            g = segs[i + 1]
-            source, target = self._carry(signs[i])
-            r = source.image.rep(g)
-            c = source.preimage(self.base.multiply(g, self.base.invert(r)))
+            g, sign = segs[i + 1], signs[i]
+            r = rep[sign](g)
+            c = preimage[sign](multiply(g, base.invert(r)))
             if c is None:
                 raise InvariantError("coset head escaped the subgroup image")
             segs[i + 1] = r
-            segs[i] = self.base.multiply(segs[i], target.apply(c))
+            segs[i] = multiply(segs[i], apply[sign](c))
 
         tail = tuple(zip(signs, segs[1:]))
-        if _find_pinch(self, tail) is not None:
+        if _find_pinch(tail, member) is not None:
             raise InvariantError("a pinch survived the canonical sweep")
         return HNNWord(segs[0], tail)
 
     def assert_reduced(self, word):
         """Raise unless the word is pinch-free; used before grading it."""
-        if _find_pinch(self, word.tail) is not None:
+        membership = {sign: self._carry(sign)[0].image.membership for sign in (1, -1)}
+        if _find_pinch(word.tail, membership) is not None:
             raise InvariantError("word is not Britton-reduced")
 
     def word_tokens(self, word):

@@ -680,6 +680,29 @@ class TestReportContract:
         code, _ = run_cli(capsys, "words", "frobnicate")
         assert code == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (["algebra", "normalize", "--hnn", "bs12", "--word", "-a"],
+         "freenil algebra normalize: argument --word: expected one argument"),
+        (["grouph", "relations", "--max-q", "x"],
+         "freenil grouph relations: argument --max-q: invalid int value: 'x'"),
+        (["algebra", "normalize", "--hnn", "bs12"],
+         "freenil algebra normalize: the following arguments are required: --word"),
+    ], ids=["dash-word", "bad-int", "missing-flag"])
+    def test_rejected_command_line_prints_one_report(self, capsys, argv, message):
+        code = main(argv)
+        got = capsys.readouterr()
+        assert code == 2
+        assert got.err == ""
+        payload = json.loads(got.out)
+        assert payload["status"] == "error"
+        assert payload["data"] == {"error": message}
+
+    def test_help_still_exits_zero(self, capsys):
+        code = main(["algebra", "normalize", "--help"])
+        got = capsys.readouterr()
+        assert code == 0
+        assert got.out.startswith("usage: freenil algebra normalize")
+
 
 SHIPPED = {
     name: (resources.files("freenil") / "data" / f"{name}.json").read_text()

@@ -153,6 +153,29 @@ class TestFiniteGroup:
         group = FiniteGroup([f"g{k}" for k in range(len(order))], relabelled)
         assert group.sort_key(group.identity) == order.index(0)
 
+    @pytest.mark.parametrize("bad", [1.0, "1", None, -1, 3], ids=repr)
+    def test_rejects_entries_that_are_not_indices(self, bad):
+        # Z3 with one cell replaced; 3 is the element count, one past the end
+        table = [[(i + j) % 3 for j in range(3)] for i in range(3)]
+        table[1][2] = bad
+        with pytest.raises(ValueError, match="table entries must index the element list"):
+            FiniteGroup(("1", "a", "b"), table)
+
+    def test_accepts_bool_entries(self):
+        # bool is an int subclass, and False and True index the list
+        group = FiniteGroup(("1", "s"), [[False, True], [True, False]])
+        assert group.identity == "1"
+        assert group.multiply("s", "s") == "1"
+
+    @pytest.mark.parametrize("table,message", [
+        ([[0, 1, 2], [1, 2], [2, 0, 1]], "multiplication table must be square"),
+        ([[0, 1, 2], [1, 1, 0], [2, 0, 1]], "every table row must be a permutation"),
+        ([[0, 1, 2], [1, 2, 0], [1, 0, 2]], "every table column must be a permutation"),
+    ], ids=["ragged", "repeated-row-value", "repeated-column-value"])
+    def test_shape_messages(self, table, message):
+        with pytest.raises(ValueError, match=message):
+            FiniteGroup(("1", "a", "b"), table)
+
     def test_rejects_duplicate_names(self):
         with pytest.raises(ValueError, match="distinct"):
             FiniteGroup(("1", "1"), [[0, 1], [1, 0]])

@@ -17,8 +17,9 @@ e.g. ``FREENIL_LIMITS="n=64,l=16,dim=128"``: ``n`` bounds the twisted-ring
 suite sizes, ``l`` the word-enumeration length budget, and ``dim`` the
 total dimension of loaded nil objects.  ``words`` also has a fixed work
 budget on the class census, ``grouph reduce`` on the arity and the
-relation count, and ``algebra nil-map --fold`` on the composite words
-weighted by the unit dims.
+relation count, ``algebra nil-map --fold`` on the composite words
+weighted by the unit dims, and every nilpotency decision and certificate
+check on its elimination work (``nilobj.CHAIN_WORK_BUDGET``).
 
 Input files may be given by path, or by the bare name of a shipped sample
 (``dinf``, ``s3z2``, ``bs12``, ``s3``, ``nil_example``).

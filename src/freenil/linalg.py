@@ -197,4 +197,17 @@ def in_rowspan(v: Vector, basis: Matrix, field=QQ) -> bool:
 
 
 def rowspan_contains(inner: Matrix, outer: Matrix, field=QQ) -> bool:
-    return all(in_rowspan(row, outer, field) for row in inner)
+    """`in_rowspan` on every row of `inner`, reading the reduced basis `outer`
+    once; a pivot column always agrees, so only the free columns are compared."""
+    if not outer:
+        return not any(field.from_int(x) for row in inner for x in row)
+    pivots = [_lead(row) for row in outer]
+    scale = lcm(*(row[p] for row, p in zip(outer, pivots)))
+    factors = [(p, scale // row[p]) for row, p in zip(outer, pivots)]
+    free = [(j, col) for j, col in enumerate(zip(*outer)) if j not in pivots]
+    for v in inner:
+        v = list(map(field.from_int, v))
+        coef = [v[p] * f for p, f in factors]
+        if any(field.dot(coef, col) != field.from_int(scale * v[j]) for j, col in free):
+            return False
+    return True

@@ -11,15 +11,17 @@ product F_{l_1} @ F_{l_2} @ ... @ F_{l_p}: the first letter applies
 first.  All identities in this module are stated relative to that
 convention.
 
-Nilpotency (some power of f kills all of M) is decided exactly through
-the kernel filtration M_{i+1} = {v : every letter image of v lies in the
-M_i layer}, computed as the annihilators of the dual column image chain
-(see `is_nilpotent`).  Over the integer base the eliminations are
-fraction-free over Z and their results are the rational ones up to row
-scale: the kernels in question are solution spaces of integer linear
+Nilpotency (some power of f kills all of M) is decided exactly on the
+column image chain alone (see `is_nilpotent`).  The kernel filtration
+M_{i+1} = {v : every letter image of v lies in the M_i layer} is the
+chain of its annihilators, each layer built when first read (only the
+certificate check reads them).  Over the integer base the eliminations
+are fraction-free over Z and their results are the rational ones up to
+row scale: the kernels in question are solution spaces of integer linear
 systems, so f^n = 0 holds over Z iff it holds over Q.  The chain changes
 strictly until it saturates, which bounds the index by the total
-dimension.  Prime-field bases run the same algorithm mod p.
+dimension.  Prime-field bases run the same algorithm mod p.  Deciding
+and checking each have the fixed work budget `CHAIN_WORK_BUDGET`.
 
 Word products and filtration steps all use the object's one field,
 `field_for_base(ring.base)`; over "int" that is QQ, whose elements are
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InvariantError, LimitExceeded
@@ -40,7 +43,6 @@ from .linalg import (
     identity,
     mat_eq_zero,
     mat_mul,
-    mat_vec,
     reduced_nullspace,
     rowspan_contains,
     rref,
@@ -87,19 +89,33 @@ class Letter:
 
 @dataclass(frozen=True)
 class Filtration:
-    """Increasing kernel chain; subspaces[i][u] is the `rref` basis of (M_i)_u.
+    """Increasing kernel chain M_0 = 0, M_1, ..., held as its image chain.
 
-    Its rows are coprime integer rows over "int" and monic rows over GF(p).
+    images[k][u] is the `rref` basis of the column image A_k(u), and the
+    layer (M_k)_u is its annihilator: subspaces[k][u] is the `rref` basis
+    of (M_k)_u, built when first read.  Its rows are coprime integer rows
+    over "int" and monic rows over GF(p).
     """
 
-    subspaces: tuple[Mapping[str, tuple], ...]
+    images: tuple[Mapping[str, list], ...]
+    dims: Mapping[str, int]
+    field: object
+
+    @cached_property
+    def subspaces(self) -> tuple[Mapping[str, tuple], ...]:
+        return tuple(
+            {u: tuple(map(tuple, reduced_nullspace(a, self.dims[u], self.field)))
+             for u, a in layer.items()}
+            for layer in self.images
+        )
 
     def depth(self) -> int:
-        return len(self.subspaces) - 1
+        return len(self.images) - 1
 
     def layer_dims(self) -> list[int]:
         """Total dimension of each layer M_0, M_1, ..., summed over the units."""
-        return [sum(map(len, layer.values())) for layer in self.subspaces]
+        total = sum(self.dims.values())
+        return [total - sum(map(len, layer.values())) for layer in self.images]
 
 
 @dataclass(frozen=True)
@@ -205,6 +221,43 @@ def word_matrix(X: NilObject, word: Iterable[str], unit: str | None = None):
     return out
 
 
+# Fixed work budget of one nilpotency decision, and again of one
+# certificate check, counted as it goes so that a deep chain exits 3 part
+# way instead of running for minutes.  A product or a containment test is
+# charged rows x inner x columns, each cell one multiply-add inside a C
+# dot product; an elimination rows x columns x min(rows, columns) steps
+# at four times that, since each is a Python step and integer entries
+# grow while it runs.
+CHAIN_WORK_BUDGET = 200_000_000
+
+
+class _Work:
+    """A running work count; LimitExceeded past CHAIN_WORK_BUDGET."""
+
+    def __init__(self, what: str):
+        self.what, self.spent = what, 0
+
+    def charge(self, rows: int, cols: int, depth: int) -> None:
+        self.spent += rows * cols * depth
+        if self.spent > CHAIN_WORK_BUDGET:
+            raise LimitExceeded(
+                f"{self.what} work {self.spent} exceeds the configured ceiling "
+                f"{CHAIN_WORK_BUDGET}; this work budget is fixed"
+            )
+
+    def eliminate(self, rows: int, cols: int) -> None:
+        self.charge(rows, cols, 4 * min(rows, cols))
+
+
+def _image(columns, a):
+    """F @ a from the columns of F, summed over the nonzero entries of a only."""
+    (x, col), *rest = [(x, col) for x, col in zip(a, columns) if x]
+    out = [x * y for y in col]
+    for x, col in rest:
+        out = [o + x * y for o, y in zip(out, col)]
+    return out
+
+
 def is_nilpotent(X: NilObject) -> NilCertificate:
     """Decide nilpotency exactly; returns (verdict, least index, filtration).
 
@@ -214,26 +267,27 @@ def is_nilpotent(X: NilObject) -> NilCertificate:
     stable once no rank drops, within total_dim steps.  Nilpotent iff it
     ends at 0, and the index is the first k with every A_k(u) = 0.  The
     filtration layer M_k(u) is the annihilator of A_k(u), because
-    v F_l lies in M_k(t) iff v is orthogonal to F_l A_k(t).
+    v F_l lies in M_k(t) iff v is orthogonal to F_l A_k(t); the
+    filtration builds those layers only when they are read.
     """
     if X._certificate is not None:
         return X._certificate
     field = X.field
     units = X.ring.units
-    images = {u: identity(X.dims[u], field) for u in units}
-    chain = []
+    dims = X.dims
+    # A basis row a of A_k(t) maps to F_l a, a combination of columns of
+    # F_l; a letter out of a zero-dimensional unit has none and adds nothing.
+    columns = [(l.src, l.dst, list(zip(*X.mats[l.name]))) for l in X.letters if dims[l.src]]
+    images = {u: identity(dims[u], field) for u in units}
+    chain = [images]
+    work = _Work("image chain")
     while True:
-        chain.append(
-            {u: tuple(map(tuple, reduced_nullspace(images[u], X.dims[u], field))) for u in units}
-        )
-        nxt = {
-            u: rref(
-                [mat_vec(X.mats[l.name], a, field)
-                 for l in X.letters if l.src == u for a in images[l.dst]],
-                field,
-            )
-            for u in units
-        }
+        rows = {u: [] for u in units}
+        for src, dst, cols in columns:
+            rows[src] += [_image(cols, a) for a in images[dst]]
+        for u in units:
+            work.eliminate(len(rows[u]), dims[u])
+        nxt = {u: rref(rows[u], field) for u in units}
         if not all(rowspan_contains(nxt[u], images[u], field) for u in units):
             raise InvariantError("image chain failed to shrink")
         if all(len(nxt[u]) == len(images[u]) for u in units):
@@ -241,9 +295,10 @@ def is_nilpotent(X: NilObject) -> NilCertificate:
         images = nxt
         if len(chain) > X.total_dim():
             raise InvariantError("image chain outlived the dimension bound")
+        chain.append(images)
     nilpotent = not any(images.values())
     index = len(chain) - 1 if nilpotent else None
-    X._certificate = NilCertificate(nilpotent, index, Filtration(tuple(chain)))
+    X._certificate = NilCertificate(nilpotent, index, Filtration(tuple(chain), dims, field))
     return X._certificate
 
 
@@ -420,9 +475,21 @@ def filtration_items(X: NilObject):
     from .report import item
 
     cert = is_nilpotent(X)
-    chain = cert.filtration.subspaces
     field = X.field
     units = X.ring.units
+    dims = X.dims
+    work = _Work("certificate check")
+    # The layers, each the annihilator of its image; then the checks on
+    # them, charged up front.
+    for layer in cert.filtration.images:
+        for u, a in layer.items():
+            work.eliminate(dims[u] - len(a), dims[u])
+    chain = cert.filtration.subspaces
+    for i in range(1, len(chain)):
+        for u in units:
+            work.charge(len(chain[i - 1][u]), dims[u], len(chain[i][u]))
+        for l in X.letters:
+            work.charge(len(chain[i][l.src]), dims[l.src] + len(chain[i - 1][l.dst]), dims[l.dst])
     items = [item("chain starts at zero", True, all(len(chain[0][u]) == 0 for u in units))]
     increasing = all(
         rowspan_contains(chain[i][u], chain[i + 1][u], field)
@@ -438,16 +505,18 @@ def filtration_items(X: NilObject):
     items.append(item("letters map layer i into layer i-1", True, mapped_down))
 
     d = (cert.index or 0) if cert.nilpotent else X.total_dim()
-    rows = {u: identity(X.dims[u], field) for u in units}
+    rows = {u: identity(dims[u], field) for u in units}
     survives = [any(rows.values())]  # survives[k]: some word of length k acts nonzero
     for _ in range(d):
-        nxt = {
-            t: rref(
-                [r for l in X.letters if l.dst == t for r in mat_mul(rows[l.src], X.mats[l.name], field)],
-                field,
-            )
+        for l in X.letters:
+            work.charge(len(rows[l.src]), dims[l.src], dims[l.dst])
+        spans = {
+            t: [r for l in X.letters if l.dst == t for r in mat_mul(rows[l.src], X.mats[l.name], field)]
             for t in units
         }
+        for t in units:
+            work.eliminate(len(spans[t]), dims[t])
+        nxt = {t: rref(spans[t], field) for t in units}
         if nxt == rows:  # a fixed point: the chain only shrinks
             break
         rows = nxt

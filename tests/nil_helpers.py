@@ -5,12 +5,14 @@ product loop, its own word enumeration) so it shares no code with the
 implementation under test beyond raw Python ints.  The reference
 elimination is the Fraction one `freenil.linalg` used before it went
 fraction-free: monic rref rows over Q, or over GF(p) when a modulus is
-given.
+given.  The eager image chain is the one `nilobj.is_nilpotent` ran
+before it built its kernel layers only when they are read.
 """
 
 from fractions import Fraction
 from random import Random
 
+from freenil.linalg import identity, in_rowspan, mat_vec, reduced_nullspace, rref
 from freenil.nilobj import BlockRing, Letter, NilObject
 
 
@@ -154,3 +156,34 @@ def monic(row, p=None):
         return [Fraction(x, lead) for x in row]
     inv = pow(lead, -1, p)
     return [x * inv % p for x in row]
+
+
+def eager_is_nilpotent(X: NilObject):
+    """(verdict, index, layers) from the image chain, every layer built as it goes.
+
+    One `mat_vec` per basis row and letter, one nullspace per layer, and
+    the shrink recheck through `in_rowspan` row by row.
+    """
+    field = X.field
+    units = X.ring.units
+    images = {u: identity(X.dims[u], field) for u in units}
+    chain = []
+    while True:
+        chain.append(
+            {u: tuple(map(tuple, reduced_nullspace(images[u], X.dims[u], field))) for u in units}
+        )
+        nxt = {
+            u: rref(
+                [mat_vec(X.mats[l.name], a, field)
+                 for l in X.letters if l.src == u for a in images[l.dst]],
+                field,
+            )
+            for u in units
+        }
+        assert all(in_rowspan(row, images[u], field) for u in units for row in nxt[u])
+        if all(len(nxt[u]) == len(images[u]) for u in units):
+            break
+        images = nxt
+        assert len(chain) <= X.total_dim()
+    nilpotent = not any(images.values())
+    return nilpotent, len(chain) - 1 if nilpotent else None, tuple(chain)

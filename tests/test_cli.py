@@ -595,6 +595,45 @@ class TestNilCommands:
         assert payload["data"]["nilpotent"] is planted
         assert len(calls) == len(payload["data"]["layer_dims"]) * len(payload["data"]["dims"])
 
+    @pytest.mark.parametrize("flags", [("--restrict", "u0"), ("--fold", "u1", "--onto", "u0"),
+                                       ("--twist", "l0,l1"), ("--twist", "l2")])
+    def test_map_builds_no_kernel_layer(self, capsys, tmp_path, monkeypatch, flags):
+        # nil-map reads only verdicts and indices, so no layer M_k is built.
+        from freenil import linalg
+
+        path = tmp_path / "module.json"
+        path.write_text(json.dumps(bench_module(7, 12, 2, "int", 4, 4, True)))
+        calls = []
+        real = linalg.reduced_nullspace
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(linalg, "reduced_nullspace", counted)
+        monkeypatch.setattr(nilobj, "reduced_nullspace", counted)
+        code, payload = run_json(capsys, "algebra", "nil-map", str(path), *flags)
+        assert code == 0
+        assert payload["data"]["index"] >= 1
+        assert calls == []
+
+    @pytest.mark.parametrize("base", ["int", "gf(7)"])
+    def test_check_on_a_deep_chain_exits_three(self, capsys, tmp_path, base):
+        # One unit of dimension 128 with index near 128: every layer
+        # eliminates about 3 (128 - k) rows of width 128.
+        path = tmp_path / "deep128.json"
+        path.write_text(json.dumps(bench_module(1, 128, 1, base, 128, 3, True)))
+        start = perf_counter()
+        code, out = run_cli(capsys, "algebra", "nil-check", str(path))
+        assert perf_counter() - start < 60.0
+        assert code == 3
+        assert "Traceback" not in out
+        payload = json.loads(out)
+        assert payload["status"] == "error"
+        assert payload["items"] == []
+        assert payload["data"]["limit"].startswith("image chain work ")
+        assert "this work budget is fixed" in payload["data"]["limit"]
+
     def test_check_shipped_sample(self, capsys):
         code, payload = run_json(capsys, "algebra", "nil-check")
         assert code == 0

@@ -11,7 +11,7 @@ from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from freenil.linalg import GFp, QQ, in_rowspan, mat_vec, right_nullspace, rref
+from freenil.linalg import GFp, QQ, in_rowspan, mat_vec, right_nullspace, rowspan_contains, rref
 
 from nil_helpers import monic, reference_nullspace, reference_rref
 
@@ -93,3 +93,28 @@ def test_in_rowspan_is_a_rank_test(matrix, vector):
     assert all(in_rowspan(row, basis, field) for row in a)
     grows = len(reference_rref(a + [v], p)) > len(reference_rref(a, p))
     assert in_rowspan(v, basis, field) == (not grows)
+
+
+@given(matrices(), st.data())
+@settings(settings.get_profile("ci"), max_examples=300)
+def test_rowspan_contains_is_in_rowspan_on_every_row(matrix, data):
+    # Inner rows: arbitrary, zero (over GF(p) also a multiple of p), or an
+    # integer combination of the rows of `a`, whose GF(p) entries leave [0, p).
+    a, cols, p, field = matrix
+    outer = rref(a, field)
+    inner = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        kind = data.draw(st.sampled_from(["any", "zero", "span"]))
+        if kind == "any":
+            row = data.draw(st.lists(ints, min_size=cols, max_size=cols))
+        elif kind == "zero":
+            row = [p * data.draw(ints) for _ in range(cols)] if p else [0] * cols
+        else:
+            coefs = data.draw(st.lists(ints, min_size=len(a), max_size=len(a)))
+            row = [sum(c * r[j] for c, r in zip(coefs, a)) for j in range(cols)]
+        inner.append(row)
+    want = all(in_rowspan(row, outer, field) for row in inner)
+    assert rowspan_contains(inner, outer, field) == want
+    assert rowspan_contains(inner, [], field) == all(
+        in_rowspan(row, [], field) for row in inner
+    )

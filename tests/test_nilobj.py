@@ -3,7 +3,7 @@
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from freenil.errors import InvariantError, LimitExceeded
 from freenil.linalg import identity, mat_eq_zero, mat_mul, QQ
@@ -27,6 +27,7 @@ from freenil.store import load_nil, save_nil
 
 from nil_helpers import (
     brute_nilpotent,
+    eager_is_nilpotent,
     modulus,
     monic,
     random_object,
@@ -95,11 +96,11 @@ def reference_is_nilpotent(X: NilObject):
 
 
 @st.composite
-def nil_objects(draw):
+def nil_objects(draw, max_dim=4, bases=("int", "int", "gf(2)", "gf(3)", "gf(5)")):
     """Small objects over int and gf(p), zero-dimensional units included."""
-    base = draw(st.sampled_from(["int", "int", "gf(2)", "gf(3)", "gf(5)"]))
+    base = draw(st.sampled_from(bases))
     units = ("a", "b", "c")[: draw(st.integers(1, 3))]
-    dims = {u: draw(st.integers(0, 4)) for u in units}
+    dims = {u: draw(st.integers(0, max_dim)) for u in units}
     order = {}
     for u in units:
         for i in range(dims[u]):
@@ -179,6 +180,37 @@ class TestReferenceChain:
         for layer in is_nilpotent(X).filtration.subspaces:
             for rows in layer.values():
                 assert all(type(x) is int for row in rows for x in row)
+
+
+# Letters into and out of a zero-dimensional unit, around a 2-step shift.
+HOLLOW = NilObject(
+    BlockRing(("a", "b", "c"), "gf(7)"),
+    {"a": 0, "b": 3, "c": 2},
+    [Letter("in", "b", "a"), Letter("out", "a", "c"), Letter("s", "b", "c"),
+     Letter("t", "c", "c")],
+    {"in": [[], [], []], "out": [], "s": [[1, 9], [0, 3], [2, 0]], "t": [[0, 1], [0, 0]]},
+)
+
+
+class TestEagerChain:
+    """The image chain with lazy kernel layers against the eager chain."""
+
+    @given(nil_objects(6, ("int", "int", "gf(2)", "gf(3)", "gf(5)", "gf(7)")))
+    @example(HOLLOW)
+    @settings(settings.get_profile("ci"), max_examples=300)
+    def test_lazy_layers_match_the_eager_chain(self, X):
+        nilpotent, index, layers = eager_is_nilpotent(X)
+        cert = is_nilpotent(X)
+        assert (cert.nilpotent, cert.index) == (nilpotent, index)
+        filtration = cert.filtration
+        assert filtration.depth() == len(layers) - 1
+        assert filtration.layer_dims() == [sum(map(len, layer.values())) for layer in layers]
+        assert filtration.subspaces == layers
+
+    def test_hollow_unit_example(self):
+        cert = is_nilpotent(HOLLOW)
+        assert (cert.nilpotent, cert.index) == (True, 3)
+        assert cert.filtration.layer_dims() == [0, 2, 4, 5]
 
 
 class TestRingValidation:
@@ -335,6 +367,21 @@ class TestIsNilpotent:
         monkeypatch.setattr(NilObject, "total_dim", lambda self: 1)
         with pytest.raises(InvariantError, match="dimension bound"):
             is_nilpotent(single("f", [[0, 1, 0], [0, 0, 1], [0, 0, 0]]))
+
+    def test_work_budget(self, monkeypatch):
+        # The 3-step shift: the image chain eliminates 3 x 3 (charged
+        # 4 * 27), then 2 x 3 (4 * 12) and 1 x 3 (4 * 3).  The certificate
+        # check counts afresh, and building its layers alone costs as much.
+        import freenil.nilobj as nilobj
+
+        shift = single("f", [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+        monkeypatch.setattr(nilobj, "CHAIN_WORK_BUDGET", 4 * 41)
+        with pytest.raises(LimitExceeded, match=r"image chain work 168 exceeds .* 164; .* fixed"):
+            is_nilpotent(shift)
+        monkeypatch.setattr(nilobj, "CHAIN_WORK_BUDGET", 4 * 42)
+        assert is_nilpotent(shift).index == 3
+        with pytest.raises(LimitExceeded, match=r"\Acertificate check work \d+ exceeds"):
+            filtration_items(shift)
 
 
 class TestRestrictDiagonal:

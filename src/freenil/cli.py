@@ -17,9 +17,10 @@ e.g. ``FREENIL_LIMITS="n=64,l=16,dim=128"``: ``n`` bounds the twisted-ring
 suite sizes, ``l`` the word-enumeration length budget, and ``dim`` the
 total dimension of loaded nil objects.  ``words`` also has a fixed work
 budget on the class census, ``grouph reduce`` on the arity and the
-relation count, ``algebra nil-map --fold`` on the composite words
-weighted by the unit dims, and every nilpotency decision and certificate
-check on its elimination work (``nilobj.CHAIN_WORK_BUDGET``).
+relation count, ``grouph collapse`` on the samples over all stages,
+``algebra nil-map --fold`` on the composite words weighted by the unit
+dims (``nilobj.FOLD_WORK_BUDGET``), and every nilpotency decision and
+certificate check on its elimination work (``nilobj.CHAIN_WORK_BUDGET``).
 
 Input files may be given by path, or by the bare name of a shipped sample
 (``dinf``, ``s3z2``, ``bs12``, ``s3``, ``nil_example``).
@@ -111,15 +112,11 @@ WORDS_CENSUS_BUDGET = 200_000
 REDUCE_ARITY_BUDGET = 14
 REDUCE_RELATIONS_BUDGET = 200
 
-# Fixed work budget for `nil-map --fold`, checked once the thru-diagonal
-# index is known and before any product: the composite word count, which
-# grows exponentially in that index, times k (k + t)^2 plus
-# `nilobj.FOLD_WORD_OVERHEAD` for the kept and folded unit dims k and t
-# (see `nilobj.fold_through`).  At the budget the fold itself took 6-8 s on
-# a 2-core host with kept/folded dims 64/64, 96/32 and 48/16, and 5 s for
-# 92,500 nonzero composites at dims 2/2, after deciding the input and its
-# thru diagonal.
-FOLD_WORK_BUDGET = 40_000_000
+# Fixed work budget for `collapse`, checked before any work: every stage
+# collapses `--samples` random right multiples, so the cost is linear in
+# samples x stages, about 30 us each on a 2-core host.  At the budget
+# `--max-n` 64, 8 and 1 each take about 9 s.
+COLLAPSE_SAMPLES_BUDGET = 300_000
 
 
 def _resolve_input(path_text: str):
@@ -276,6 +273,8 @@ def run_collapse(args, report: Report, limits: Limits) -> None:
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
     ensure_within(args.max_n, limits.n, "ideal stage")
+    ensure_within(args.samples * args.max_n, COLLAPSE_SAMPLES_BUDGET, "samples x stages",
+                  "this work budget is fixed")
     for n in range(1, args.max_n + 1):
         for it in collapse_certificate(n, args.samples, args.seed):
             report.items.append(CheckItem(f"stage {n}: {it.name}", it.expected, it.got, it.ok))
@@ -394,7 +393,7 @@ def run_nil_map(args, report: Report, limits: Limits) -> None:
         result = nilobj.restrict_diagonal(X, args.restrict)
         applied = f"restrict to unit {args.restrict}"
     elif args.fold:
-        result = nilobj.fold_through(X, args.fold, args.onto, FOLD_WORK_BUDGET)
+        result = nilobj.fold_through(X, args.fold, args.onto)
         applied = f"fold through {args.fold} onto {args.onto}"
     else:
         words = [tuple(text.replace(",", " ").split()) for text in args.twist]

@@ -14,14 +14,14 @@ convention.
 Nilpotency (some power of f kills all of M) is decided exactly on the
 column image chain alone (see `is_nilpotent`).  The kernel filtration
 M_{i+1} = {v : every letter image of v lies in the M_i layer} is the
-chain of its annihilators, each layer built when first read (only the
-certificate check reads them).  Over the integer base the eliminations
-are fraction-free over Z and their results are the rational ones up to
-row scale: the kernels in question are solution spaces of integer linear
-systems, so f^n = 0 holds over Z iff it holds over Q.  The chain changes
-strictly until it saturates, which bounds the index by the total
-dimension.  Prime-field bases run the same algorithm mod p.  Deciding
-and checking each have the fixed work budget `CHAIN_WORK_BUDGET`.
+chain of its annihilators, and the certificate is checked in dual form
+on that chain (see `filtration_items`).  Over the integer base the
+eliminations are fraction-free over Z and their results are the rational
+ones up to row scale: the kernels in question are solution spaces of
+integer linear systems, so f^n = 0 holds over Z iff it holds over Q.  The
+chain changes strictly until it saturates, which bounds the index by the
+total dimension.  Prime-field bases run the same algorithm mod p.
+Deciding and checking each have the fixed work budget `CHAIN_WORK_BUDGET`.
 
 Word products and filtration steps all use the object's one field,
 `field_for_base(ring.base)`; over "int" that is QQ, whose elements are
@@ -92,9 +92,9 @@ class Filtration:
     """Increasing kernel chain M_0 = 0, M_1, ..., held as its image chain.
 
     images[k][u] is the `rref` basis of the column image A_k(u), and the
-    layer (M_k)_u is its annihilator: subspaces[k][u] is the `rref` basis
-    of (M_k)_u, built when first read.  Its rows are coprime integer rows
-    over "int" and monic rows over GF(p).
+    layer (M_k)_u is its annihilator.  `subspaces` is a view that builds
+    the layers when first read: subspaces[k][u] is the `rref` basis of
+    (M_k)_u, in coprime integer rows over "int" and monic rows over GF(p).
     """
 
     images: tuple[Mapping[str, list], ...]
@@ -230,6 +230,13 @@ def word_matrix(X: NilObject, word: Iterable[str], unit: str | None = None):
 # grow while it runs.
 CHAIN_WORK_BUDGET = 200_000_000
 
+# Fixed work budget of one fold (see `fold_through`), and what one composite
+# letter costs beyond its products: about 60 us against 0.17 us per
+# multiplication.  At the budget a fold took 6-8 s with kept/folded dims
+# 64/64, 96/32 and 48/16, and 5 s for 92,500 composites at 2/2 (2-core host).
+FOLD_WORK_BUDGET = 40_000_000
+FOLD_WORD_OVERHEAD = 400
+
 
 class _Work:
     """A running work count; LimitExceeded past CHAIN_WORK_BUDGET."""
@@ -267,8 +274,7 @@ def is_nilpotent(X: NilObject) -> NilCertificate:
     stable once no rank drops, within total_dim steps.  Nilpotent iff it
     ends at 0, and the index is the first k with every A_k(u) = 0.  The
     filtration layer M_k(u) is the annihilator of A_k(u), because
-    v F_l lies in M_k(t) iff v is orthogonal to F_l A_k(t); the
-    filtration builds those layers only when they are read.
+    v F_l lies in M_k(t) iff v is orthogonal to F_l A_k(t).
     """
     if X._certificate is not None:
         return X._certificate
@@ -331,14 +337,7 @@ def restrict_diagonal(X: NilObject, unit: str) -> NilObject:
     return _assert_nilpotent(out, "restrict_diagonal")
 
 
-# What one composite letter of a fold costs beyond its products (building
-# it, deciding the result, rendering it), in multiplications: about 60 us
-# per letter against 0.17 us per multiplication on a 2-core host.
-FOLD_WORD_OVERHEAD = 400
-
-
-def fold_through(X: NilObject, thru: str, keep: str,
-                 budget: int | None = None) -> NilObject:
+def fold_through(X: NilObject, thru: str, keep: str) -> NilObject:
     """Fold the `thru` unit away: twist by g = f_kk + sum f_kt (f_tt)^m f_tk.
 
     One new letter per (keep->thru letter, word of thru-diagonal letters,
@@ -351,8 +350,8 @@ def fold_through(X: NilObject, thru: str, keep: str,
     k (k + t)^2 scalar multiplications, for unit dims k = keep and t = thru
     (a k x t by t x t product extends a prefix, a k x t by t x k one closes
     it), plus `FOLD_WORD_OVERHEAD` for its letter; their sum is the fold's
-    work, and above `budget` the fold raises LimitExceeded before any
-    product.
+    work, and above `FOLD_WORK_BUDGET` the fold raises LimitExceeded before
+    any product.
     """
     if thru == keep or thru not in X.ring.units or keep not in X.ring.units:
         raise ValueError("fold_through needs two distinct units of the ring")
@@ -364,10 +363,10 @@ def fold_through(X: NilObject, thru: str, keep: str,
     words = len(into) * len(back) * sum(len(diag) ** m for m in range(depth + 1))
     k, t = X.dims[keep], X.dims[thru]
     work = words * (k * (k + t) ** 2 + FOLD_WORD_OVERHEAD)
-    if budget is not None and work > budget:
+    if work > FOLD_WORK_BUDGET:
         raise LimitExceeded(
             f"fold work {work} ({words} composite words at unit dims {k} and {t}) "
-            f"exceeds the configured ceiling {budget}; this work budget is fixed"
+            f"exceeds the configured ceiling {FOLD_WORK_BUDGET}; this work budget is fixed"
         )
 
     ring = BlockRing((keep,), X.ring.base)
@@ -464,73 +463,73 @@ def zero_object(ring: BlockRing, dims: Mapping[str, int]) -> NilObject:
 # Filtration and index facts checkable against the letter matrices.
 
 def filtration_items(X: NilObject):
-    """Check the computed certificate against the letter matrices themselves.
+    """Check the certificate in dual form on the image chain that decided it.
 
-    Word vanishing is read off the row image chain R_0(t) = everything,
-    R_k(t) = sum over letters l: s -> t of R_{k-1}(s) F_l, which is spanned
-    by the rows of every typed word of length k ending at t: every word of
-    length k vanishes iff all R_k(t) = 0.  It shares no step with the
-    column image chain of `is_nilpotent`.
+    M_k is the annihilator of A_k, so M_0 = 0 iff A_0 is everything,
+    M_i <= M_{i+1} iff A_{i+1} <= A_i, and l: u -> t maps M_i(u) into
+    M_{i-1}(t) iff F_l A_{i-1}(t) <= A_i(u).  With those, A_d = 0 makes
+    every word of length d vanish; `_walk` shows a surviving word.
     """
     from .report import item
 
     cert = is_nilpotent(X)
-    field = X.field
-    units = X.ring.units
-    dims = X.dims
+    field, units, dims = X.field, X.ring.units, X.dims
+    chain = cert.filtration.images
     work = _Work("certificate check")
-    # The layers, each the annihilator of its image; then the checks on
-    # them, charged up front.
-    for layer in cert.filtration.images:
-        for u, a in layer.items():
-            work.eliminate(dims[u] - len(a), dims[u])
-    chain = cert.filtration.subspaces
-    for i in range(1, len(chain)):
+    # F_l A as a product with F_l transposed; letters out of empty units check nothing.
+    letters = [(l.src, l.dst, list(zip(*X.mats[l.name]))) for l in X.letters if dims[l.src]]
+    steps = list(zip(chain, chain[1:]))  # (A_{i-1}, A_i)
+    for b, a in steps:
         for u in units:
-            work.charge(len(chain[i - 1][u]), dims[u], len(chain[i][u]))
-        for l in X.letters:
-            work.charge(len(chain[i][l.src]), dims[l.src] + len(chain[i - 1][l.dst]), dims[l.dst])
-    items = [item("chain starts at zero", True, all(len(chain[0][u]) == 0 for u in units))]
-    increasing = all(
-        rowspan_contains(chain[i][u], chain[i + 1][u], field)
-        for i in range(len(chain) - 1)
-        for u in units
-    )
-    items.append(item("chain is increasing", True, increasing))
-    mapped_down = all(
-        rowspan_contains(mat_mul(chain[i][l.src], X.mats[l.name], field), chain[i - 1][l.dst], field)
-        for i in range(1, len(chain))
-        for l in X.letters
-    )
-    items.append(item("letters map layer i into layer i-1", True, mapped_down))
-
-    d = (cert.index or 0) if cert.nilpotent else X.total_dim()
-    rows = {u: identity(dims[u], field) for u in units}
-    survives = [any(rows.values())]  # survives[k]: some word of length k acts nonzero
-    for _ in range(d):
-        for l in X.letters:
-            work.charge(len(rows[l.src]), dims[l.src], dims[l.dst])
-        spans = {
-            t: [r for l in X.letters if l.dst == t for r in mat_mul(rows[l.src], X.mats[l.name], field)]
-            for t in units
-        }
-        for t in units:
-            work.eliminate(len(spans[t]), dims[t])
-        nxt = {t: rref(spans[t], field) for t in units}
-        if nxt == rows:  # a fixed point: the chain only shrinks
-            break
-        rows = nxt
-        survives.append(any(rows.values()))
-    survives += survives[-1:] * (d + 1 - len(survives))
-    if cert.nilpotent:
-        items.append(item(f"every word of length {d} vanishes", True, not survives[d]))
-        if d == 1:
-            items.append(item("the module itself is nonzero", True, X.total_dim() > 0))
-        elif d > 1:
-            items.append(item(f"some word of length {d - 1} survives", True, survives[d - 1]))
-    else:
-        items.append(item(f"some word of length {d} survives", True, survives[d]))
+            work.charge(len(a[u]), len(b[u]), dims[u])
+        for src, dst, _ in letters:
+            work.charge(len(b[dst]), dims[dst] + len(a[src]), dims[src])
+    zero_start = all(len(chain[0][u]) == dims[u] for u in units)
+    increasing = all(rowspan_contains(a[u], b[u], field) for b, a in steps for u in units)
+    mapped_down = all(rowspan_contains(mat_mul(b[dst], cols, field), a[src], field)
+                      for b, a in steps for src, dst, cols in letters)
+    items = [item("chain starts at zero", True, zero_start),
+             item("chain is increasing", True, increasing),
+             item("letters map layer i into layer i-1", True, mapped_down)]
+    if not cert.nilpotent:
+        d = X.total_dim()
+        return items + [item(f"some word of length {d} survives", True, _walk(X, chain, d, work))]
+    d = cert.index
+    vanishes = zero_start and mapped_down and not any(chain[d].values())
+    items.append(item(f"every word of length {d} vanishes", True, vanishes))
+    if d == 1:
+        items.append(item("the module itself is nonzero", True, X.total_dim() > 0))
+    elif d > 1:
+        items.append(item(f"some word of length {d - 1} survives", True, _walk(X, chain, d - 1, work)))
     return items
+
+
+def _walk(X: NilObject, chain, length: int, work: _Work) -> bool:
+    """Does a word of `length` letters act nonzero?  A walk finds a witness.
+
+    v starts outside the annihilator of layer `length` and steps to v F_l
+    for the first letter l that keeps it outside that of the next layer
+    down, reading A_min(k, top) as layer k.  A dead end reads False, and
+    otherwise v F_w != 0, computed from the letter matrices, decides.
+    """
+    field, top = X.field, len(chain) - 1
+    start = next(((u, e) for u, rows in chain[min(length, top)].items()
+                  for e in identity(X.dims[u], field) if any(field.dot(e, b) for b in rows)), None)
+    if start is None:
+        return False
+    u, v = start
+    for k in range(length, 0, -1):
+        below = chain[min(k - 1, top)]
+        for l in X.letters:
+            if l.src == u:
+                work.charge(1, X.dims[u] + len(below[l.dst]), X.dims[l.dst])
+                image = mat_mul([v], X.mats[l.name], field)[0]
+                if any(field.dot(image, b) for b in below[l.dst]):
+                    u, v = l.dst, image
+                    break
+        else:
+            return False
+    return any(v)
 
 
 # JSON file format: ring header, dims, then one dense matrix per letter.

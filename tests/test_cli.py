@@ -186,6 +186,32 @@ class TestGrouph:
         images = payload["data"]["images"]
         assert [img["image"] for img in images] == ["0", "0", "0", "1"]
 
+    def test_collapse_samples_budget_exits_three_before_any_work(self, capsys, monkeypatch):
+        # Within FREENIL_LIMITS (n=64), but every stage collapses each sample.
+        over = cli.COLLAPSE_SAMPLES_BUDGET // 8 + 1
+        monkeypatch.setattr(cli, "collapse_certificate", None)  # no stage may run
+        start = perf_counter()
+        code, out = run_cli(capsys, "grouph", "collapse", "--max-n", "8", "--samples", str(over))
+        assert perf_counter() - start < 1.0
+        assert code == 3
+        assert "Traceback" not in out
+        payload = json.loads(out)
+        assert payload["status"] == "error"
+        assert payload["command"] == f"grouph collapse --max-n 8 --samples {over} --seed 7"
+        assert payload["items"] == []
+        assert payload["data"]["limit"] == (
+            f"samples x stages {8 * over} exceeds the configured ceiling "
+            f"{cli.COLLAPSE_SAMPLES_BUDGET}; this work budget is fixed"
+        )
+
+    def test_collapse_at_the_samples_budget(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "COLLAPSE_SAMPLES_BUDGET", 3 * 5)
+        code, payload = run_json(capsys, "grouph", "collapse", "--max-n", "3", "--samples", "5")
+        assert code == 0
+        assert payload["status"] == "pass"
+        code, payload = run_json(capsys, "grouph", "collapse", "--max-n", "3", "--samples", "6")
+        assert code == 3
+
     def test_kernel_ceiling_exits_three(self, capsys, monkeypatch):
         monkeypatch.setenv("FREENIL_LIMITS", "n=5")
         code, payload = run_json(capsys, "grouph", "verify-kernel", "--max-n", "12")
@@ -533,7 +559,7 @@ class TestNilCommands:
     def test_fold_at_the_work_budget(self, capsys, tmp_path):
         # 33 into letters fit the budget and 34 do not.
         path = fold_file(tmp_path, 33, 250)
-        assert 33 * 250 * 8 * 600 <= cli.FOLD_WORK_BUDGET < 34 * 250 * 8 * 600
+        assert 33 * 250 * 8 * 600 <= nilobj.FOLD_WORK_BUDGET < 34 * 250 * 8 * 600
         code, payload = run_json(capsys, "algebra", "nil-map", path, "--fold", "b", "--onto", "a")
         assert code == 0
         names = [l["name"] for l in payload["data"]["result"]["letters"]]
@@ -577,45 +603,45 @@ class TestNilCommands:
         assert code == 3
         assert "(5592405 composite words at unit dims 2 and 12)" in payload["data"]["limit"]
 
-    @pytest.mark.parametrize("base,planted", [("int", True), ("gf(5)", True), ("int", False)])
-    def test_check_eliminates_each_chain_layer_once(self, capsys, tmp_path, monkeypatch,
-                                                    base, planted):
-        # Each image layer is already reduced, so its annihilator needs only
-        # the one elimination that reduces the solutions: one linalg.rref per
-        # unit and chain layer (the rest of nil-check uses nilobj's binding).
-        from freenil import linalg
-
-        path = tmp_path / "module.json"
-        path.write_text(json.dumps(bench_module(4, 18, 3, base, 4, 5, planted)))
-        calls = []
-        real = linalg.rref
-        monkeypatch.setattr(linalg, "rref", lambda a, field: calls.append(1) or real(a, field))
-        code, payload = run_json(capsys, "algebra", "nil-check", str(path))
-        assert code == (0 if planted else 1)
-        assert payload["data"]["nilpotent"] is planted
-        assert len(calls) == len(payload["data"]["layer_dims"]) * len(payload["data"]["dims"])
-
     @pytest.mark.parametrize("flags", [("--restrict", "u0"), ("--fold", "u1", "--onto", "u0"),
-                                       ("--twist", "l0,l1"), ("--twist", "l2")])
+                                       ("--twist", "l0,l1"), ("--twist", "l2"),
+                                       ("check", "int", True), ("check", "gf(5)", True),
+                                       ("check", "int", False)])
     def test_map_builds_no_kernel_layer(self, capsys, tmp_path, monkeypatch, flags):
-        # nil-map reads only verdicts and indices, so no layer M_k is built.
+        # nil-map reads only verdicts and indices, and nil-check checks the
+        # certificate on the image chain that decided it, so neither builds
+        # a layer M_k.  nil-check runs no second chain either: one rref per
+        # unit and chain layer, all of them in the decision.
         from freenil import linalg
 
         path = tmp_path / "module.json"
-        path.write_text(json.dumps(bench_module(7, 12, 2, "int", 4, 4, True)))
-        calls = []
-        real = linalg.reduced_nullspace
+        if flags[0] == "check":
+            _, base, planted = flags
+            path.write_text(json.dumps(bench_module(4, 18, 3, base, 4, 5, planted)))
+            argv = ("nil-check", str(path))
+        else:
+            planted = True
+            path.write_text(json.dumps(bench_module(7, 12, 2, "int", 4, 4, True)))
+            argv = ("nil-map", str(path), *flags)
+        nullspaces, eliminations = [], []
+        real_nullspace, real_rref = linalg.reduced_nullspace, nilobj.rref
 
         def counted(*args):
-            calls.append(1)
-            return real(*args)
+            nullspaces.append(1)
+            return real_nullspace(*args)
 
         monkeypatch.setattr(linalg, "reduced_nullspace", counted)
         monkeypatch.setattr(nilobj, "reduced_nullspace", counted)
-        code, payload = run_json(capsys, "algebra", "nil-map", str(path), *flags)
-        assert code == 0
-        assert payload["data"]["index"] >= 1
-        assert calls == []
+        monkeypatch.setattr(nilobj, "rref", lambda a, field: eliminations.append(1) or real_rref(a, field))
+        code, payload = run_json(capsys, "algebra", *argv)
+        assert code == (0 if planted else 1)
+        assert nullspaces == []
+        if argv[0] == "nil-check":
+            assert payload["data"]["nilpotent"] is planted
+            layers = len(payload["data"]["layer_dims"])
+            assert len(eliminations) == layers * len(payload["data"]["dims"])
+        else:
+            assert payload["data"]["index"] >= 1
 
     @pytest.mark.parametrize("base", ["int", "gf(7)"])
     def test_check_on_a_deep_chain_exits_three(self, capsys, tmp_path, base):

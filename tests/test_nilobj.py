@@ -9,7 +9,9 @@ from freenil.errors import InvariantError, LimitExceeded
 from freenil.linalg import identity, mat_eq_zero, mat_mul, QQ
 from freenil.nilobj import (
     BlockRing,
+    Filtration,
     Letter,
+    NilCertificate,
     NilObject,
     direct_sum,
     filtration_items,
@@ -213,6 +215,83 @@ class TestEagerChain:
         assert cert.filtration.layer_dims() == [0, 2, 4, 5]
 
 
+def with_chain(X: NilObject, images, nilpotent: bool = True) -> NilObject:
+    """A copy of X whose certificate holds the given image chain instead."""
+    Y = NilObject(X.ring, X.dims, X.letters, X.mats)
+    index = len(images) - 1 if nilpotent else None
+    Y._certificate = NilCertificate(nilpotent, index, Filtration(tuple(images), Y.dims, Y.field))
+    return Y
+
+
+def deep_nilpotent(seed: int) -> NilObject:
+    """A random nilpotent object of index at least 2, over int or gf(p)."""
+    rng = Random(7000 + seed)
+    while True:
+        X = random_object(rng, base=rng.choice(["int", "gf(3)", "gf(5)"]), max_units=3,
+                          max_total_dim=8, max_letters=4, triangular=True)
+        if is_nilpotent(X).index >= 2:
+            return X
+
+
+class TestCorruptedCertificate:
+    """Every way of mangling the chain that decided X makes some item false."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_each_corruption_fails_an_item(self, seed):
+        X = HOLLOW if seed == 0 else deep_nilpotent(seed)
+        chain = list(is_nilpotent(X).filtration.images)
+        d = len(chain) - 1
+        assert all(i.ok for i in filtration_items(with_chain(X, chain)))
+        corrupted = {
+            "dropped": [chain[:k] + chain[k + 1:] for k in range(d + 1)],
+            "repeated": [chain[:k + 1] + chain[k:] for k in range(d + 1)],
+            "swapped": [chain[:k] + [chain[k + 1], chain[k]] + chain[k + 2:] for k in range(d)],
+        }
+        for how, variants in corrupted.items():
+            for images in variants:
+                assert not all(i.ok for i in filtration_items(with_chain(X, images))), how
+        # A nonzero top layer claimed stable: no word of length total_dim survives.
+        for k in range(d):
+            Y = with_chain(X, chain[:k + 1], nilpotent=False)
+            assert not all(i.ok for i in filtration_items(Y)), "stable"
+
+    def test_rotation_claimed_nilpotent(self):
+        X = two_unit({"a": 1, "b": 1}, [Letter("s", "a", "b"), Letter("t", "b", "a")],
+                     {"s": [[1]], "t": [[1]]})
+        chain = is_nilpotent(X).filtration.images
+        items = filtration_items(with_chain(X, [chain[0], {"a": [], "b": []}]))
+        assert [i.name for i in items if not i.ok] == [
+            "letters map layer i into layer i-1", "every word of length 1 vanishes"
+        ]
+
+    def test_growing_layer_fails_only_increasing(self):
+        # A 3-step shift on a and a letterless b: a layer of b that grows
+        # from A_1 to A_2 breaks no letter and no word, only the chain order.
+        X = two_unit({"a": 3, "b": 1}, [Letter("f", "a", "a")],
+                     {"f": [[0, 1, 0], [0, 0, 1], [0, 0, 0]]})
+        a = [layer["a"] for layer in is_nilpotent(X).filtration.images]
+        images = [{"a": a[0], "b": [[1]]}, {"a": a[1], "b": []}, {"a": a[2], "b": [[1]]},
+                  {"a": a[3], "b": []}]
+        items = filtration_items(with_chain(X, images))
+        assert [i.name for i in items if not i.ok] == ["chain is increasing"]
+
+    def test_walk_dead_end_reads_false(self):
+        # The 3-step shift with A_1 repeated passes every chain item.  The
+        # witness walk starts at e_0 (outside the annihilator of A_2), steps
+        # to e_0 F = e_1, outside that of A_1, and then finds no letter:
+        # e_1 F = e_2 is orthogonal to A_1 = <e_0, e_1>.
+        X = single("f", [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+        a = is_nilpotent(X).filtration.images
+        items = filtration_items(with_chain(X, [a[0], a[1], a[1], a[2], a[3]]))
+        assert [(i.name, i.ok) for i in items] == [
+            ("chain starts at zero", True),
+            ("chain is increasing", True),
+            ("letters map layer i into layer i-1", True),
+            ("every word of length 4 vanishes", True),
+            ("some word of length 3 survives", False),
+        ]
+
+
 class TestRingValidation:
     def test_rationals_rejected(self):
         with pytest.raises(ValueError):
@@ -371,7 +450,9 @@ class TestIsNilpotent:
     def test_work_budget(self, monkeypatch):
         # The 3-step shift: the image chain eliminates 3 x 3 (charged
         # 4 * 27), then 2 x 3 (4 * 12) and 1 x 3 (4 * 3).  The certificate
-        # check counts afresh, and building its layers alone costs as much.
+        # check counts afresh on the image ranks 3, 2, 1, 0: the increasing
+        # tests 2*3*3 + 1*2*3 + 0, the letter tests 3*(3+2)*3 + 2*(3+1)*3 +
+        # 1*(3+0)*3, and the two walk steps 1*(3+2)*3 + 1*(3+3)*3: 135.
         import freenil.nilobj as nilobj
 
         shift = single("f", [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
@@ -380,8 +461,11 @@ class TestIsNilpotent:
             is_nilpotent(shift)
         monkeypatch.setattr(nilobj, "CHAIN_WORK_BUDGET", 4 * 42)
         assert is_nilpotent(shift).index == 3
-        with pytest.raises(LimitExceeded, match=r"\Acertificate check work \d+ exceeds"):
+        monkeypatch.setattr(nilobj, "CHAIN_WORK_BUDGET", 134)
+        with pytest.raises(LimitExceeded, match=r"\Acertificate check work 135 exceeds .* 134; .* fixed"):
             filtration_items(shift)
+        monkeypatch.setattr(nilobj, "CHAIN_WORK_BUDGET", 135)
+        assert all(i.ok for i in filtration_items(shift))
 
 
 class TestRestrictDiagonal:
@@ -525,9 +609,11 @@ class TestFoldThrough:
             return
         assert is_nilpotent(fold_through(X, "b", "a")).nilpotent
 
-    def test_work_budget(self):
+    def test_work_budget(self, monkeypatch):
         # Two into letters, one back letter, b-diagonal index 3: 2 * 1 * 3
         # words, each weighted k (k + t)^2 + 400 = 2 * (2 + 3)^2 + 400 = 450.
+        import freenil.nilobj as nilobj
+
         shift = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
         X = two_unit(
             {"a": 2, "b": 3},
@@ -536,10 +622,12 @@ class TestFoldThrough:
             {"s0": [[1, 0, 0], [0, 0, 0]], "s1": [[0, 1, 0], [0, 0, 0]], "d": shift,
              "t": [[0, 0], [0, 0], [0, 1]]},
         )
-        Y = fold_through(X, "b", "a", budget=2700)
+        monkeypatch.setattr(nilobj, "FOLD_WORK_BUDGET", 2700)
+        Y = fold_through(X, "b", "a")
         assert [l.name for l in Y.letters] == ["s0|d|d|t", "s1|d|t"]
+        monkeypatch.setattr(nilobj, "FOLD_WORK_BUDGET", 2699)
         with pytest.raises(LimitExceeded, match=r"fold work 2700 \(6 composite words"):
-            fold_through(X, "b", "a", budget=2699)
+            fold_through(X, "b", "a")
 
 
 class TestWordTwist:

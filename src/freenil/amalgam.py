@@ -116,14 +116,6 @@ class Amalgam:
     def multiply_words(self, a, b):
         return self.normalize(self.word_tokens(a) + self.word_tokens(b))
 
-    def invert_word(self, word):
-        return self.normalize(
-            [
-                (k, self.factors[k - 1].invert(g))
-                for k, g in reversed(self.word_tokens(word))
-            ]
-        )
-
     def __repr__(self):
         return f"Amalgam({self.factors[0]!r}, {self.factors[1]!r})"
 

@@ -18,6 +18,7 @@ suite sizes, ``l`` the word-enumeration length budget, and ``dim`` the
 total dimension of loaded nil objects.  ``words`` also has a fixed work
 budget on the class census, ``grouph reduce`` on the arity and the
 relation count, ``grouph collapse`` on the samples over all stages,
+element text on its exponent digits (``groups.EXPONENT_DIGITS_BUDGET``),
 ``algebra nil-map --fold`` on the composite words weighted by the unit
 dims (``nilobj.FOLD_WORK_BUDGET``), and every nilpotency decision and
 certificate check on its elimination work (``nilobj.CHAIN_WORK_BUDGET``).

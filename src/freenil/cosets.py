@@ -82,10 +82,6 @@ class ConjugateSubgroupData:
     target: tuple
     items: tuple
 
-    @property
-    def transport_map(self):
-        return dict(self.transport)
-
 
 def conjugate_subgroup_data(group, alpha, beta, x):
     if not getattr(group, "is_finite", False):
@@ -134,12 +130,6 @@ def conjugate_subgroup_data(group, alpha, beta, x):
     if not all(entry.ok for entry in items):
         raise InvariantError("conjugate transport failed verification")
     return ConjugateSubgroupData(x, gamma, tuple(pairs), target, items)
-
-
-def conjugate_intersection(first, second):
-    """Common part of two transportable subgroups, in first's order."""
-    other = set(second.gamma)
-    return tuple(g for g in first.gamma if g in other)
 
 
 @dataclass(frozen=True)

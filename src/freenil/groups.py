@@ -15,11 +15,17 @@ as ``rep(g) == identity``.
 from __future__ import annotations
 
 import itertools
-from operator import add, itemgetter, neg
+import math
+from operator import add, itemgetter, mul, neg
 
-from .errors import InvariantError
+from .errors import InvariantError, LimitExceeded
 
 _DEFAULT_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+# Fixed budget on the digits of an exponent in element text, the interpreter's
+# int/str ceiling; rendering compares with 10^4300 before any conversion.
+EXPONENT_DIGITS_BUDGET = 4300
+_EXPONENT_BOUND = 10 ** EXPONENT_DIGITS_BUDGET
 
 
 def _check_name(name):
@@ -131,36 +137,6 @@ class FiniteGroup:
         self._table = rows
         self._inv = tuple(names[v] for v in inv)
 
-    @classmethod
-    def from_permutations(cls, perms):
-        """Build the table of a closed set of permutations.
-
-        ``perms`` maps element names to permutations of ``range(d)`` in
-        one-line notation; the product g*h applies g first, then h.
-        """
-        items = [(name, tuple(perm)) for name, perm in perms.items()]
-        if not items:
-            raise ValueError("a group needs at least an identity element")
-        degree = len(items[0][1])
-        by_perm = {}
-        for name, perm in items:
-            if sorted(perm) != list(range(degree)):
-                raise ValueError(f"{name!r} is not a permutation of range({degree})")
-            by_perm[perm] = name
-        if len(by_perm) != len(items):
-            raise ValueError("permutations must be distinct")
-        index = {name: i for i, (name, _) in enumerate(items)}
-        table = []
-        for _, pg in items:
-            row = []
-            for _, ph in items:
-                composite = tuple(ph[pg[i]] for i in range(degree))
-                if composite not in by_perm:
-                    raise ValueError("permutation set is not closed under composition")
-                row.append(index[by_perm[composite]])
-            table.append(row)
-        return cls([name for name, _ in items], table)
-
     def elements(self):
         return self.names
 
@@ -248,17 +224,15 @@ class FreeAbelianGroup:
     kind = "free_abelian"
     is_finite = False
 
-    __slots__ = ("rank", "letters", "identity")
+    __slots__ = ("rank", "letters", "identity", "multiply")
 
     def __init__(self, rank, letters=None):
         self.letters = _pick_letters(rank, letters)
         self.rank = rank
         self.identity = (0,) * rank
-
-    def generator(self, i):
-        if not 0 <= i < self.rank:
-            raise IndexError("generator index out of range")
-        return tuple(1 if j == i else 0 for j in range(self.rank))
+        # rank 1, as in every shipped base, adds without building an iterator
+        self.multiply = ((lambda g, h: (g[0] + h[0],)) if rank == 1
+                         else (lambda g, h: tuple(map(add, g, h))))
 
     def contains(self, g):
         return (
@@ -271,9 +245,6 @@ class FreeAbelianGroup:
         if not self.contains(g):
             raise ValueError(f"{g!r} is not an exponent vector of rank {self.rank}")
         return g
-
-    def multiply(self, g, h):
-        return tuple(map(add, g, h))
 
     def invert(self, g):
         return tuple(map(neg, g))
@@ -299,6 +270,10 @@ def format_element(group, g):
         powers = [(i, e) for i, e in enumerate(g) if e]
     if not powers:
         return "1"
+    top = max(abs(e) for _, e in powers)
+    if top >= _EXPONENT_BOUND:
+        raise LimitExceeded(f"an exponent of {top.bit_length()} bits exceeds the budget of "
+                            f"{EXPONENT_DIGITS_BUDGET} digits; this work budget is fixed")
     return " ".join(
         group.letters[i] if e == 1 else f"{group.letters[i]}^{e}" for i, e in powers
     )
@@ -320,6 +295,8 @@ def _letter_powers(group, text):
             if i <= last:
                 raise ValueError("generators must appear once, in declared order")
             last = i
+        if len(power.lstrip("+-")) > EXPONENT_DIGITS_BUDGET:
+            raise ValueError(f"exponents have at most {EXPONENT_DIGITS_BUDGET} digits")
         e = 1 if not power else int(power)
         if e == 0:
             raise ValueError("zero exponents are not written")
@@ -348,6 +325,17 @@ def parse_element(group, text):
     return tuple(exponents)
 
 
+def _times(matrix, ncols):
+    """v -> v * matrix for a row vector v: `tuple` for the identity, one
+    C-level map for another diagonal matrix, else a dot product per column."""
+    if len(matrix) == ncols and all(row.count(0) == ncols - 1 for row in matrix):
+        scale = tuple(row[i] for i, row in enumerate(matrix))
+        if all(scale):
+            return tuple if set(scale) <= {1} else lambda v: tuple(map(mul, v, scale))
+    columns = tuple(tuple(row[j] for row in matrix) for j in range(ncols))
+    return lambda v: tuple([sum(map(mul, v, col)) for col in columns])
+
+
 class _Lattice:
     """Integer row lattice in Hermite form with coefficient tracking.
 
@@ -358,7 +346,7 @@ class _Lattice:
     exactly a preimage certificate when the residue vanishes.
     """
 
-    __slots__ = ("ncols", "ngens", "rows", "coeffs", "pivots")
+    __slots__ = ("ncols", "ngens", "rows", "coeffs", "pivots", "diagonal")
 
     def __init__(self, vectors, ncols):
         vectors = [list(v) for v in vectors]
@@ -392,6 +380,8 @@ class _Lattice:
         self.rows = [tuple(r[:ncols]) for r in placed]
         self.coeffs = [tuple(r[ncols:]) for r in placed]
         self.pivots = [next((i, r[i]) for i in range(ncols) if r[i]) for r in self.rows]
+        # each row nonzero only at its pivot: `trusted` reduces by modulo
+        self.diagonal = all(r.count(0) == ncols - 1 for r in self.rows)
 
     @property
     def rank(self):
@@ -399,12 +389,7 @@ class _Lattice:
 
     def index(self):
         """Lattice index in Z^ncols, or None when infinite."""
-        if len(self.pivots) != self.ncols:
-            return None
-        product = 1
-        for _, val in self.pivots:
-            product *= val
-        return product
+        return math.prod(val for _, val in self.pivots) if self.rank == self.ncols else None
 
     def reduce(self, v):
         out = list(v)
@@ -417,6 +402,43 @@ class _Lattice:
                 for i in range(self.ngens):
                     combo[i] += q * crow[i]
         return tuple(out), tuple(combo)
+
+    def trusted(self):
+        """(membership, residue, quotient) of vectors already checked where they
+        entered: whether ``reduce(v)[0]`` vanishes, that residue, and ``reduce(v)[1]``
+        if it vanishes, else None.  A diagonal form takes one modulo per pivot
+        coordinate and needs the others zero; any other form runs ``reduce``."""
+        reduce, pivots = self.reduce, self.pivots
+        if not self.diagonal:
+            def quotient(v):
+                residue, combo = reduce(v)
+                return None if any(residue) else combo
+            return (lambda v: quotient(v) is not None), (lambda v: reduce(v)[0]), quotient
+        free = sorted(set(range(self.ncols)).difference(col for col, _ in pivots))
+        combine = _times(self.coeffs, self.ngens)
+
+        def membership(v):
+            for col, val in pivots:
+                if v[col] % val:
+                    return False
+            return not (free and any(v[col] for col in free))
+
+        def residue(v):
+            out = list(v)
+            for col, val in pivots:
+                out[col] %= val
+            return tuple(out)
+
+        def quotient(v):
+            qs = []
+            for col, val in pivots:
+                q, r = divmod(v[col], val)
+                if r:
+                    return None
+                qs.append(q)
+            return None if free and any(v[col] for col in free) else combine(qs)
+
+        return membership, residue, quotient
 
     def residues(self):
         """All canonical residues; only valid at finite index."""
@@ -574,7 +596,7 @@ class TrivialSubgroup:
 class FreeAbelianSubgroup:
     """Subgroup of a free abelian oracle, given by generating vectors."""
 
-    __slots__ = ("group", "generators", "lattice")
+    __slots__ = ("group", "generators", "lattice", "_trusted")
 
     def __init__(self, group, generators):
         if group.kind != "free_abelian":
@@ -582,6 +604,7 @@ class FreeAbelianSubgroup:
         self.group = group
         self.generators = tuple(group.check(tuple(g)) for g in generators)
         self.lattice = _Lattice(self.generators, group.rank)
+        self._trusted = self.lattice.trusted()[:2]
 
     @property
     def finite_index(self):
@@ -592,16 +615,14 @@ class FreeAbelianSubgroup:
         return self.lattice.index()
 
     def membership(self, g):
-        residue, _ = self.lattice.reduce(self.group.check(g))
-        return not any(residue)
+        return not any(self.lattice.reduce(self.group.check(g))[0])
 
     def rep(self, g):
-        residue, _ = self.lattice.reduce(self.group.check(g))
-        return residue
+        return self.lattice.reduce(self.group.check(g))[0]
 
     def trusted(self):
-        reduce = self.lattice.reduce
-        return (lambda g: not any(reduce(g)[0])), (lambda g: reduce(g)[0])
+        """(membership, rep) for elements already checked where they entered."""
+        return self._trusted
 
     def transversal_list(self, bound=4):
         if self.finite_index:
@@ -675,7 +696,7 @@ class FreeAbelianEmbedding:
     image must be a full-rank sublattice for injectivity.
     """
 
-    __slots__ = ("src", "dst", "generator_images", "image")
+    __slots__ = ("src", "dst", "image", "_apply", "_trusted")
 
     def __init__(self, src, dst, images):
         if src.kind != "free_abelian" or dst.kind != "free_abelian":
@@ -685,31 +706,26 @@ class FreeAbelianEmbedding:
             raise ValueError("need one image vector per source generator")
         self.src = src
         self.dst = dst
-        self.generator_images = images
         self.image = FreeAbelianSubgroup(dst, images)
         if self.image.lattice.rank != src.rank:
             raise ValueError("the homomorphism is not injective")
+        self._apply = _times(images, dst.rank)
+        quotient, recombined = self.image.lattice.trusted()[2], self._recombined
+        self._trusted = self._apply, lambda g: recombined(quotient(g), g)
 
     def apply(self, c):
         return self._apply(self.src.check(c))
 
     def preimage(self, g):
-        return self._preimage(self.dst.check(g))
+        residue, combo = self.image.lattice.reduce(self.dst.check(g))
+        return None if any(residue) else self._recombined(combo, g)
 
     def trusted(self):
-        return self._apply, self._preimage
+        """(apply, preimage) for elements already checked where they entered."""
+        return self._trusted
 
-    def _apply(self, c):
-        return tuple(
-            sum(c[i] * self.generator_images[i][j] for i in range(self.src.rank))
-            for j in range(self.dst.rank)
-        )
-
-    def _preimage(self, g):
-        residue, combo = self.image.lattice.reduce(g)
-        if any(residue):
-            return None
-        if self._apply(combo) != tuple(g):
+    def _recombined(self, combo, g):
+        if combo is not None and self._apply(combo) != g:
             raise InvariantError("lattice preimage certificate failed to recombine")
         return combo
 

@@ -27,9 +27,6 @@ class HNNWord:
     base0: object
     tail: tuple
 
-    def t_length(self):
-        return len(self.tail)
-
 
 def _find_pinch(tail, membership):
     """Index of the leftmost pinch in a tail of (sign, middle) pairs, or None;
@@ -43,7 +40,7 @@ def _find_pinch(tail, membership):
 class HNN:
     """Base oracle plus two embeddings of the associated subgroup."""
 
-    __slots__ = ("subgroup", "base", "alpha", "beta")
+    __slots__ = ("subgroup", "base", "alpha", "beta", "_ops")
 
     def __init__(self, subgroup, base, alpha, beta):
         if alpha.src is not subgroup or beta.src is not subgroup:
@@ -60,6 +57,14 @@ class HNN:
         self.base = base
         self.alpha = alpha
         self.beta = beta
+        # the trusted operations of `_carry(sign)`, keyed by the sign
+        member, rep, preimage, apply = {}, {}, {}, {}
+        for sign in (1, -1):
+            source, target = self._carry(sign)
+            member[sign], rep[sign] = source.image.trusted()
+            preimage[sign] = source.trusted()[1]
+            apply[sign] = target.trusted()[0]
+        self._ops = member, rep, preimage, apply
 
     def identity_word(self):
         return HNNWord(self.base.identity, ())
@@ -76,45 +81,46 @@ class HNN:
         """Fold raw tokens, ("t", sign) or ("g", element), into Britton form.
 
         Pinches are removed as the stable letters arrive: the open segment
-        segs[-1] sits between the last stable letter and the new one, and
+        ``seg`` sits between the last stable letter and the new one, and
         every earlier middle segment is already pinch-free.  Each base
-        element is checked here, once; the rest uses trusted operations.
+        element is checked here, once per distinct object: the check is
+        memoised on ``id``, not on equality, since ``(1.0,) == (1,)`` and an
+        unhashable token must still reach the check.  The rest uses
+        trusted operations.
         """
         base = self.base
         identity, multiply, check = base.identity, base.multiply, base.check
-        # the trusted operations of `_carry(sign)`, keyed by the sign
-        member, rep, preimage, apply = {}, {}, {}, {}
-        for sign in (1, -1):
-            source, target = self._carry(sign)
-            member[sign], rep[sign] = source.image.trusted()
-            preimage[sign] = source.trusted()[1]
-            apply[sign] = target.trusted()[0]
-        segs = [identity]
+        member, rep, preimage, apply = self._ops
+        checked = {}  # id -> element; holding it keeps the id from being reused
+        segs = []  # closed segments; `seg` is the open one
+        seg = identity
         signs = []
         for token in tokens:
             try:
                 kind, value = token
             except (TypeError, ValueError):
                 raise ValueError(f"malformed token {token!r}") from None
-            if kind == "t":
+            if kind == "g":
+                if id(value) not in checked:
+                    checked[id(value)] = check(value)
+                seg = multiply(seg, value)
+            elif kind == "t":
                 if value not in (1, -1):
                     raise ValueError("stable-letter exponent must be +1 or -1")
                 last = signs[-1] if signs else 0
-                if last == -value and member[last](segs[-1]):
-                    c = preimage[last](segs[-1])
+                if last == -value and member[last](seg):
+                    c = preimage[last](seg)
                     if c is None:
                         raise InvariantError("image membership without a preimage")
-                    segs.pop()
                     signs.pop()
-                    segs[-1] = multiply(segs[-1], apply[last](c))
+                    seg = multiply(segs.pop(), apply[last](c))
                     continue
                 signs.append(value)
-                segs.append(identity)
-            elif kind == "g":
-                check(value)
-                segs[-1] = multiply(segs[-1], value)
+                segs.append(seg)
+                seg = identity
             else:
                 raise ValueError(f"unknown token kind {kind!r}")
+        segs.append(seg)
 
         # canonical representatives, swept right to left; pushing the coset
         # head through t^e cannot create a new pinch because membership in
@@ -151,14 +157,6 @@ class HNN:
 
     def multiply_words(self, a, b):
         return self.normalize(self.word_tokens(a) + self.word_tokens(b))
-
-    def invert_word(self, word):
-        return self.normalize(
-            [
-                ("t", -value) if kind == "t" else ("g", self.base.invert(value))
-                for kind, value in reversed(self.word_tokens(word))
-            ]
-        )
 
     def __repr__(self):
         return f"HNN({self.base!r})"

@@ -12,6 +12,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from freenil.groups import FiniteGroup
+
 
 def fold(mul, identity, elems):
     out = identity
@@ -167,6 +169,36 @@ def random_loop(rng, n):
 def symmetric_perms(degree):
     """Every permutation of range(degree), named by its one-line form."""
     return {"p" + "".join(map(str, p)): p for p in itertools.permutations(range(degree))}
+
+
+def from_permutations(perms):
+    """The table group of a closed set of permutations.
+
+    ``perms`` maps element names to permutations of ``range(d)`` in
+    one-line notation; the product g*h applies g first, then h.
+    """
+    items = [(name, tuple(perm)) for name, perm in perms.items()]
+    if not items:
+        raise ValueError("a group needs at least an identity element")
+    degree = len(items[0][1])
+    by_perm = {}
+    for name, perm in items:
+        if sorted(perm) != list(range(degree)):
+            raise ValueError(f"{name!r} is not a permutation of range({degree})")
+        by_perm[perm] = name
+    if len(by_perm) != len(items):
+        raise ValueError("permutations must be distinct")
+    index = {name: i for i, (name, _) in enumerate(items)}
+    table = []
+    for _, pg in items:
+        row = []
+        for _, ph in items:
+            composite = tuple(ph[pg[i]] for i in range(degree))
+            if composite not in by_perm:
+                raise ValueError("permutation set is not closed under composition")
+            row.append(index[by_perm[composite]])
+        table.append(row)
+    return FiniteGroup([name for name, _ in items], table)
 
 
 def perm_table(perms):

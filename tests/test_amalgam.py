@@ -86,6 +86,12 @@ class TestS3Examples:
         assert len(reps) == 3
 
 
+def invert_word(amalgam, word):
+    return amalgam.normalize(
+        [(k, amalgam.factors[k - 1].invert(g)) for k, g in reversed(amalgam.word_tokens(word))]
+    )
+
+
 class TestNormalFormInvariants:
     @given(tokens=dinf_tokens)
     def test_idempotent(self, dinf, tokens):
@@ -111,7 +117,7 @@ class TestNormalFormInvariants:
     @given(tokens=dinf_tokens)
     def test_inverse_word(self, dinf, tokens):
         w = dinf.normalize(tokens)
-        assert dinf.multiply_words(w, dinf.invert_word(w)) == dinf.identity_word()
+        assert dinf.multiply_words(w, invert_word(dinf, w)) == dinf.identity_word()
 
     @given(u=dinf_tokens, v=dinf_tokens)
     @settings(max_examples=60)

@@ -25,6 +25,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from freenil import cli, nilobj, store, syzygy
 from freenil.cli import Limits, main, read_limits
 from freenil.errors import InvariantError
+from freenil.groups import EXPONENT_DIGITS_BUDGET
 from freenil.skewpoly import SkewLaurent
 from freenil.words import Alphabet, cyclic_canonical
 
@@ -454,6 +455,48 @@ class TestDecompose:
         assert code == 0
         assert payload["data"]["components"][0]["sequence"] == []
         assert payload["data"]["components"][0]["terms"] == [[1, "1"]]
+
+
+class TestExponentBudget:
+    """Element text carries exponents of at most EXPONENT_DIGITS_BUDGET digits."""
+
+    @staticmethod
+    def conjugated(n):
+        # t^-n a t^n is a^(2^n) in BS(1, 2)
+        return " ".join(["T-"] * n + ["a"] + ["T+"] * n)
+
+    @pytest.mark.parametrize("mode", ["normalize", "decompose"])
+    def test_rendering_past_the_budget_exits_three(self, capsys, mode):
+        code, payload = run_json(
+            capsys, "algebra", mode, "--hnn", "bs12", "--word", self.conjugated(20_000)
+        )
+        assert code == 3
+        assert payload["status"] == "error"
+        assert payload["data"]["limit"] == (
+            "an exponent of 20001 bits exceeds the budget of 4300 digits;"
+            " this work budget is fixed"
+        )
+
+    def test_rendering_within_the_budget(self, capsys):
+        code, payload = run_json(
+            capsys, "algebra", "normalize", "--hnn", "bs12", "--word", self.conjugated(14_000)
+        )
+        assert code == 0
+        assert payload["data"]["normal_form"] == f"a^{2 ** 14_000}"
+
+    @pytest.mark.parametrize("mode", ["normalize", "decompose"])
+    def test_parsing_past_the_budget_exits_two(self, capsys, mode):
+        word = "T+ a^" + "7" * (EXPONENT_DIGITS_BUDGET + 1)
+        code, payload = run_json(capsys, "algebra", mode, "--hnn", "bs12", "--word", word)
+        assert code == 2
+        assert payload["data"]["error"] == "exponents have at most 4300 digits"
+
+    def test_parsing_at_the_budget(self, capsys):
+        # every exponent that parses also renders
+        word = "a^-" + "9" * EXPONENT_DIGITS_BUDGET
+        code, payload = run_json(capsys, "algebra", "normalize", "--hnn", "bs12", "--word", word)
+        assert code == 0
+        assert payload["data"]["normal_form"] == word
 
 
 class TestCosets:

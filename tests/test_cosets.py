@@ -14,7 +14,6 @@ import pytest
 from freenil.cosets import (
     ConjugateSubgroupData,
     _subgroup_members,
-    conjugate_intersection,
     conjugate_subgroup_data,
     double_cosets,
     induction_roundtrip_check,
@@ -30,12 +29,22 @@ from freenil.groups import (
 from freenil.hnn import HNN
 from freenil.store import load_construction
 
-from group_models import S3_PERMS
+from group_models import S3_PERMS, from_permutations
+
+
+def conjugate_intersection(first, second):
+    """Common part of two transportable subgroups, in first's order."""
+    other = set(second.gamma)
+    return tuple(g for g in first.gamma if g in other)
+
+
+def transport_map(data):
+    return dict(data.transport)
 
 
 @pytest.fixture(scope="module")
 def s3():
-    return FiniteGroup.from_permutations(S3_PERMS)
+    return from_permutations(S3_PERMS)
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +122,7 @@ class TestDoubleCosets:
 
     def test_finite_subgroup_closure_not_reproved(self, s3, monkeypatch):
         H = FiniteSubgroup.generated(s3, ["(12)", "(123)"])
-        other = FiniteSubgroup.generated(FiniteGroup.from_permutations(S3_PERMS), ["(12)"])
+        other = FiniteSubgroup.generated(from_permutations(S3_PERMS), ["(12)"])
         calls = []
         multiply = FiniteGroup.multiply
 
@@ -134,7 +143,7 @@ class TestConjugateTransport:
         f = FiniteEmbedding(c2, s3, {"c": "(12)"})
         data = conjugate_subgroup_data(s3, f, f, "1")
         assert data.gamma == ("1", "c")
-        assert data.transport_map == {"1": "1", "c": "c"}
+        assert transport_map(data) == {"1": "1", "c": "c"}
         assert all(item.ok for item in data.items)
 
     def test_conjugation_moves_subgroup_away(self, s3, c2):

@@ -29,7 +29,7 @@ from freenil.groups import (
 from freenil.hnn import HNN, HNNWord
 from freenil.store import load_construction
 
-from group_models import S3_PERMS
+from group_models import S3_PERMS, from_permutations
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +45,7 @@ def bs12():
 @pytest.fixture(scope="module")
 def s3_hnn():
     c2 = FiniteGroup(("1", "c"), [[0, 1], [1, 0]])
-    s3 = FiniteGroup.from_permutations(S3_PERMS)
+    s3 = from_permutations(S3_PERMS)
     return HNN(
         c2,
         s3,

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import pytest
 
+from freenil import groups
 from freenil.errors import InvariantError
 from freenil.groups import (
     FiniteEmbedding,
@@ -34,6 +35,7 @@ from group_models import (
     S3_NAMES,
     S3_PERMS,
     closure_by_pairs,
+    from_permutations,
     is_associative,
     perm_inv,
     perm_mul,
@@ -46,7 +48,7 @@ from group_models import (
 
 @pytest.fixture(scope="module")
 def s3():
-    return FiniteGroup.from_permutations(S3_PERMS)
+    return from_permutations(S3_PERMS)
 
 
 @pytest.fixture(scope="module")
@@ -186,11 +188,11 @@ class TestFiniteGroup:
 
     def test_from_permutations_rejects_unclosed_set(self):
         with pytest.raises(ValueError, match="closed"):
-            FiniteGroup.from_permutations({"1": (0, 1, 2), "(123)": (1, 2, 0)})
+            from_permutations({"1": (0, 1, 2), "(123)": (1, 2, 0)})
 
     def test_from_permutations_rejects_non_permutation(self):
         with pytest.raises(ValueError):
-            FiniteGroup.from_permutations({"1": (0, 0, 2)})
+            from_permutations({"1": (0, 0, 2)})
 
 
 class TestFreeGroup:
@@ -301,7 +303,7 @@ class TestFiniteSubgroup:
     @given(rng=st.randoms(use_true_random=False))
     @settings(max_examples=15, deadline=None)
     def test_generated_matches_pair_closure(self, degree, rng):
-        group = FiniteGroup.from_permutations(symmetric_perms(degree))
+        group = from_permutations(symmetric_perms(degree))
         gens = rng.sample(group.elements(), rng.randint(0, 3))
         H = FiniteSubgroup.generated(group, gens)
         assert H.members == closure_by_pairs(group, gens)
@@ -407,7 +409,7 @@ class TestFiniteEmbedding:
             FiniteEmbedding(z2, s3, {"s": "(123)"})
 
     def test_rejects_non_generating_images(self, s3):
-        c4 = FiniteGroup.from_permutations(
+        c4 = from_permutations(
             {
                 "1": (0, 1, 2, 3),
                 "g": (1, 2, 3, 0),
@@ -429,8 +431,8 @@ class TestFiniteEmbedding:
     def test_source_products_bounded_by_the_extension(self, monkeypatch):
         # The breadth-first extension proves the homomorphism; no pass over
         # all |src|^2 pairs follows it.
-        s3 = FiniteGroup.from_permutations(S3_PERMS)
-        s4 = FiniteGroup.from_permutations(symmetric_perms(4))
+        s3 = from_permutations(S3_PERMS)
+        s4 = from_permutations(symmetric_perms(4))
         real = FiniteGroup.multiply
         calls = []
 
@@ -468,6 +470,89 @@ class TestFreeAbelianEmbedding:
         A = FreeAbelianGroup(2)
         with pytest.raises(ValueError, match="injective"):
             FreeAbelianEmbedding(C, A, [(1, 2), (2, 4)])
+
+
+@st.composite
+def lattice_generators(draw, diagonal):
+    """(ncols, generators) of rank 1-3 lattices, some with entries past 2^64.
+
+    A diagonal draw mixes a basis d_k * e_{c_k} (over some of the columns,
+    so not always of full rank) by random unimodular row operations, so its
+    Hermite form is diagonal while the generators and their coefficients
+    are not.  Any other draw is a random integer matrix.
+    """
+    ncols = draw(st.integers(1, 3))
+    entry = st.one_of(st.integers(-6, 6), st.integers(-2**70, 2**70))
+    if not diagonal:
+        rows = draw(st.integers(1, ncols))
+        return ncols, draw(st.lists(st.tuples(*[entry] * ncols), min_size=rows, max_size=rows))
+    cols = draw(st.lists(st.integers(0, ncols - 1), min_size=1, max_size=ncols, unique=True))
+    gens = [
+        [draw(st.one_of(st.integers(1, 9), st.integers(2**64, 2**70))) if j == c else 0
+         for j in range(ncols)]
+        for c in cols
+    ]
+    for _ in range(draw(st.integers(0, 4)) if len(gens) > 1 else 0):
+        i, j = draw(st.permutations(range(len(gens))))[:2]
+        m = draw(st.integers(-3, 3))
+        gens[i] = [a + m * b for a, b in zip(gens[i], gens[j])]
+    return ncols, [tuple(g) for g in draw(st.permutations(gens))]
+
+
+class TestTrustedLattice:
+    """The trusted operations, by modulo on a diagonal Hermite form and by
+    `_Lattice.reduce` otherwise, against the checked public methods."""
+
+    @settings(settings.get_profile("ci"), max_examples=200)
+    @given(data=st.data(), diagonal=st.booleans())
+    def test_trusted_matches_checked(self, data, diagonal):
+        ncols, gens = data.draw(lattice_generators(diagonal))
+        G = FreeAbelianGroup(ncols)
+        H = FreeAbelianSubgroup(G, gens)
+        if diagonal:
+            assert H.lattice.diagonal
+        coords = st.lists(st.integers(-2**70, 2**70), min_size=len(gens), max_size=len(gens))
+        members = [
+            tuple(sum(c * g[j] for c, g in zip(cs, gens)) for j in range(ncols))
+            for cs in data.draw(st.lists(coords, min_size=1, max_size=4))
+        ]
+        offsets = data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * ncols), max_size=4))
+        vectors = members + [G.multiply(m, o) for m, o in zip(members * 4, offsets)]
+        vectors += data.draw(st.lists(st.tuples(*[st.integers(-2**70, 2**70)] * ncols),
+                                      max_size=4))
+        member, rep = H.trusted()
+        for v in vectors:
+            assert member(v) == H.membership(v)
+            assert rep(v) == H.rep(v)
+        if H.lattice.rank < len(gens):
+            return
+        e = FreeAbelianEmbedding(FreeAbelianGroup(len(gens)), G, gens)
+        apply, preimage = e.trusted()
+        for v in vectors:
+            assert preimage(v) == e.preimage(v)
+        for cs in data.draw(st.lists(coords.map(tuple), min_size=1, max_size=4)):
+            assert apply(cs) == e.apply(cs)
+
+    @pytest.mark.parametrize("images, member", [
+        ([(2,)], (4,)),
+        ([(0, 3), (5, 0)], (10, -6)),
+        ([(1, 1), (0, 2)], (1, 3)),  # a Hermite form that is not diagonal
+    ])
+    def test_recombination_failure_still_raises(self, monkeypatch, images, member):
+        # every lattice is built with a wrong combination certificate
+        real = groups._Lattice.__init__
+
+        def corrupted(self, vectors, ncols):
+            real(self, vectors, ncols)
+            self.coeffs = [tuple(2 * c + 1 for c in row) for row in self.coeffs]
+
+        monkeypatch.setattr(groups._Lattice, "__init__", corrupted)
+        src, dst = FreeAbelianGroup(len(images)), FreeAbelianGroup(len(member))
+        e = FreeAbelianEmbedding(src, dst, images)
+        with pytest.raises(InvariantError, match="recombine"):
+            e.trusted()[1](member)
+        with pytest.raises(InvariantError, match="recombine"):
+            e.preimage(member)
 
 
 class TestSerialization:

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import pytest
 
+from freenil import cli, groups
 from freenil.errors import InvariantError
 from freenil.groups import (
     FiniteEmbedding,
@@ -23,7 +24,7 @@ from freenil.groups import (
 from freenil.hnn import HNN, HNNWord
 from freenil.store import construction_from_dict, load_construction
 
-from group_models import S3_PERMS, eval_bs12
+from group_models import S3_PERMS, eval_bs12, from_permutations
 
 A = (1,)
 
@@ -37,7 +38,7 @@ def bs12():
 def s3_hnn():
     # Stable letter conjugates the copy of Z/2 at (12) onto the one at (13).
     c2 = FiniteGroup(("1", "c"), [[0, 1], [1, 0]])
-    s3 = FiniteGroup.from_permutations(S3_PERMS)
+    s3 = from_permutations(S3_PERMS)
     return HNN(
         c2,
         s3,
@@ -104,11 +105,20 @@ class TestFiniteBaseExamples:
 
     def test_non_member_keeps_t_length(self, s3_hnn):
         w = s3_hnn.normalize([("t", 1), ("g", "(23)"), ("t", -1)])
-        assert w.t_length() == 2
+        assert len(w.tail) == 2
 
     def test_reverse_direction_pinch(self, s3_hnn):
         w = s3_hnn.normalize([("t", -1), ("g", "(12)"), ("t", 1)])
         assert w == HNNWord("(13)", ())
+
+
+def invert_word(hnn, word):
+    return hnn.normalize(
+        [
+            ("t", -value) if kind == "t" else ("g", hnn.base.invert(value))
+            for kind, value in reversed(hnn.word_tokens(word))
+        ]
+    )
 
 
 def random_order_reduce(hnn, tokens, rng):
@@ -182,7 +192,7 @@ class TestNormalFormInvariants:
     @given(tokens=bs_tokens)
     def test_inverse_word(self, bs12, tokens):
         w = bs12.normalize(tokens)
-        assert bs12.multiply_words(w, bs12.invert_word(w)) == bs12.identity_word()
+        assert bs12.multiply_words(w, invert_word(bs12, w)) == bs12.identity_word()
 
     @given(tokens=bs_tokens, seed=st.integers(0, 2**16))
     @settings(max_examples=80)
@@ -207,6 +217,33 @@ class TestNormalFormInvariants:
         whole = s3_hnn.normalize(u + v)
         split = s3_hnn.multiply_words(s3_hnn.normalize(u), s3_hnn.normalize(v))
         assert whole == split
+
+
+class TestDiagonalFastPath:
+    def test_long_word_runs_no_general_reduction_and_one_check_per_element(self, monkeypatch):
+        # bs12's lattices are diagonal, so no stable letter may fall back to
+        # `_Lattice.reduce`, and the parser's one object per distinct text is
+        # checked once; the construction is loaded after the counters are in
+        calls = {"reduce": 0, "check": 0}
+
+        def counted(name, real):
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        monkeypatch.setattr(groups._Lattice, "reduce", counted("reduce", groups._Lattice.reduce))
+        monkeypatch.setattr(groups.FreeAbelianGroup, "check",
+                            counted("check", groups.FreeAbelianGroup.check))
+        bs12 = cli._load_construction("bs12")
+        rng = random.Random(3000)
+        text = " ".join(rng.choice(("T+", "T-", "a", "a^-1", "a^2", "a^3")) for _ in range(3000))
+        tokens = cli.parse_word_tokens(bs12, text)
+        calls.update(reduce=0, check=0)
+        word = bs12.normalize(tokens)
+        assert calls == {"reduce": 0, "check": len({id(v) for k, v in tokens if k == "g"})}
+        assert calls["check"] == 4
+        assert eval_bs12(bs12.word_tokens(word)) == eval_bs12(tokens)
 
 
 class TestErrors:

@@ -5,7 +5,9 @@ repeated tokens, identity tokens and runs that cancel.  Parsing,
 normalizing and rendering must give the same word and the same text as
 the reference; words with bad tokens must fail with the same error, and
 raw token lists with one bad token must fail the same way at the
-`normalize` entry, where each caller-supplied token is checked.
+`normalize` entry, where each caller-supplied token is checked.  The HNN
+entry check runs once per distinct token object, so bad tokens that equal
+a good one that came before, and unhashable ones, are tried directly.
 """
 
 import json
@@ -193,3 +195,51 @@ def test_long_words_match_the_reference(constructions, name):
     assert outcome(shipped, constructions[name], text) == outcome(
         reference, constructions[name], text
     )
+
+
+# bs12 token lists with a bad token after a good one of equal value
+# ((1.0,) == (1,) with an equal hash), and unhashable ones
+MEMO_TRAPS = [
+    [("g", (1,)), ("g", (1.0,))],
+    [("g", (1,)), ("t", 1), ("g", (1,)), ("g", (1.0,)), ("t", -1)],
+    [("g", (2,)), ("g", (2,)), ("g", (2.0,))],
+    [("g", (True,)), ("g", (1,)), ("g", (1.0,))],
+    [("g", [1])],
+    [("g", (1,)), ("g", [1])],
+    [("g", (1,)), ("g", (1.0,)), ("g", [1])],
+]
+
+
+@pytest.mark.parametrize("tokens", MEMO_TRAPS, ids=str)
+def test_memoised_entry_check_cannot_be_fooled(constructions, tokens):
+    c = constructions["bs12"]
+    got = outcome(c.normalize, tokens)
+    assert got == outcome(oracle.normalize, c, tokens)
+    assert got[0] == "ValueError"
+
+
+class Vec(tuple):
+    """An exponent vector that counts its own deallocation."""
+
+    freed = 0
+
+    def __del__(self):
+        type(self).freed += 1
+
+
+def test_memo_holds_every_checked_object(constructions):
+    # a checked object that were freed could hand its id to a later bad
+    # token, which would then skip its check; so each stays alive
+    c = constructions["bs12"]
+    Vec.freed = 0
+    freed = []
+
+    def fresh():
+        for x in [1, 2, 3] * 10:
+            freed.append(Vec.freed)
+            yield "g", Vec((x,))
+        freed.append(Vec.freed)
+        yield "g", (1.0,)
+
+    assert outcome(c.normalize, fresh()) == outcome(oracle.normalize, c, [("g", (1.0,))])
+    assert freed == [0] * 31

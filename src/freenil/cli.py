@@ -114,9 +114,11 @@ REDUCE_ARITY_BUDGET = 14
 REDUCE_RELATIONS_BUDGET = 200
 
 # Fixed work budget for `collapse`, checked before any work: every stage
-# collapses `--samples` random right multiples, so the cost is linear in
-# samples x stages, about 30 us each on a 2-core host.  At the budget
-# `--max-n` 64, 8 and 1 each take about 9 s.
+# draws `--samples` random right multiples, about 2 us of draws each on a
+# 2-core host, but forms only the distinct products, at most 625 x
+# `--max-n` per command, each once; the witnesses add O(max_n^2) relation
+# proofs, once per command.  At the budget `--max-n` 1, 8 and 64 take
+# about 0.8, 0.8 and 2 s.
 COLLAPSE_SAMPLES_BUDGET = 300_000
 
 

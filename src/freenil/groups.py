@@ -287,7 +287,7 @@ def _letter_powers(group, text):
     by_letter = {letter: i for i, letter in enumerate(group.letters)}
     last = -1
     for token in text.split():
-        letter, _, power = token.partition("^")
+        letter, caret, power = token.partition("^")
         if letter not in by_letter:
             raise ValueError(f"unknown generator {letter!r}")
         i = by_letter[letter]
@@ -295,9 +295,13 @@ def _letter_powers(group, text):
             if i <= last:
                 raise ValueError("generators must appear once, in declared order")
             last = i
-        if len(power.lstrip("+-")) > EXPONENT_DIGITS_BUDGET:
+        digits = power.removeprefix("-")
+        if len(digits) > EXPONENT_DIGITS_BUDGET:
             raise ValueError(f"exponents have at most {EXPONENT_DIGITS_BUDGET} digits")
-        e = 1 if not power else int(power)
+        if caret and not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"bad exponent in {token!r}: write {letter}^N, N an optional '-' "
+                             "then ASCII digits")
+        e = int(power) if caret else 1
         if e == 0:
             raise ValueError("zero exponents are not written")
         yield i, e

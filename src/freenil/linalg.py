@@ -102,12 +102,6 @@ def mat_mul(a: Matrix, b: Matrix, field=QQ) -> Matrix:
     return [[field.dot(row, col) for col in columns] if any(row) else zero_row[:] for row in a]
 
 
-def mat_vec(a: Matrix, v: Vector, field=QQ) -> Vector:
-    if a and len(a[0]) != len(v):
-        raise ValueError("shape mismatch in matrix-vector product")
-    return [field.dot(row, v) for row in a]
-
-
 def mat_eq_zero(a: Matrix) -> bool:
     return not any(map(any, a))
 

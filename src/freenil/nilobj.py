@@ -426,11 +426,6 @@ def word_twist(X: NilObject, words: Iterable[Word]) -> NilObject:
     return _assert_nilpotent(out, "word_twist")
 
 
-def power_prefix_family(i: str, j: str, bound: int) -> list[Word]:
-    """The words i^k j for 0 <= k < bound."""
-    return [tuple([i] * k + [j]) for k in range(bound)]
-
-
 def direct_sum(X: NilObject, Y: NilObject) -> NilObject:
     """Blockwise sum; letters missing on one side contribute zero blocks."""
     if X.ring != Y.ring:
@@ -454,10 +449,6 @@ def direct_sum(X: NilObject, Y: NilObject) -> NilObject:
         letters.append(l)
         mats[name] = block
     return NilObject(X.ring, dims, letters, mats)
-
-
-def zero_object(ring: BlockRing, dims: Mapping[str, int]) -> NilObject:
-    return NilObject(ring, dims, (), {})
 
 
 # Filtration and index facts checkable against the letter matrices.

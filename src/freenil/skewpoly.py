@@ -18,19 +18,18 @@ and one check per call keeps the results within the exponent bound.
 
 The module also owns the line-oriented text format for these elements
 (one term per `t^K * [MONO] * COEFF` chunk, " + "-joined, canonically
-sorted) and the collapse homomorphism onto Z[x^{+-1}, t^{+-1}] that
-identifies every x_i with x; that target is a LaurentPoly in two fixed
-variables, x at index 0 and t at index 1.
+sorted; the tests hold its parser) and the collapse homomorphism onto
+Z[x^{+-1}, t^{+-1}] that identifies every x_i with x; that target is a
+LaurentPoly in two fixed variables, x at index 0 and t at index 1.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from operator import add, sub
 from typing import Iterable, Mapping
 
-from .laurent import _W, LaurentPoly, Monomial, _check_bound, collapse_poly, format_monomial
+from .laurent import _W, LaurentPoly, _check_bound, collapse_poly, format_monomial
 
 
 class SkewLaurent:
@@ -186,47 +185,3 @@ def format_skew(p: SkewLaurent) -> str:
         for mono, c in sorted(p.coeffs[k].terms().items()):
             parts.append(f"t^{k} * [{format_monomial(mono)}] * {c}")
     return " + ".join(parts)
-
-
-_TERM_RE = re.compile(r"t\^(-?\d+) \* \[([^\]]*)\] \* (-?\d+)\Z")
-_FACTOR_RE = re.compile(r"x_(-?\d+)\^(-?\d+)\Z")
-
-
-def _parse_monomial(text: str) -> Monomial:
-    if text == "1":
-        return ()
-    pairs = []
-    for factor in text.split(" "):
-        m = _FACTOR_RE.match(factor)
-        if not m:
-            raise ValueError(f"bad monomial factor: {factor!r}")
-        index, exponent = int(m.group(1)), int(m.group(2))
-        if exponent == 0:
-            raise ValueError(f"zero exponent in monomial factor: {factor!r}")
-        pairs.append((index, exponent))
-    if pairs != sorted(pairs) or len({i for i, _ in pairs}) != len(pairs):
-        raise ValueError(f"monomial factors out of order or repeated: {text!r}")
-    return tuple(pairs)
-
-
-def parse_skew(text: str) -> SkewLaurent:
-    """Inverse of format_skew; raises ValueError on malformed input, and
-    LimitExceeded on an index or exponent outside the packed monomials."""
-    text = text.strip()
-    if text == "0":
-        return SkewLaurent.zero()
-    out: dict[int, dict[Monomial, int]] = {}
-    for chunk in text.split(" + "):
-        m = _TERM_RE.match(chunk)
-        if not m:
-            raise ValueError(f"bad term: {chunk!r}")
-        k = int(m.group(1))
-        mono = _parse_monomial(m.group(2))
-        c = int(m.group(3))
-        if c == 0:
-            raise ValueError(f"zero coefficient in term: {chunk!r}")
-        layer = out.setdefault(k, {})
-        if mono in layer:
-            raise ValueError(f"repeated monomial at t^{k}: {chunk!r}")
-        layer[mono] = c
-    return SkewLaurent({k: LaurentPoly(layer) for k, layer in out.items()})

@@ -470,29 +470,39 @@ def verify_reduction(arity: int, count: int, seed: int) -> list[CheckItem]:
     return items
 
 
+@lru_cache(maxsize=None)
+def _collapsed_generator(j: int) -> tuple[SkewLaurent, bool]:
+    """z_{-j}, and whether the collapse kills it; built once per index."""
+    z = SkewLaurent.from_poly(x_diff(-j))
+    return z, z.collapse().is_zero()
+
+
+@lru_cache(maxsize=625 * 64)  # a draw is j < n, then s, a, b, c in [-2, 2]; n <= 64
+def _sample_collapses(j: int, s: int, a: int, b: int, c: int) -> bool:
+    """Whether z_{-j} t^s (x_a^b + c) collapses to zero; each draw is multiplied once."""
+    w = SkewLaurent.t(s, LaurentPoly.x(a, b) + LaurentPoly.const(c))
+    return (_collapsed_generator(j)[0] * w).collapse().is_zero()
+
+
 def collapse_certificate(n: int, samples: int = 20, seed: int = 7) -> list[CheckItem]:
     """Certify 1 is outside the right ideal generated by z_0..z_{1-n}.
 
     The collapse map x_i -> x is a ring morphism killing every generator,
     hence the whole right ideal, while collapse(1) = 1 survives.  Checked
-    on the generators, on random right multiples, and on the unit.
+    on the generators, on random right multiples, and on the unit.  Each
+    stage draws its own samples from Random(seed); a product drawn again,
+    in this stage or another, is looked up rather than formed.
     """
     rng = Random(seed)
-    items = []
-    for j in range(n):
-        got = SkewLaurent.from_poly(x_diff(-j)).collapse()
-        items.append(item(f"generator z_{-j} collapses to zero", True, got.is_zero()))
+    items = [
+        item(f"generator z_{-j} collapses to zero", True, _collapsed_generator(j)[1])
+        for j in range(n)
+    ]
+    draw = rng.randrange  # draw(5) - 2 reads the stream as randint(-2, 2) does
     dead = 0
     for _ in range(samples):
-        j = rng.randrange(n)
-        w = SkewLaurent.t(
-            rng.randint(-2, 2),
-            LaurentPoly.x(rng.randint(-2, 2), rng.randint(-2, 2))
-            + LaurentPoly.const(rng.randint(-2, 2)),
-        )
-        prod = SkewLaurent.from_poly(x_diff(-j)) * w
-        if prod.collapse().is_zero():
-            dead += 1
+        j = draw(n)
+        dead += _sample_collapses(j, draw(5) - 2, draw(5) - 2, draw(5) - 2, draw(5) - 2)
     items.append(item("random right multiples collapse to zero", samples, dead))
     one = SkewLaurent.one().collapse()
     items.append(item("the unit survives the collapse", "1", "1" if one == one * one and not one.is_zero() else "0"))
@@ -508,9 +518,8 @@ def collapse_images(max_n: int) -> list[dict]:
     """Collapse images of the generators z_0 .. z_{1-max_n}, then of the unit."""
     images = []
     for j in range(max_n):
-        z = SkewLaurent.from_poly(x_diff(-j))
-        image = "0" if z.collapse().is_zero() else "nonzero"
-        images.append({"element": format_skew(z), "image": image})
+        z, dies = _collapsed_generator(j)
+        images.append({"element": format_skew(z), "image": "0" if dies else "nonzero"})
     unit = SkewLaurent.one().collapse()
     survives = unit == unit * unit and not unit.is_zero()
     images.append({"element": "1", "image": "1" if survives else "changed"})

@@ -108,13 +108,6 @@ def cyclic_canonical(u: Word, alphabet: Alphabet) -> Word:
     return u[k:] + u[:k]
 
 
-def rotate(u: Word, k: int) -> Word:
-    if not u:
-        return u
-    k %= len(u)
-    return u[k:] + u[:k]
-
-
 def primitive_classes(alphabet: Alphabet, bound: int) -> set[Word]:
     """Canonical representatives of rotation classes of primitive words.
 

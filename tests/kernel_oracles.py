@@ -5,12 +5,19 @@ y_0 ... y_{-n} is one monomial.  Here the same facts are checked the slow
 way, in x, where that run expands to 2^(n+1) terms: `y_run` builds the
 run, and `bounded_kernel_check` decides kernel membership through the
 layer recurrences as well as through the defining map.
+
+`collapse_certificate_oracle` is the collapse certificate that multiplies
+and collapses every sample it draws, the way the library did before it
+formed each distinct product once per command.
 """
+
+from random import Random
 
 from freenil.errors import InvariantError
 from freenil.laurent import LaurentPoly, one_minus_x, x_diff
+from freenil.report import item
 from freenil.skewpoly import SkewLaurent
-from freenil.syzygy import defining_map
+from freenil.syzygy import defining_map, last_projection_generator
 
 
 def y_run(top: int, bottom: int) -> LaurentPoly:
@@ -59,3 +66,32 @@ def bounded_kernel_check(U: SkewLaurent, V: SkewLaurent, n: int) -> bool:
     if layered != in_kernel:
         raise InvariantError("layer recurrences disagree with kernel membership")
     return in_kernel
+
+
+def collapse_certificate_oracle(n: int, samples: int = 20, seed: int = 7):
+    """`syzygy.collapse_certificate` with every draw multiplied and collapsed."""
+    rng = Random(seed)
+    items = []
+    for j in range(n):
+        got = SkewLaurent.from_poly(x_diff(-j)).collapse()
+        items.append(item(f"generator z_{-j} collapses to zero", True, got.is_zero()))
+    dead = 0
+    for _ in range(samples):
+        j = rng.randrange(n)
+        w = SkewLaurent.t(
+            rng.randint(-2, 2),
+            LaurentPoly.x(rng.randint(-2, 2), rng.randint(-2, 2))
+            + LaurentPoly.const(rng.randint(-2, 2)),
+        )
+        prod = SkewLaurent.from_poly(x_diff(-j)) * w
+        if prod.collapse().is_zero():
+            dead += 1
+    items.append(item("random right multiples collapse to zero", samples, dead))
+    one = SkewLaurent.one().collapse()
+    items.append(item("the unit survives the collapse", "1", "1" if one == one * one and not one.is_zero() else "0"))
+    witnesses = all(
+        not SkewLaurent.from_poly(last_projection_generator(p, n)).is_zero()
+        for p in range(n - 1)
+    ) if n >= 2 else True
+    items.append(item("projection witnesses are nonzero", True, witnesses))
+    return items

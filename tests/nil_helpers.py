@@ -12,8 +12,14 @@ before it built its kernel layers only when they are read.
 from fractions import Fraction
 from random import Random
 
-from freenil.linalg import identity, in_rowspan, mat_vec, reduced_nullspace, rref
+from freenil.linalg import QQ, identity, in_rowspan, reduced_nullspace, rref
 from freenil.nilobj import BlockRing, Letter, NilObject
+
+
+def mat_vec(a, v, field=QQ):
+    if a and len(a[0]) != len(v):
+        raise ValueError("shape mismatch in matrix-vector product")
+    return [field.dot(row, v) for row in a]
 
 
 def _raw_mul(a, b, cols, mod=None):

@@ -58,6 +58,12 @@ TRACED_COMMANDS = [
 def test_every_counter_reads_its_target():
     from freenil import cli, syzygy, words
 
+    # As in a fresh CLI process: no product an earlier test cached is skipped.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("freenil."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
     tracing = load_tracing()
     tracer = tracing.Tracer()
     tracer.install()

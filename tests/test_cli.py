@@ -205,6 +205,16 @@ class TestGrouph:
             f"{cli.COLLAPSE_SAMPLES_BUDGET}; this work budget is fixed"
         )
 
+    def test_collapse_at_the_samples_budget_finishes(self, capsys):
+        # 37,500 draws per stage, but at most 625 distinct products per index
+        syzygy._sample_collapses.cache_clear()
+        start = perf_counter()
+        code, payload = run_json(capsys, "grouph", "collapse", "--max-n", "8", "--samples", "37500")
+        assert perf_counter() - start < 4.0
+        assert code == 0
+        assert 8 * 37500 == cli.COLLAPSE_SAMPLES_BUDGET
+        assert payload["status"] == "pass"
+
     def test_collapse_at_the_samples_budget(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "COLLAPSE_SAMPLES_BUDGET", 3 * 5)
         code, payload = run_json(capsys, "grouph", "collapse", "--max-n", "3", "--samples", "5")
@@ -490,6 +500,19 @@ class TestExponentBudget:
         code, payload = run_json(capsys, "algebra", mode, "--hnn", "bs12", "--word", word)
         assert code == 2
         assert payload["data"]["error"] == "exponents have at most 4300 digits"
+
+    @pytest.mark.parametrize("token", ["a^x", "a^+3", "a^1_0", "a^", "a^\u0663", "a^2^3"])
+    def test_exponents_are_ascii_integers(self, capsys, token):
+        code, payload = run_json(capsys, "algebra", "normalize", "--hnn", "bs12", "--word", token)
+        assert code == 2
+        assert payload["data"]["error"] == (
+            f"bad exponent in {token!r}: write a^N, N an optional '-' then ASCII digits"
+        )
+
+    def test_zero_exponents_are_still_refused(self, capsys):
+        code, payload = run_json(capsys, "algebra", "normalize", "--hnn", "bs12", "--word", "a^-0")
+        assert code == 2
+        assert payload["data"]["error"] == "zero exponents are not written"
 
     def test_parsing_at_the_budget(self, capsys):
         # every exponent that parses also renders

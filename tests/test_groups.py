@@ -249,6 +249,13 @@ class TestFreeAbelianGroup:
         assert parse_element(Z2, "x^2 y") == (2, 1)
         assert parse_element(Z2, "1") == (0, 0)
 
+    def test_parse_takes_only_ascii_integer_exponents(self):
+        Z2 = FreeAbelianGroup(2, ("x", "y"))
+        assert parse_element(Z2, "x^-12 y^007") == (-12, 7)
+        for text in ("x^+2", "x^", "x^2_0", "x^\u0663", "x^--2", "x^ y"):
+            with pytest.raises(ValueError, match="bad exponent in 'x\\^"):
+                parse_element(Z2, text)
+
     def test_parse_requires_declared_order(self):
         Z2 = FreeAbelianGroup(2, ("x", "y"))
         with pytest.raises(ValueError, match="declared order"):

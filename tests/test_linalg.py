@@ -11,9 +11,9 @@ from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from freenil.linalg import GFp, QQ, in_rowspan, mat_vec, right_nullspace, rowspan_contains, rref
+from freenil.linalg import GFp, QQ, in_rowspan, right_nullspace, rowspan_contains, rref
 
-from nil_helpers import monic, reference_nullspace, reference_rref
+from nil_helpers import mat_vec, monic, reference_nullspace, reference_rref
 
 ints = st.integers(-6, 6)
 moduli = st.sampled_from([None, 2, 3, 7])

@@ -18,12 +18,10 @@ from freenil.nilobj import (
     fold_through,
     from_json_dict,
     is_nilpotent,
-    power_prefix_family,
     restrict_diagonal,
     to_json_dict,
     word_matrix,
     word_twist,
-    zero_object,
 )
 from freenil.store import load_nil, save_nil
 
@@ -36,6 +34,15 @@ from nil_helpers import (
     reference_nullspace,
     reference_rref,
 )
+
+
+def power_prefix_family(i, j, bound):
+    """The words i^k j for 0 <= k < bound."""
+    return [tuple([i] * k + [j]) for k in range(bound)]
+
+
+def zero_object(ring, dims):
+    return NilObject(ring, dims, (), {})
 
 
 def single(name: str, matrix, base: str = "int") -> NilObject:

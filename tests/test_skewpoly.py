@@ -6,6 +6,7 @@ tolerance anywhere).
 """
 
 import json
+import re
 
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +18,7 @@ from freenil.laurent import (
     EXP_BOUND,
     TOP_INDEX,
     LaurentPoly,
+    Monomial,
     clearing_unit,
     collapse_poly,
     format_poly,
@@ -25,7 +27,53 @@ from freenil.laurent import (
     unpack,
     x_diff,
 )
-from freenil.skewpoly import SkewLaurent, dot, format_skew, parse_skew
+from freenil.skewpoly import SkewLaurent, dot, format_skew
+
+
+# The parser of format_skew's text; the library only writes it.
+
+_TERM_RE = re.compile(r"t\^(-?\d+) \* \[([^\]]*)\] \* (-?\d+)\Z")
+_FACTOR_RE = re.compile(r"x_(-?\d+)\^(-?\d+)\Z")
+
+
+def _parse_monomial(text: str) -> Monomial:
+    if text == "1":
+        return ()
+    pairs = []
+    for factor in text.split(" "):
+        m = _FACTOR_RE.match(factor)
+        if not m:
+            raise ValueError(f"bad monomial factor: {factor!r}")
+        index, exponent = int(m.group(1)), int(m.group(2))
+        if exponent == 0:
+            raise ValueError(f"zero exponent in monomial factor: {factor!r}")
+        pairs.append((index, exponent))
+    if pairs != sorted(pairs) or len({i for i, _ in pairs}) != len(pairs):
+        raise ValueError(f"monomial factors out of order or repeated: {text!r}")
+    return tuple(pairs)
+
+
+def parse_skew(text: str) -> SkewLaurent:
+    """Inverse of format_skew; raises ValueError on malformed input, and
+    LimitExceeded on an index or exponent outside the packed monomials."""
+    text = text.strip()
+    if text == "0":
+        return SkewLaurent.zero()
+    out: dict[int, dict[Monomial, int]] = {}
+    for chunk in text.split(" + "):
+        m = _TERM_RE.match(chunk)
+        if not m:
+            raise ValueError(f"bad term: {chunk!r}")
+        k = int(m.group(1))
+        mono = _parse_monomial(m.group(2))
+        c = int(m.group(3))
+        if c == 0:
+            raise ValueError(f"zero coefficient in term: {chunk!r}")
+        layer = out.setdefault(k, {})
+        if mono in layer:
+            raise ValueError(f"repeated monomial at t^{k}: {chunk!r}")
+        layer[mono] = c
+    return SkewLaurent({k: LaurentPoly(layer) for k, layer in out.items()})
 
 
 def P(**kw) -> LaurentPoly:
@@ -426,8 +474,10 @@ class TestPackedKeys:
         monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: products.append(1) or real_mul(a, b))
         for module in (skewpoly, syzygy):
             monkeypatch.setattr(module, "dot", lambda pairs: products.append(1) or real_dot(pairs))
-        # A generator x_{i-1}^EXP_BOUND - x_i, one step past the bound.
+        # A generator x_{i-1}^EXP_BOUND - x_i, one step past the bound, built
+        # afresh as in a new process: no generator an earlier test cached is read.
         monkeypatch.setattr(syzygy, "x_diff", lambda i: LaurentPoly.x(i - 1, EXP_BOUND) - LaurentPoly.x(i))
+        syzygy._collapsed_generator.cache_clear()
         code = main(["grouph", "collapse", "--max-n", "2"])
         out = capsys.readouterr()
         assert code == 3 and out.err == ""

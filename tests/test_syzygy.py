@@ -39,7 +39,7 @@ from freenil.syzygy import (
     verify_reduction,
 )
 
-from kernel_oracles import bounded_kernel_check, y_run
+from kernel_oracles import bounded_kernel_check, collapse_certificate_oracle, y_run
 
 
 def sk(p: LaurentPoly) -> SkewLaurent:
@@ -507,3 +507,18 @@ class TestVerifiers:
     def test_collapse_certificate(self, n):
         items = collapse_certificate(n)
         assert all(i.ok for i in items)
+
+    @settings(settings.get_profile("ci"), max_examples=150)
+    @given(st.integers(1, 12), st.sampled_from([1, 20, 200]), st.sampled_from([0, 7, 12345]))
+    def test_collapse_certificate_matches_the_uncached_oracle(self, n, samples, seed):
+        assert collapse_certificate(n, samples, seed) == collapse_certificate_oracle(n, samples, seed)
+
+    def test_collapse_forms_each_distinct_sample_product_once(self, capsys):
+        import freenil.syzygy as syzygy
+
+        syzygy._sample_collapses.cache_clear()
+        assert main(["grouph", "collapse", "--max-n", "7"]) == 0
+        capsys.readouterr()
+        # 7 stages of 20 draws: 140 lookups, 92 distinct products
+        info = syzygy._sample_collapses.cache_info()
+        assert (info.misses, info.hits) == (92, 48)

@@ -20,7 +20,6 @@ from freenil.words import (
     is_reduced,
     prefix_extensions,
     primitive_classes,
-    rotate,
     sieve,
     verify_admissible,
 )
@@ -30,6 +29,13 @@ ABC = Alphabet(("a", "b", "c"))
 
 
 # Oracles.
+
+def rotate(u, k):
+    if not u:
+        return u
+    k %= len(u)
+    return u[k:] + u[:k]
+
 
 def brute_min_rotation(u, letters="ab"):
     # Least rotation in the declared letter order, by direct comparison.

@@ -46,17 +46,20 @@ class Amalgam:
     def normalize(self, tokens):
         """Fold raw (factor, element) tokens into the normal form.
 
-        Each token is checked here, once; the fold and the sweep then use
-        the factors' trusted operations, which do not check again.
+        Each token is checked here, once per distinct object and factor tag
+        (one object may name an element of one factor only), as in
+        ``HNN.normalize``; the fold and the sweep then use the factors'
+        trusted operations, which do not check again.
         """
         subgroup = self.subgroup
         head = subgroup.identity
         stack = []
-        # each factor's operations, indexed by its tag k (slot 0 is unused)
-        check, identity, multiply, invert, member, rep, apply, preimage = zip(
-            (None,) * 8,
+        # each factor's operations and its memo of checked elements (id -> element:
+        # holding each keeps its id from being reused), indexed by its tag k (slot 0 is unused)
+        check, identity, multiply, invert, member, rep, apply, preimage, checked = zip(
+            (None,) * 9,
             *(
-                (f.check, f.identity, f.multiply, f.invert, *e.image.trusted(), *e.trusted())
+                (f.check, f.identity, f.multiply, f.invert, *e.image.trusted(), *e.trusted(), {})
                 for f, e in zip(self.factors, self.embeddings)
             ),
         )
@@ -67,7 +70,8 @@ class Amalgam:
                 raise ValueError(f"malformed token {token!r}") from None
             if k not in (1, 2):
                 raise ValueError("factor tag must be 1 or 2")
-            check[k](g)
+            if id(g) not in checked[k]:
+                checked[k][id(g)] = check[k](g)
             # absorb (k, g): merge it into a same-factor top, or carry its
             # subgroup-image part into whatever sits to its left
             while g != identity[k]:

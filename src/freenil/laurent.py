@@ -266,8 +266,9 @@ def one_minus_x(index: int) -> LaurentPoly:
     return LaurentPoly.one() - LaurentPoly.x(index)
 
 
+@lru_cache(maxsize=None)
 def x_diff(index: int) -> LaurentPoly:
-    """The element x_{i-1} - x_i."""
+    """The element x_{i-1} - x_i; cached, so shared and read-only."""
     return LaurentPoly.x(index - 1) - LaurentPoly.x(index)
 
 

@@ -21,6 +21,9 @@ Two coordinate systems share the LaurentPoly and SkewLaurent types, and
   `pairwise_relation_y`, `defining_map_y`.  There a run y_0 ... y_{-n} is
   one monomial, so U_n has 4 terms and V_n has O(n).  Each of these sums
   is one `skewpoly.dot` per side, and X(p, q) is proved once per (p, q).
+  Their pieces (z_i, the runs, the tails t^{p+1} z_1 y_0 ... y_{-p}) are
+  built once per command and shared read-only; every X(p, q) ends in the
+  one object z_{-p}, so its last projection is converted once per p.
 * x-coordinates are the public basis: `kernel_pair`, `pairwise_relation`
   and `defining_map` are in x, as the exact images of the y objects.
   Descent (`reduce_step`, `ideal_decompose`, `complexity`) stays in x,
@@ -60,14 +63,28 @@ RANDOM_SPREAD = 2  # random_relation's bound on x-indices and t-shifts
 
 # y-coordinates: the same polynomial types, with index i read as y_i.
 
+@lru_cache(maxsize=None)
 def _yrun(top: int, bottom: int) -> LaurentPoly:
     """y_top * ... * y_bottom, a single monomial; one when top < bottom."""
     return LaurentPoly({tuple((i, 1) for i in range(bottom, top + 1)): 1})
 
 
+@lru_cache(maxsize=None)
 def _z(i: int) -> LaurentPoly:
     """z_i = x_{i-1} - x_i, which is y_i - y_{i-1}."""
     return LaurentPoly.x(i) - LaurentPoly.x(i - 1)
+
+
+@lru_cache(maxsize=None)
+def _generator(i: int) -> SkewLaurent:
+    """z_i at t-degree 0: U_{-i}'s first term, and the last component of X(-i, q)."""
+    return SkewLaurent.from_poly(_z(i))
+
+
+@lru_cache(maxsize=None)
+def _tail(p: int) -> SkewLaurent:
+    """t^{p+1} z_1 y_0 ... y_{-p}: U_p's twisted term, and X(p, q)'s correction."""
+    return SkewLaurent.t(p + 1, _z(1) * _yrun(0, -p))
 
 
 def _to_y(elements: Sequence[SkewLaurent]) -> tuple[list[SkewLaurent], LaurentPoly]:
@@ -127,9 +144,8 @@ def kernel_pair_y(n: int) -> Pair:
     """
     if n < 0:
         raise ValueError(f"kernel pairs are indexed by n >= 0, got {n}")
-    z1 = _z(1)
-    zmn = _z(-n)
-    U = SkewLaurent.from_poly(zmn) - SkewLaurent.t(n + 1, z1 * _yrun(0, -n))
+    z1, zmn = _z(1), _z(-n)
+    U = _generator(-n) - _tail(n)
     zz = zmn * z1
     terms = [(zmn, 0, LaurentPoly.one())] + [(zz, i, _yrun(0, 2 - i)) for i in range(1, n + 1)]
     terms.append((-z1, n + 1, _yrun(0, 1 - n) * LaurentPoly.x(-1 - n)))
@@ -168,11 +184,7 @@ class Complexity:
             raise InvariantError("beta must not exceed alpha")
 
     def __lt__(self, other: "Complexity") -> bool:
-        if self.alpha != other.alpha:
-            return self.alpha > other.alpha
-        if self.beta != other.beta:
-            return self.beta > other.beta
-        return self.gamma < other.gamma
+        return (-self.alpha, -self.beta, self.gamma) < (-other.alpha, -other.beta, other.gamma)
 
 
 @dataclass(frozen=True)
@@ -238,9 +250,8 @@ def pairwise_relation_y(p: int, q: int) -> Mapping[int, SkewLaurent]:
     """
     if not 0 <= p < q:
         raise ValueError(f"need 0 <= p < q, got p={p}, q={q}")
-    c = {p: -SkewLaurent.from_poly(_z(-q)), q: SkewLaurent.from_poly(_z(-p))}
-    tail = SkewLaurent.t(p + 1, _z(1) * _yrun(0, -p))
-    c[q - p - 1] = c.get(q - p - 1, SkewLaurent.zero()) - tail
+    c = {p: -_generator(-q), q: _generator(-p)}
+    c[q - p - 1] = c.get(q - p - 1, SkewLaurent.zero()) - _tail(p)
     try:
         _check_relation_y(c.items())
     except ValueError as exc:
@@ -264,13 +275,9 @@ def pairwise_relation(p: int, q: int, n: int) -> tuple[SkewLaurent, ...]:
 
 def _power_diff_quotient(e: int, u_index: int, v_index: int) -> LaurentPoly:
     """g with x_u^e - x_v^e = (x_u - x_v) * g, for any integer e."""
-    if e == 0:
-        return LaurentPoly.zero()
-    if e > 0:
-        out = LaurentPoly.zero()
-        for m in range(e):
-            out = out + LaurentPoly.x(u_index, m) * LaurentPoly.x(v_index, e - 1 - m)
-        return out
+    if e >= 0:
+        return sum((LaurentPoly.x(u_index, m) * LaurentPoly.x(v_index, e - 1 - m) for m in range(e)),
+                   LaurentPoly.zero())
     pos = _power_diff_quotient(-e, u_index, v_index)
     return -(LaurentPoly.x(u_index, e) * LaurentPoly.x(v_index, e) * pos)
 
@@ -297,10 +304,7 @@ def ideal_decompose(a: LaurentPoly, n: int) -> Optional[list[LaurentPoly]]:
         b = substituted
     if not b.is_zero():
         return None
-    recombined = LaurentPoly.zero()
-    for j in range(n):
-        recombined = recombined + x_diff(-j) * coeffs[j]
-    if recombined != a:
+    if sum((x_diff(-j) * c for j, c in enumerate(coeffs)), LaurentPoly.zero()) != a:
         raise InvariantError("ideal decomposition fails to recombine")
     return coeffs
 
@@ -335,10 +339,7 @@ def reduce_step(X: RelationVector) -> RelationVector:
 
     # Left layer coefficients at t-degree beta: c_k = ... + layer_k t^beta + ...
     layer = {k: ck.coeff(beta).shift(beta) for k, ck in X.c.items() if k <= gamma}
-    identity = LaurentPoly.zero()
-    for k, layer_k in layer.items():
-        identity = identity + x_diff(-k) * layer_k
-    if not identity.is_zero():
+    if not sum((x_diff(-k) * c for k, c in layer.items()), LaurentPoly.zero()).is_zero():
         raise InvariantError("lowest-layer identity violated")
 
     parts = ideal_decompose(layer[gamma], gamma)
@@ -374,9 +375,16 @@ def _descent_summary(trace: list[RelationVector]) -> tuple[list[Complexity], boo
     return chis, trace[-1].is_zero(), decreasing
 
 
+@lru_cache(maxsize=None)
+def _projection_texts(p: int, last: SkewLaurent) -> tuple[str, str]:
+    """z_{-p} and `last`, a y component, in x as text; keyed by value, so once per component."""
+    return format_skew(SkewLaurent.from_poly(x_diff(-p))), format_skew(last.change_basis())
+
+
 def last_projection_generator(p: int, n: int) -> LaurentPoly:
     """The witness z_{-p} produced as the last component of X(p, n-1) at arity n."""
-    if pairwise_relation_y(p, n - 1)[n - 1].change_basis() != SkewLaurent.from_poly(x_diff(-p)):
+    want, got = _projection_texts(p, pairwise_relation_y(p, n - 1)[n - 1])
+    if got != want:
         raise InvariantError("last projection of the pairwise relation is off")
     return x_diff(-p)
 
@@ -393,23 +401,13 @@ def verify_kernel_pairs(max_n: int) -> list[CheckItem]:
 
 
 def verify_relations(max_q: int) -> list[CheckItem]:
-    items = []
-    for q in range(1, max_q + 1):
-        for p in range(q):
-            pairwise_relation_y(p, q)  # proves the relation, or raises InvariantError
-            items.append(item(f"relation ({p},{q}) validates", True, True))
-    for n in range(2, max_q + 2):
-        for p in range(n - 1):
-            got = pairwise_relation_y(p, n - 1)[n - 1].change_basis()
-            want = SkewLaurent.from_poly(x_diff(-p))
-            items.append(
-                item(
-                    f"last projection of ({p},{n - 1}) at arity {n}",
-                    format_skew(want),
-                    format_skew(got),
-                )
-            )
-    return items
+    pairs = [(p, q) for q in range(1, max_q + 1) for p in range(q)]
+    # proves each relation, or raises InvariantError, and reads back its last component
+    lasts = [pairwise_relation_y(p, q)[q] for p, q in pairs]
+    return [item(f"relation ({p},{q}) validates", True, True) for p, q in pairs] + [
+        item(f"last projection of ({p},{q}) at arity {q + 1}", *_projection_texts(p, last))
+        for (p, q), last in zip(pairs, lasts)
+    ]
 
 
 def random_relation(n: int, rng: Random) -> RelationVector:
@@ -506,10 +504,7 @@ def collapse_certificate(n: int, samples: int = 20, seed: int = 7) -> list[Check
     items.append(item("random right multiples collapse to zero", samples, dead))
     one = SkewLaurent.one().collapse()
     items.append(item("the unit survives the collapse", "1", "1" if one == one * one and not one.is_zero() else "0"))
-    witnesses = all(
-        not SkewLaurent.from_poly(last_projection_generator(p, n)).is_zero()
-        for p in range(n - 1)
-    ) if n >= 2 else True
+    witnesses = all(not last_projection_generator(p, n).is_zero() for p in range(n - 1))
     items.append(item("projection witnesses are nonzero", True, witnesses))
     return items
 

@@ -8,7 +8,10 @@ layer recurrences as well as through the defining map.
 
 `collapse_certificate_oracle` is the collapse certificate that multiplies
 and collapses every sample it draws, the way the library did before it
-formed each distinct product once per command.
+formed each distinct product once per command.  `verify_relations_oracle`
+is the relation suite that builds every X(p, q) from fresh objects and
+converts and formats each last projection per pair, the way the library
+did before its pieces were shared within a command.
 """
 
 from random import Random
@@ -16,8 +19,8 @@ from random import Random
 from freenil.errors import InvariantError
 from freenil.laurent import LaurentPoly, one_minus_x, x_diff
 from freenil.report import item
-from freenil.skewpoly import SkewLaurent
-from freenil.syzygy import defining_map, last_projection_generator
+from freenil.skewpoly import SkewLaurent, dot, format_skew
+from freenil.syzygy import defining_map, kernel_pair_y, last_projection_generator
 
 
 def y_run(top: int, bottom: int) -> LaurentPoly:
@@ -94,4 +97,42 @@ def collapse_certificate_oracle(n: int, samples: int = 20, seed: int = 7):
         for p in range(n - 1)
     ) if n >= 2 else True
     items.append(item("projection witnesses are nonzero", True, witnesses))
+    return items
+
+
+def fresh_z(i: int) -> LaurentPoly:
+    """z_i = y_i - y_{i-1} in y-coordinates, built afresh."""
+    return LaurentPoly.x(i) - LaurentPoly.x(i - 1)
+
+
+def fresh_yrun(top: int, bottom: int) -> LaurentPoly:
+    """The monomial y_top ... y_bottom in y-coordinates, built afresh."""
+    return LaurentPoly({tuple((i, 1) for i in range(bottom, top + 1)): 1})
+
+
+def fresh_relation_y(p: int, q: int) -> dict:
+    """The components of X(p, q) in y-coordinates, every object built afresh."""
+    c = {p: -SkewLaurent.from_poly(fresh_z(-q)), q: SkewLaurent.from_poly(fresh_z(-p))}
+    tail = SkewLaurent.t(p + 1, fresh_z(1) * fresh_yrun(0, -p))
+    c[q - p - 1] = c.get(q - p - 1, SkewLaurent.zero()) - tail
+    return c
+
+
+def verify_relations_oracle(max_q: int):
+    """`syzygy.verify_relations` with every relation built afresh and
+    every last projection converted and formatted per pair."""
+    items, relations = [], {}
+    for q in range(1, max_q + 1):
+        for p in range(q):
+            c = relations[p, q] = fresh_relation_y(p, q)
+            terms = [(kernel_pair_y(i), ci) for i, ci in c.items()]
+            proved = all(dot((W[side], ci) for W, ci in terms).is_zero() for side in (0, 1))
+            items.append(item(f"relation ({p},{q}) validates", True, proved))
+    for n in range(2, max_q + 2):
+        for p in range(n - 1):
+            got = relations[p, n - 1][n - 1].change_basis()
+            want = SkewLaurent.from_poly(LaurentPoly.x(-p - 1) - LaurentPoly.x(-p))
+            items.append(
+                item(f"last projection of ({p},{n - 1}) at arity {n}", format_skew(want), format_skew(got))
+            )
     return items

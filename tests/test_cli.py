@@ -291,6 +291,14 @@ class TestGrouph:
         assert len(payload["items"]) == 65
         assert all(it["got"] == "0" for it in payload["items"])
 
+    def test_relations_at_the_ceiling(self, capsys, cold_caches):
+        start = perf_counter()
+        code, payload = run_json(capsys, "grouph", "relations", "--max-q", "64")
+        assert perf_counter() - start < 6.0
+        assert code == 0
+        assert len(payload["items"]) == 64 * 65
+        assert all(it["ok"] for it in payload["items"])
+
     def test_invariant_violation_exits_four(self, capsys, monkeypatch):
         def broken(n):
             raise InvariantError("forced for the exit-code contract")

@@ -5,9 +5,10 @@ repeated tokens, identity tokens and runs that cancel.  Parsing,
 normalizing and rendering must give the same word and the same text as
 the reference; words with bad tokens must fail with the same error, and
 raw token lists with one bad token must fail the same way at the
-`normalize` entry, where each caller-supplied token is checked.  The HNN
-entry check runs once per distinct token object, so bad tokens that equal
-a good one that came before, and unhashable ones, are tried directly.
+`normalize` entry, where each caller-supplied token is checked.  The entry
+checks run once per distinct token object (and factor, in an amalgam), so
+bad tokens that equal a good one that came before, one object under both
+amalgam tags, and unhashable ones are tried directly.
 """
 
 import json
@@ -243,3 +244,54 @@ def test_memo_holds_every_checked_object(constructions):
 
     assert outcome(c.normalize, fresh()) == outcome(oracle.normalize, c, [("g", (1.0,))])
     assert freed == [0] * 31
+
+
+# amalgam token lists where one object reaches both factors but names an
+# element of only one, unhashable elements, and bad tokens whose order
+# decides which error is raised; the amalgam entry check is memoised on
+# (factor, id), so each must still fail as the reference does
+AMALGAM_MEMO_TRAPS = [
+    ("dinf", [(1, "s"), (2, "s")]),
+    ("dinf", [(2, "r"), (1, "s"), (1, "r")]),
+    ("s3z2", [(1, "(12)"), (1, "(12)"), (2, "(12)")]),
+    ("s3z2", [(2, "r"), (2, "r"), (1, "r")]),
+    ("dinf", [(1, ["s"])]),
+    ("dinf", [(1, "s"), (1, ["s"]), (2, ["r"])]),
+    ("s3z2", [(1, "(12)"), (2, "zz"), (1, "qq")]),
+    ("s3z2", [(2, "(12)"), (1, "(12)"), (1, "zz")]),
+    ("s4z4s4", [(1, "p0123"), (2, "p0123"), (1, "c"), (2, "e")]),
+]
+
+
+@pytest.mark.parametrize("name, tokens", AMALGAM_MEMO_TRAPS, ids=str)
+def test_amalgam_entry_check_memo_cannot_be_fooled(constructions, name, tokens):
+    c = constructions[name]
+    got = outcome(c.normalize, tokens)
+    assert got == outcome(oracle.normalize, c, tokens)
+    assert got[0] == "ValueError"
+
+
+class Name(str):
+    """An element name that counts its own deallocation."""
+
+    freed = 0
+
+    def __del__(self):
+        type(self).freed += 1
+
+
+def test_amalgam_memo_holds_every_checked_object(constructions):
+    # s * s = 1 in dinf's first factor, so the fold itself keeps no token
+    c = constructions["dinf"]
+    Name.freed = 0
+    freed = []
+
+    def fresh():
+        for _ in range(20):
+            freed.append(Name.freed)
+            yield 1, Name("s")
+        freed.append(Name.freed)
+        yield 2, "s"
+
+    assert outcome(c.normalize, fresh()) == outcome(oracle.normalize, c, [(2, "s")])
+    assert freed == [0] * 21

@@ -17,8 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from freenil.cli import main
 from freenil.errors import InvariantError
-from freenil.laurent import LaurentPoly, one_minus_x, x_diff
-from freenil.skewpoly import SkewLaurent
+from freenil.laurent import LaurentPoly, format_poly, one_minus_x, x_diff
+from freenil.skewpoly import SkewLaurent, format_skew
 from freenil.syzygy import (
     Complexity,
     kernel_pair_y,
@@ -39,7 +39,15 @@ from freenil.syzygy import (
     verify_reduction,
 )
 
-from kernel_oracles import bounded_kernel_check, collapse_certificate_oracle, y_run
+from kernel_oracles import (
+    bounded_kernel_check,
+    collapse_certificate_oracle,
+    fresh_relation_y,
+    fresh_yrun,
+    fresh_z,
+    verify_relations_oracle,
+    y_run,
+)
 
 
 def sk(p: LaurentPoly) -> SkewLaurent:
@@ -452,6 +460,40 @@ class TestReduceStep:
         assert len(idle) == 2
 
 
+class TestSharedPieces:
+    def test_commands_leave_every_shared_piece_as_built(self, capsys, cold_caches):
+        # The y-coordinate pieces, the relations and the generators are
+        # cached and shared by every caller in a command; none may change them.
+        import freenil.syzygy as syzygy
+
+        for argv in (["grouph", "relations", "--max-q", "8"], ["grouph", "collapse", "--max-n", "8"],
+                     ["grouph", "reduce", "--arity", "6", "--count", "5", "--seed", "3"]):
+            assert main(argv) == 0
+        capsys.readouterr()
+        for i in range(-10, 3):
+            assert format_poly(syzygy._z(i)) == format_poly(fresh_z(i))
+            assert format_poly(syzygy._yrun(0, i)) == format_poly(fresh_yrun(0, i))
+            assert format_skew(syzygy._generator(i)) == format_skew(sk(fresh_z(i)))
+            fresh_x = LaurentPoly.x(i - 1) - LaurentPoly.x(i)
+            assert format_poly(x_diff(i)) == format_poly(fresh_x)
+            assert format_skew(syzygy._collapsed_generator(-i)[0]) == format_skew(sk(fresh_x))
+        for p in range(10):
+            tail = SkewLaurent.t(p + 1, fresh_z(1) * fresh_yrun(0, -p))
+            assert format_skew(syzygy._tail(p)) == format_skew(tail)
+        for q in range(1, 9):
+            for p in range(q):
+                fresh = fresh_relation_y(p, q)
+                assert {i: format_skew(c) for i, c in pairwise_relation_y(p, q).items()} == {
+                    i: format_skew(c) for i, c in fresh.items()}
+                assert {i: format_skew(c) for i, c in pairwise_relation_x(p, q).items()} == {
+                    i: format_skew(c.change_basis()) for i, c in fresh.items()}
+        for n in range(10):
+            assert list(map(format_skew, kernel_pair_y(n))) == list(
+                map(format_skew, kernel_pair_y.__wrapped__(n)))
+        assert list(map(format_skew, syzygy._defining_factors())) == list(
+            map(format_skew, syzygy._defining_factors.__wrapped__()))
+
+
 class TestRandomRelation:
     @staticmethod
     def chained(n, rng, spread=2):
@@ -512,6 +554,23 @@ class TestVerifiers:
     @given(st.integers(1, 12), st.sampled_from([1, 20, 200]), st.sampled_from([0, 7, 12345]))
     def test_collapse_certificate_matches_the_uncached_oracle(self, n, samples, seed):
         assert collapse_certificate(n, samples, seed) == collapse_certificate_oracle(n, samples, seed)
+
+    @pytest.mark.parametrize("max_q", range(13))
+    def test_relation_items_match_the_per_pair_oracle(self, max_q, cold_caches):
+        assert verify_relations(max_q) == verify_relations_oracle(max_q)
+
+    def test_relations_convert_each_last_component_once(self, monkeypatch, cold_caches):
+        import freenil.syzygy as syzygy
+
+        conversions = []
+        real = SkewLaurent.change_basis
+        monkeypatch.setattr(SkewLaurent, "change_basis", lambda c: conversions.append(1) or real(c))
+        q = 10
+        verify_relations(q)
+        # the q(q+1)/2 = 55 last projections share q distinct components
+        assert len(conversions) == q
+        info = syzygy._projection_texts.cache_info()
+        assert (info.misses, info.hits) == (q, q * (q + 1) // 2 - q)
 
     def test_collapse_forms_each_distinct_sample_product_once(self, capsys):
         import freenil.syzygy as syzygy

@@ -44,7 +44,7 @@ from pathlib import Path
 from . import nilobj, store
 from .amalgam import Amalgam
 from .cosets import double_cosets
-from .errors import InvariantError, LimitExceeded, UnsupportedOperation
+from .errors import InvariantError, LimitExceeded, UnsupportedOperation, ensure_within
 from .groupring import GroupRingElement, grade_decompose, word_sequence_type
 from .groups import FiniteSubgroup, format_element, parse_element
 from .hnn import HNN
@@ -84,19 +84,15 @@ def read_limits(env=os.environ) -> Limits:
         if not part:
             continue
         key, sep, value = part.partition("=")
-        key = key.strip()
-        if not sep or key not in ("n", "l", "dim"):
+        key, value = key.strip(), value.strip()
+        # one entry per key; int() alone would take "-3", "1_0" and non-ASCII digits
+        if (not sep or key not in ("n", "l", "dim") or key in values
+                or not (value.isascii() and value.isdigit())):
             raise ValueError(
                 f'FREENIL_LIMITS entries look like "n=64,l=16,dim=128", got {part!r}'
             )
         values[key] = int(value)
     return Limits(**values)
-
-
-def ensure_within(value: int, ceiling: int, what: str,
-                  hint: str = "set FREENIL_LIMITS to go higher") -> None:
-    if value > ceiling:
-        raise LimitExceeded(f"{what} {value} exceeds the configured ceiling {ceiling}; {hint}")
 
 
 # Fixed work budget for `words`, checked before any enumeration: every mode
@@ -201,6 +197,11 @@ def run_words(args, report: Report, limits: Limits) -> None:
         " --verify" if args.mode == "sieve" and args.verify else ""
     )
     alphabet = Alphabet(args.alphabet.split(","))
+    ordered = sorted(alphabet.letters)  # a letter that begins another begins the next one
+    for x, y in zip(ordered, ordered[1:]):
+        if y.startswith(x):
+            raise ValueError(f"letter {x!r} begins letter {y!r}, so words over "
+                             "this alphabet print ambiguously")
     ensure_within(args.bound, limits.l, "length bound")
     k = len(alphabet)
     census = sum(aperiodic_necklace_count(k, n) for n in range(1, args.bound + 1))
@@ -470,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for mode in ("sieve", "verify", "enumerate"):
         p[mode].add_argument("-I", "--alphabet", required=True,
-                             help="comma-separated letters, e.g. a,b")
+                             help="comma-separated letters, none beginning another, e.g. a,b")
         p[mode].add_argument("-L", "--bound", required=True, type=int, help="length budget")
         p[mode].set_defaults(verify=False)
     p["sieve"].add_argument("--verify", action="store_true",

@@ -17,5 +17,11 @@ class LimitExceeded(RuntimeError):
     """A configured resource ceiling was hit before the computation finished."""
 
 
+def ensure_within(value: int, ceiling: int, what: str,
+                  hint: str = "set FREENIL_LIMITS to go higher") -> None:
+    if value > ceiling:
+        raise LimitExceeded(f"{what} {value} exceeds the configured ceiling {ceiling}; {hint}")
+
+
 class UnsupportedOperation(RuntimeError):
     """The request needs more than the supplied oracle can decide."""

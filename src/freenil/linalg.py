@@ -173,26 +173,19 @@ def left_nullspace(a: Matrix, rows: int, field=QQ) -> list[Vector]:
 
 
 def in_rowspan(v: Vector, basis: Matrix, field=QQ) -> bool:
-    """Is v a combination of the rows of a reduced (rref) basis?
-
-    Each reduced row is zero on the other rows' pivots, so the only
-    candidate is the sum of v[p] / b[p] * b over the rows b with pivot p.
-    Both sides are compared scaled by the lcm of the pivots (1 over GF(p)).
-    """
-    v = list(map(field.from_int, v))
-    if not basis:
-        return not any(v)
-    pivots = [_lead(row) for row in basis]
-    scale = lcm(*(row[p] for row, p in zip(basis, pivots)))
-    coef = [v[p] * (scale // row[p]) for row, p in zip(basis, pivots)]
-    return all(
-        field.dot(coef, col) == field.from_int(scale * x) for col, x in zip(zip(*basis), v)
-    )
+    """Is v a combination of the rows of a reduced (rref) basis?"""
+    return rowspan_contains([v], basis, field)
 
 
 def rowspan_contains(inner: Matrix, outer: Matrix, field=QQ) -> bool:
-    """`in_rowspan` on every row of `inner`, reading the reduced basis `outer`
-    once; a pivot column always agrees, so only the free columns are compared."""
+    """Is every row of `inner` a combination of the rows of the reduced basis `outer`?
+
+    Each reduced row is zero on the other rows' pivots, so the only
+    candidate for a row v is the sum of v[p] / b[p] * b over the rows b
+    with pivot p.  Both sides are compared scaled by the lcm of the pivots
+    (1 over GF(p)); a pivot column always agrees, so only the free columns
+    are compared.
+    """
     if not outer:
         return not any(field.from_int(x) for row in inner for x in row)
     pivots = [_lead(row) for row in outer]

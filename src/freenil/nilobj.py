@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import InvariantError, LimitExceeded
+from .errors import InvariantError, LimitExceeded, ensure_within
 from .linalg import (
     GFp,
     QQ,
@@ -242,15 +242,11 @@ class _Work:
     """A running work count; LimitExceeded past CHAIN_WORK_BUDGET."""
 
     def __init__(self, what: str):
-        self.what, self.spent = what, 0
+        self.what, self.spent = f"{what} work", 0
 
     def charge(self, rows: int, cols: int, depth: int) -> None:
         self.spent += rows * cols * depth
-        if self.spent > CHAIN_WORK_BUDGET:
-            raise LimitExceeded(
-                f"{self.what} work {self.spent} exceeds the configured ceiling "
-                f"{CHAIN_WORK_BUDGET}; this work budget is fixed"
-            )
+        ensure_within(self.spent, CHAIN_WORK_BUDGET, self.what, "this work budget is fixed")
 
     def eliminate(self, rows: int, cols: int) -> None:
         self.charge(rows, cols, 4 * min(rows, cols))

@@ -32,10 +32,8 @@ class Report:
     timing: float | None = None
 
     def add(self, name: str, expected, got, ok: bool | None = None) -> bool:
-        if ok is None:
-            ok = expected == got
-        self.items.append(CheckItem(name, str(expected), str(got), bool(ok)))
-        return bool(ok)
+        self.items.append(item(name, expected, got, ok))
+        return self.items[-1].ok
 
     def extend(self, items) -> None:
         self.items.extend(items)
@@ -80,7 +78,7 @@ class Report:
 
 
 def item(name: str, expected, got, ok: bool | None = None) -> CheckItem:
-    """Free-standing CheckItem constructor with the same defaulting as Report.add."""
+    """CheckItem with text fields; ``ok`` defaults to ``expected == got``."""
     if ok is None:
         ok = expected == got
     return CheckItem(name, str(expected), str(got), bool(ok))

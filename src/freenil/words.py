@@ -3,13 +3,16 @@
 Words are tuples of letters drawn from a finite ordered alphabet.  The
 alphabet's declared order (not Python's string order) drives every
 lexicographic comparison, so ``Alphabet(("b", "a"))`` really does sort
-``b`` before ``a``.
+``b`` before ``a``.  Primitivity is a power test (one comparison per
+prime dividing the length), and both the least rotation and the Lyndon
+class oracle come from Duval's factorization pass.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import InvariantError
@@ -56,45 +59,37 @@ class Alphabet:
 def is_reduced(u: Word) -> bool:
     """True iff the word is primitive: not a proper power of any shorter word.
 
-    Uses the border (failure-function) criterion: the minimal period is
-    ``len(u) - border(u)``, and ``u`` is a proper power exactly when that
-    period properly divides ``len(u)``.
+    A word of length n is a proper power iff it is its prefix of length
+    n/p repeated p times for some prime p dividing n (a power u^m is also
+    (u^(m/p))^p), so the power test is one tuple comparison per prime.
     """
     n = len(u)
     if n == 0:
         raise ValueError("empty word has no primitivity status")
-    fail = [0] * n
-    k = 0
-    for i in range(1, n):
-        while k > 0 and u[i] != u[k]:
-            k = fail[k - 1]
-        if u[i] == u[k]:
-            k += 1
-        fail[i] = k
-    period = n - fail[n - 1]
-    return not (period < n and n % period == 0)
+    for p in _prime_divisors(n):
+        if u[:n // p] * p == u:
+            return False
+    return True
 
 
-def _least_rotation_index(key: Sequence[int]) -> int:
-    """Index of the lexicographically least rotation (Booth's algorithm)."""
+def _least_rotation_index(key: tuple[int, ...]) -> int:
+    """Index of a lexicographically least rotation, by Duval's factorization.
+
+    Factor ``key + key`` into non-increasing Lyndon words (Duval 1983); the
+    last factor that starts in the first half starts a least rotation.
+    Linear in the length, like the generation step of `primitive_classes`.
+    """
     n = len(key)
-    doubled = tuple(key) + tuple(key)
-    fail = [-1] * (2 * n)
-    least = 0
-    for j in range(1, 2 * n):
-        c = doubled[j]
-        i = fail[j - least - 1]
-        while i != -1 and c != doubled[least + i + 1]:
-            if c < doubled[least + i + 1]:
-                least = j - i - 1
-            i = fail[i]
-        if c != doubled[least + i + 1]:
-            if c < doubled[least]:
-                least = j
-            fail[j - least] = -1
-        else:
-            fail[j - least] = i + 1
-    return least
+    doubled = key + key
+    i = 0
+    while i < n:
+        start, j, k = i, i + 1, i
+        while j < 2 * n and doubled[k] <= doubled[j]:
+            k = i if doubled[k] < doubled[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return start
 
 
 def cyclic_canonical(u: Word, alphabet: Alphabet) -> Word:
@@ -134,22 +129,25 @@ def primitive_classes(alphabet: Alphabet, bound: int) -> set[Word]:
     return out
 
 
-def mobius(n: int) -> int:
-    """Moebius function, by trial-division factorization."""
-    if n < 1:
-        raise ValueError("mobius undefined for n < 1")
-    result = 1
-    p = 2
+@lru_cache(maxsize=None)
+def _prime_divisors(n: int) -> tuple[int, ...]:
+    """The distinct primes dividing n >= 1, by trial division."""
+    out, p = [], 2
     while p * p <= n:
         if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
+            out.append(p)
+            while n % p == 0:
+                n //= p
         p += 1
-    if n > 1:
-        result = -result
-    return result
+    return (*out, n) if n > 1 else tuple(out)
+
+
+def mobius(n: int) -> int:
+    """Moebius function: 0 unless n is squarefree, else -1 per prime factor."""
+    if n < 1:
+        raise ValueError("mobius undefined for n < 1")
+    primes = _prime_divisors(n)
+    return 0 if any(n % (p * p) == 0 for p in primes) else (-1) ** len(primes)
 
 
 def aperiodic_necklace_count(k: int, n: int) -> int:

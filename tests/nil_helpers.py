@@ -5,14 +5,17 @@ product loop, its own word enumeration) so it shares no code with the
 implementation under test beyond raw Python ints.  The reference
 elimination is the Fraction one `freenil.linalg` used before it went
 fraction-free: monic rref rows over Q, or over GF(p) when a modulus is
-given.  The eager image chain is the one `nilobj.is_nilpotent` ran
-before it built its kernel layers only when they are read.
+given.  The row-by-row span test is the one `linalg.in_rowspan` ran
+before it became `rowspan_contains` on one row.  The eager image chain is
+the one `nilobj.is_nilpotent` ran before it built its kernel layers only
+when they are read.
 """
 
 from fractions import Fraction
+from math import lcm
 from random import Random
 
-from freenil.linalg import QQ, identity, in_rowspan, reduced_nullspace, rref
+from freenil.linalg import QQ, identity, reduced_nullspace, rref
 from freenil.nilobj import BlockRing, Letter, NilObject
 
 
@@ -164,11 +167,30 @@ def monic(row, p=None):
     return [x * inv % p for x in row]
 
 
+def reference_in_rowspan(v, basis, field=QQ):
+    """Is v a combination of the rows of a reduced (rref) basis?
+
+    Each reduced row is zero on the other rows' pivots, so the only
+    candidate is the sum of v[p] / b[p] * b over the rows b with pivot p.
+    Both sides are compared scaled by the lcm of the pivots (1 over GF(p)),
+    in every column.
+    """
+    v = list(map(field.from_int, v))
+    if not basis:
+        return not any(v)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+    scale = lcm(*(row[p] for row, p in zip(basis, pivots)))
+    coef = [v[p] * (scale // row[p]) for row, p in zip(basis, pivots)]
+    return all(
+        field.dot(coef, col) == field.from_int(scale * x) for col, x in zip(zip(*basis), v)
+    )
+
+
 def eager_is_nilpotent(X: NilObject):
     """(verdict, index, layers) from the image chain, every layer built as it goes.
 
     One `mat_vec` per basis row and letter, one nullspace per layer, and
-    the shrink recheck through `in_rowspan` row by row.
+    the shrink recheck through `reference_in_rowspan` row by row.
     """
     field = X.field
     units = X.ring.units
@@ -186,7 +208,7 @@ def eager_is_nilpotent(X: NilObject):
             )
             for u in units
         }
-        assert all(in_rowspan(row, images[u], field) for u in units for row in nxt[u])
+        assert all(reference_in_rowspan(row, images[u], field) for u in units for row in nxt[u])
         if all(len(nxt[u]) == len(images[u]) for u in units):
             break
         images = nxt

@@ -87,6 +87,26 @@ class TestWords:
         assert payload["status"] == "error"
         assert "error" in payload["data"]
 
+    @pytest.mark.parametrize("mode", ["sieve", "verify", "enumerate"])
+    def test_letter_that_begins_another_is_usage_error(self, capsys, mode):
+        # The letter "ab" and the word a.b would print alike.  L = 16 over
+        # three letters is over the census budget, so exit 2 shows that the
+        # alphabet is checked first.
+        code = main(["words", mode, "-I", "a,ab,b", "-L", "16"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (2, "")
+        payload = json.loads(out)
+        assert payload["status"] == "error" and payload["items"] == []
+        assert "'a' begins letter 'ab'" in payload["data"]["error"]
+
+    def test_prefix_free_multi_character_alphabet_runs(self, capsys):
+        code, payload = run_json(capsys, "words", "enumerate", "-I", "x1,x2,y", "-L", "2")
+        assert code == 0
+        assert payload["data"]["words"] == ["x1", "x2", "y", "x1x2", "x1y", "x2y"]
+        code, payload = run_json(capsys, "words", "sieve", "-I", "y,x2,x1", "-L", "4", "--verify")
+        assert code == 0
+        assert payload["status"] == "pass" and payload["data"]["count"] == 32
+
     def test_zero_bound_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "words", "sieve", "-I", "a,b", "-L", "0")
         assert code == 2
@@ -996,8 +1016,9 @@ class TestTextAndLimitsContract:
         ("grouph", "collapse", "--max-n", "3"),
         ("grouph", "reduce", "--arity", "3", "--count", "2"),
     ]
-    # Well-formed entries (zero, negative and large values among them), or
-    # well-formed and malformed ones mixed.
+    # Entries of a known key with an integer value (zero, large and negative
+    # values among them; a negative one is malformed), or these and other
+    # malformed entries mixed.
     LIMIT_ENTRIES = st.tuples(
         st.sampled_from(["n", "l", "dim"]), st.integers(-2, 20) | st.sampled_from([10**6, 10**9]),
     ).map(lambda kv: f"{kv[0]}={kv[1]}")
@@ -1097,6 +1118,26 @@ class TestLimitsParsing:
     def test_bad_value_rejected(self):
         with pytest.raises(ValueError):
             read_limits(env={"FREENIL_LIMITS": "n=lots"})
+
+    MALFORMED = ["n=x", "n=", "n=-3", "n=1_0", "n=\u0663", "n=4,n=5", "dim=1, l=2,dim=3"]
+
+    @pytest.mark.parametrize("raw", MALFORMED)
+    def test_value_must_be_ascii_digits_and_key_given_once(self, raw):
+        with pytest.raises(ValueError, match="FREENIL_LIMITS entries look like"):
+            read_limits(env={"FREENIL_LIMITS": raw})
+
+    @pytest.mark.parametrize("raw", MALFORMED)
+    def test_malformed_value_exits_two_naming_the_entry(self, capsys, monkeypatch, raw):
+        # n=-3 used to be read as a ceiling, so --max-n 0 exited 3.
+        monkeypatch.setenv("FREENIL_LIMITS", raw)
+        code = main(["grouph", "verify-kernel", "--max-n", "0"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (2, "")
+        assert repr(raw.split(",")[-1].strip()) in json.loads(out)["data"]["error"]
+
+    def test_zero_and_padded_values_accepted(self):
+        got = read_limits(env={"FREENIL_LIMITS": "n= 0 ,dim=007"})
+        assert got == Limits(n=0, l=16, dim=7)
 
     def test_malformed_env_exits_two(self, capsys, monkeypatch):
         monkeypatch.setenv("FREENIL_LIMITS", "nonsense")

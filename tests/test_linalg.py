@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from freenil.linalg import GFp, QQ, in_rowspan, right_nullspace, rowspan_contains, rref
 
-from nil_helpers import mat_vec, monic, reference_nullspace, reference_rref
+from nil_helpers import mat_vec, monic, reference_in_rowspan, reference_nullspace, reference_rref
 
 ints = st.integers(-6, 6)
 moduli = st.sampled_from([None, 2, 3, 7])
@@ -113,8 +113,8 @@ def test_rowspan_contains_is_in_rowspan_on_every_row(matrix, data):
             coefs = data.draw(st.lists(ints, min_size=len(a), max_size=len(a)))
             row = [sum(c * r[j] for c, r in zip(coefs, a)) for j in range(cols)]
         inner.append(row)
-    want = all(in_rowspan(row, outer, field) for row in inner)
+    want = all(reference_in_rowspan(row, outer, field) for row in inner)
     assert rowspan_contains(inner, outer, field) == want
     assert rowspan_contains(inner, [], field) == all(
-        in_rowspan(row, [], field) for row in inner
+        reference_in_rowspan(row, [], field) for row in inner
     )

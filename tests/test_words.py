@@ -6,6 +6,8 @@ count) and are never copied from the implementation under test.
 """
 
 import itertools
+from random import Random
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -145,6 +147,55 @@ class TestCyclicCanonical:
     def test_respects_alphabet_order_not_string_order(self):
         reversed_ab = Alphabet(("b", "a"))
         assert cyclic_canonical(as_word("ab"), reversed_ab) == as_word("ba")
+
+
+# Every word of length 1..10 over three letters, 88,572 in all, powers included.
+WORDS_UP_TO_10 = [w for n in range(1, 11) for w in itertools.product("abc", repeat=n)]
+
+
+class TestPowerTestAndLeastRotation:
+    """`is_reduced` and `cyclic_canonical` against the brute-force oracles."""
+
+    def test_is_reduced_on_every_word_up_to_length_ten(self):
+        assert [w for w in WORDS_UP_TO_10 if is_reduced(w) != brute_is_primitive(w)] == []
+
+    @pytest.mark.parametrize("letters", ["abc", "cba"])
+    def test_cyclic_canonical_on_every_word_up_to_length_ten(self, letters):
+        alphabet = Alphabet(letters)
+        assert [w for w in WORDS_UP_TO_10
+                if cyclic_canonical(w, alphabet) != brute_min_rotation(w, letters)] == []
+
+    @settings(settings.get_profile("ci"), max_examples=300)
+    @given(st.data())
+    def test_powers_over_multi_character_letters(self, data):
+        # Declared in drawn order, so "x10" may sort before "b" or "x1".
+        letters = data.draw(st.permutations(["b", "ab", "x1", "x10", "yy", "c"]))
+        letters = letters[:data.draw(st.integers(1, len(letters)))]
+        u = tuple(data.draw(st.lists(st.sampled_from(letters), min_size=1, max_size=6)))
+        p = data.draw(st.integers(1, 4))
+        w = rotate(u * p, data.draw(st.integers(0, len(u) * p - 1)))
+        assert is_reduced(w) == brute_is_primitive(w)
+        if p > 1:
+            assert not is_reduced(w)
+        assert cyclic_canonical(w, Alphabet(letters)) == brute_min_rotation(w, letters)
+
+    @pytest.mark.parametrize("text", [
+        "".join(Random(20000).choice("abc") for _ in range(20000)),
+        "ab" * 10000 + "b",
+    ], ids=["random", "(ab)^10000 b"])
+    def test_linear_time_on_20000_letters(self, text):
+        # A least rotation taken as a min over all rotation slices is
+        # quadratic and takes seconds here.
+        w = as_word(text)
+        start = perf_counter()
+        primitive = is_reduced(w)
+        middle = perf_counter()
+        least = "".join(cyclic_canonical(w, ABC))
+        assert max(middle - start, perf_counter() - middle) < 0.5
+        assert primitive == brute_is_primitive(w)
+        assert len(least) == len(text) and least in text + text
+        if text.endswith("bb"):
+            assert least == text  # (ab)^10000 b is its own Lyndon conjugate
 
 
 class TestPrimitiveClasses:

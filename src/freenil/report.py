@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
+
+_ITEM = '\n    {\n      "name": %s,\n      "expected": %s,\n      "got": %s,\n      "ok": %s\n    }'
 
 
 @dataclass(frozen=True)
@@ -56,10 +59,15 @@ class Report:
         }
 
     def to_json(self) -> str:
-        payload = self.core_dict()
-        if self.timing is not None:
-            payload["timing"] = {"seconds": round(self.timing, 6)}
-        return json.dumps(payload, indent=2, sort_keys=False)
+        """`json.dumps` of the core dict plus timing at indent 2, byte for byte;
+        data is re-indented to its depth (JSON strings hold no raw newline)."""
+        items = ",".join(_ITEM % (_quote(i.name), _quote(i.expected), _quote(i.got),
+                                  "true" if i.ok else "false") for i in self.items)
+        timing = "" if self.timing is None else (
+            ',\n  "timing": {\n    "seconds": %s\n  }' % json.dumps(round(self.timing, 6)))
+        return '{\n  "command": %s,\n  "status": %s,\n  "items": %s,\n  "data": %s%s\n}' % (
+            _quote(self.command), _quote(self.status), f"[{items}\n  ]" if items else "[]",
+            json.dumps(self.data, indent=2).replace("\n", "\n  "), timing)
 
     def to_plain(self) -> str:
         lines = [f"command: {self.command}", f"status: {self.status}"]

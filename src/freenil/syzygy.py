@@ -19,8 +19,10 @@ Two coordinate systems share the LaurentPoly and SkewLaurent types, and
   pairwise relations, the collapse witnesses and every evaluation of f or
   of sum W_i c_i are built and checked: `kernel_pair_y`,
   `pairwise_relation_y`, `defining_map_y`.  There a run y_0 ... y_{-n} is
-  one monomial, so U_n has 4 terms and V_n has O(n).  Each of these sums
-  is one `skewpoly.dot` per side, and X(p, q) is proved once per (p, q).
+  one monomial, so U_n has 4 terms and V_n has O(n), one per t-degree.
+  f(W_n) is one `skewpoly.dot`, over factors proved equal to f's literal
+  spelling once per command; each sum W_i c_i is one `dot` per side, and
+  X(p, q) is proved once per (p, q).
   Their pieces (z_i, the runs, the tails t^{p+1} z_1 y_0 ... y_{-p}) are
   built once per command and shared read-only; every X(p, q) ends in the
   one object z_{-p}, so its last projection is converted once per p.
@@ -100,24 +102,23 @@ def _to_y(elements: Sequence[SkewLaurent]) -> tuple[list[SkewLaurent], LaurentPo
 
 
 @lru_cache(maxsize=None)
-def _defining_factors() -> tuple[SkewLaurent, ...]:
-    """f's left factors in y: 1 - t*y_0 and -(1 - t*y_1), then the same
-    with bare x conjugates, 1 - t + t*x and -(1 - t + t^2 x t^{-1}), x = 1 - y_0."""
+def _defining_factors() -> tuple[SkewLaurent, SkewLaurent]:
+    """f's left factors in y, 1 - t*y_0 and -(1 - t*y_1), proved once per
+    command (InvariantError otherwise) equal to their spelling with bare x
+    conjugates, 1 - t + t*x and -(1 - t + t^2 x t^{-1}), x = 1 - y_0."""
     one, t, tinv = SkewLaurent.one(), SkewLaurent.t(1), SkewLaurent.t(-1)
     x = SkewLaurent.from_poly(one_minus_x(0))
-    return (one - SkewLaurent.t(1, LaurentPoly.x(0)), -(one - SkewLaurent.t(1, LaurentPoly.x(1))),
-            one - t + t * x, -(one - t + t * t * x * tinv))
+    factors = (one - SkewLaurent.t(1, LaurentPoly.x(0)), -(one - SkewLaurent.t(1, LaurentPoly.x(1))))
+    if factors != (one - t + t * x, -(one - t + t * t * x * tinv)):
+        raise InvariantError("two spellings of the defining map disagree")
+    return factors
 
 
 def defining_map_y(U: SkewLaurent, V: SkewLaurent) -> SkewLaurent:
     """f(U, V) = (1 - t*y_0) U - (1 - t*y_1) V, everything in y-coordinates;
-    both spellings of f must give one element."""
-    fu, fv, literal_u, literal_v = _defining_factors()
-    got = dot([(fu, U), (fv, V)])
-    literal = dot([(literal_u, U), (literal_v, V)])
-    if got != literal:
-        raise InvariantError("two spellings of the defining map disagree")
-    return got
+    one `dot` over the factors `_defining_factors` proved."""
+    fu, fv = _defining_factors()
+    return dot([(fu, U), (fv, V)])
 
 
 def defining_map(U: SkewLaurent, V: SkewLaurent) -> SkewLaurent:
@@ -139,17 +140,17 @@ def kernel_pair_y(n: int) -> Pair:
                  - t^{n+1} z_1 y_0 ... y_{1-n} y_{-1-n}
 
     The descending y-product in the sum is empty at i = 1, and the last
-    factor of the tail term skips y_{-n}.  Raises InvariantError unless
-    the defining map, in both spellings, kills the pair.
+    factor of the tail term skips y_{-n}.  V_n has one term per t-degree,
+    so it is built layer by layer.  Raises InvariantError unless the
+    defining map kills the pair.
     """
     if n < 0:
         raise ValueError(f"kernel pairs are indexed by n >= 0, got {n}")
     z1, zmn = _z(1), _z(-n)
     U = _generator(-n) - _tail(n)
     zz = zmn * z1
-    terms = [(zmn, 0, LaurentPoly.one())] + [(zz, i, _yrun(0, 2 - i)) for i in range(1, n + 1)]
-    terms.append((-z1, n + 1, _yrun(0, 1 - n) * LaurentPoly.x(-1 - n)))
-    V = dot((SkewLaurent.t(i, a), SkewLaurent.from_poly(b)) for a, i, b in terms)
+    V = SkewLaurent({0: zmn, **{i: zz * _yrun(0, 2 - i) for i in range(1, n + 1)},
+                     n + 1: -(z1 * _yrun(0, 1 - n) * LaurentPoly.x(-1 - n))})
     if not defining_map_y(U, V).is_zero():
         raise InvariantError(f"kernel pair {n} is not killed by the defining map")
     return (U, V)

@@ -11,7 +11,8 @@ and collapses every sample it draws, the way the library did before it
 formed each distinct product once per command.  `verify_relations_oracle`
 is the relation suite that builds every X(p, q) from fresh objects and
 converts and formats each last projection per pair, the way the library
-did before its pieces were shared within a command.
+did before its pieces were shared within a command.  `kernel_pair_y_oracle`
+builds V_n as one `dot` over its terms rather than from its layers.
 """
 
 from random import Random
@@ -108,6 +109,19 @@ def fresh_z(i: int) -> LaurentPoly:
 def fresh_yrun(top: int, bottom: int) -> LaurentPoly:
     """The monomial y_top ... y_bottom in y-coordinates, built afresh."""
     return LaurentPoly({tuple((i, 1) for i in range(bottom, top + 1)): 1})
+
+
+def kernel_pair_y_oracle(n: int) -> tuple[SkewLaurent, SkewLaurent]:
+    """W_n in y-coordinates, every object built afresh, V_n as one `dot`
+    over its terms t^i a * b, the way the library built it before it
+    assembled V_n from its layers."""
+    z1, zmn = fresh_z(1), fresh_z(-n)
+    U = SkewLaurent.from_poly(zmn) - SkewLaurent.t(n + 1, z1 * fresh_yrun(0, -n))
+    terms = [(zmn, 0, LaurentPoly.one())]
+    terms += [(zmn * z1, i, fresh_yrun(0, 2 - i)) for i in range(1, n + 1)]
+    terms.append((-z1, n + 1, fresh_yrun(0, 1 - n) * LaurentPoly.x(-1 - n)))
+    V = dot((SkewLaurent.t(i, a), SkewLaurent.from_poly(b)) for a, i, b in terms)
+    return U, V
 
 
 def fresh_relation_y(p: int, q: int) -> dict:

@@ -45,6 +45,7 @@ from kernel_oracles import (
     fresh_relation_y,
     fresh_yrun,
     fresh_z,
+    kernel_pair_y_oracle,
     verify_relations_oracle,
     y_run,
 )
@@ -181,6 +182,24 @@ class TestKernelPairs:
     def test_killed_by_defining_map(self, n):
         U, V = kernel_pair(n)
         assert defining_map(U, V).is_zero()
+
+    def test_layer_built_pair_matches_dot_oracle(self):
+        for n in range(17):
+            assert kernel_pair_y(n) == kernel_pair_y_oracle(n)
+
+    def test_disagreeing_spellings_exit_four(self, capsys, monkeypatch, cold_caches):
+        # The literal spelling of f is proved against the y factors once per
+        # command, when they are built; a wrong one stops the command.
+        import freenil.syzygy as syzygy
+
+        monkeypatch.setattr(syzygy, "one_minus_x", lambda i: LaurentPoly.x(i))
+        syzygy._defining_factors.cache_clear()
+        assert main(["grouph", "verify-kernel", "--max-n", "2"]) == 4
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["data"]["invariant"] == "two spellings of the defining map disagree"
+        monkeypatch.undo()
+        syzygy._defining_factors.cache_clear()
+        assert main(["grouph", "verify-kernel", "--max-n", "2"]) == 0
 
     def test_t_support(self):
         U, V = kernel_pair(4)
@@ -455,8 +474,11 @@ class TestReduceStep:
         # Zipping dense tuples against the state took 1,673 calls, 1,010 of
         # them on zeros alone.  Now only the proof of the final zero state
         # sums nothing: one empty sum per side.  The defining map builds its
-        # four factors once (4 calls), not once per kernel pair (4 x 14).
-        assert len(calls) == 465
+        # four factors once (4 calls), not once per kernel pair (4 x 14), and
+        # each of the 14 kernel pairs is proved with one `dot`: its V is built
+        # from its layers, and the literal spelling of f is checked on the
+        # factors, not multiplied again (465 calls before, 3 per pair).
+        assert len(calls) == 437
         assert len(idle) == 2
 
 

@@ -259,7 +259,9 @@ def run_reduce(args, report: Report, limits: Limits) -> None:
     pairs = []
     for text in args.pair:
         fields = text.split(",")
-        if len(fields) != 2:
+        # an optional '-' then ASCII digits; int() alone would take " 3", "+3" and "0_3"
+        digits = [f.removeprefix("-") for f in fields]
+        if len(fields) != 2 or not all(d.isascii() and d.isdigit() for d in digits):
             raise ValueError(f"--pair takes P,Q with two integers, got {text!r}")
         pairs.append(tuple(int(f) for f in fields))
     items, steps = reduce_pair_sum(pairs, args.arity)

@@ -619,10 +619,10 @@ class FreeAbelianSubgroup:
         return self.lattice.index()
 
     def membership(self, g):
-        return not any(self.lattice.reduce(self.group.check(g))[0])
+        return self._trusted[0](self.group.check(g))
 
     def rep(self, g):
-        return self.lattice.reduce(self.group.check(g))[0]
+        return self._trusted[1](self.group.check(g))
 
     def trusted(self):
         """(membership, rep) for elements already checked where they entered."""
@@ -721,8 +721,7 @@ class FreeAbelianEmbedding:
         return self._apply(self.src.check(c))
 
     def preimage(self, g):
-        residue, combo = self.image.lattice.reduce(self.dst.check(g))
-        return None if any(residue) else self._recombined(combo, g)
+        return self._trusted[1](self.dst.check(g))
 
     def trusted(self):
         """(apply, preimage) for elements already checked where they entered."""

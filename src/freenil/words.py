@@ -5,12 +5,12 @@ alphabet's declared order (not Python's string order) drives every
 lexicographic comparison, so ``Alphabet(("b", "a"))`` really does sort
 ``b`` before ``a``.  Primitivity is a power test (one comparison per
 prime dividing the length), and both the least rotation and the Lyndon
-class oracle come from Duval's factorization pass.
+class oracle come from Duval's factorization pass.  The sieve runs one
+length at a time over sorted per-length buckets.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -200,49 +200,37 @@ def sieve(alphabet: Alphabet, bound: int) -> tuple[SieveState, list[Word]]:
     the final state and the emitted pivots, which enumerate one
     representative per primitive rotation class of length <= bound.
 
-    The pool only ever loses the pivot, so the step is done in place: a
-    heap keyed by (length, letter ranks) yields the pivot, a set holds
-    the live pool, and per-length buckets hold the live words.  Only pool
-    words of length <= bound - |pivot| can extend, and each extension
-    is new output, so a run costs O(census * bound * log census) instead
-    of the O(census^2) of rebuilding and rescanning the pool every step.
+    A pivot of length m only adds words longer than m, so the sieve runs
+    one length at a time: every word of length m is in its bucket before
+    the first pivot of length m, and the sorted bucket is that length's
+    pivot order.  Each pivot extends the rest of its own bucket and the
+    buckets of lengths m+1..bound-m; they are read longest first, so the
+    words the pivot adds (to longer buckets) are never read as its sources.
+    Every extension is a word the sieve emits, so a run makes one word
+    concatenation per emitted word past the letters, plus one sort per length.
     """
     if bound < 1:
         raise ValueError("length bound must be >= 1")
-    letters = [(l,) for l in alphabet.letters]
-    if len(alphabet) <= 1:
-        return SieveState(0, tuple(letters)), letters
-    # Heap entries are (length, rank tuple, word); rank tuples are distinct
-    # per word, so words themselves are never compared.
-    heap = [(1, alphabet.key(w), w) for w in letters]
-    heapq.heapify(heap)
-    pool: set[Word] = set(letters)
+    # Entries are (rank tuple, word); the recheck below proves rank tuples
+    # distinct per bucket, so sorting orders words by the alphabet alone.
     buckets: list[list[tuple[tuple[int, ...], Word]]] = [[] for _ in range(bound + 1)]
-    buckets[1] = [(key, w) for _, key, w in heap]
+    buckets[1] = [(alphabet.key((l,)), (l,)) for l in alphabet.letters]
     emitted: list[Word] = []
-    while heap:
-        m, pivot_key, pivot = heapq.heappop(heap)
-        pool.remove(pivot)
-        if not is_reduced(pivot):
-            raise InvariantError(f"sieve pivot {''.join(pivot)} is not primitive")
-        if emitted and m < len(emitted[-1]):
-            raise InvariantError("sieve pivot lengths must be non-decreasing")
-        emitted.append(pivot)
-        # Collect the live sources first: words added by this step are pivot
-        # powers times a source, so extending them again only repeats words.
-        sources = []
-        for n in range(1, bound - m + 1):
-            buckets[n] = [entry for entry in buckets[n] if entry[1] in pool]
-            sources.extend(buckets[n])
-        for key, w in sources:
-            n = len(w) + m
-            while n <= bound:
-                key, w = pivot_key + key, pivot + w
-                if w not in pool:
-                    pool.add(w)
-                    heapq.heappush(heap, (n, key, w))
-                    buckets[n].append((key, w))
-                n += m
+    for m in range(1, bound + 1):
+        bucket = sorted(buckets[m])
+        for (key, w), (next_key, v) in zip(bucket, bucket[1:]):
+            if key == next_key:
+                raise InvariantError(
+                    f"sieve words {''.join(w)} and {''.join(v)} have equal letter ranks")
+        for i, (pivot_key, pivot) in enumerate(bucket):
+            if not is_reduced(pivot):
+                raise InvariantError(f"sieve pivot {''.join(pivot)} is not primitive")
+            emitted.append(pivot)
+            for n in range(bound - m, m - 1, -1):
+                for key, w in bucket[i + 1:] if n == m else buckets[n]:
+                    for k in range(n + m, bound + 1, m):
+                        key, w = pivot_key + key, pivot + w
+                        buckets[k].append((key, w))
     return SieveState(len(emitted), tuple(emitted)), emitted
 
 

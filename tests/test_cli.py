@@ -156,6 +156,20 @@ class TestWords:
         assert payload["data"]["count"] == 192_346
         assert payload["items"] and all(it["ok"] for it in payload["items"])
 
+    def test_equal_letter_ranks_exit_four(self, capsys, monkeypatch):
+        # a non-injective letter rank breaks the sieve's duplicate recheck
+        real = Alphabet.__init__
+
+        def shared_rank(self, letters):
+            real(self, letters)
+            self._rank["b"] = self._rank["a"]
+
+        monkeypatch.setattr(Alphabet, "__init__", shared_rank)
+        code, payload = run_json(capsys, "words", "sieve", "-I", "a,b", "-L", "3")
+        assert code == 4
+        assert payload["status"] == "error"
+        assert "sieve words a and b have equal letter ranks" in payload["data"]["invariant"]
+
 
 class TestGrouph:
     def test_verify_kernel_thirteen_checks(self, capsys):
@@ -200,6 +214,21 @@ class TestGrouph:
     def test_reduce_pair_out_of_range(self, capsys):
         code, _ = run_cli(capsys, "grouph", "reduce", "--arity", "3", "--pair", "2,1")
         assert code == 2
+
+    @pytest.mark.parametrize("pair, error", [
+        ("0,0_3", "--pair takes P,Q"),
+        (" 0, 3", "--pair takes P,Q"),
+        ("+0,3", "--pair takes P,Q"),
+        ("٠,٣", "--pair takes P,Q"),  # Arabic-Indic zero and three
+        ("--1,3", "--pair takes P,Q"),
+        ("0,", "--pair takes P,Q"),
+        ("-1,3", "need 0 <= p < q < n"),
+    ])
+    def test_reduce_pair_fields_are_ascii_integers(self, capsys, pair, error):
+        # each field is an optional '-' then ASCII digits, as exponents are read
+        code, payload = run_json(capsys, "grouph", "reduce", "--arity", "4", f"--pair={pair}")
+        assert code == 2
+        assert payload["data"]["error"].startswith(error)
 
     def test_collapse_images(self, capsys):
         code, payload = run_json(capsys, "grouph", "collapse", "--max-n", "3")

@@ -507,8 +507,8 @@ def lattice_generators(draw, diagonal):
 
 
 class TestTrustedLattice:
-    """The trusted operations, by modulo on a diagonal Hermite form and by
-    `_Lattice.reduce` otherwise, against the checked public methods."""
+    """The trusted and the checked operations, by modulo on a diagonal Hermite
+    form, against the general `_Lattice.reduce` pass as the oracle."""
 
     @settings(settings.get_profile("ci"), max_examples=200)
     @given(data=st.data(), diagonal=st.booleans())
@@ -529,14 +529,16 @@ class TestTrustedLattice:
                                       max_size=4))
         member, rep = H.trusted()
         for v in vectors:
-            assert member(v) == H.membership(v)
-            assert rep(v) == H.rep(v)
+            residue, _ = H.lattice.reduce(v)
+            assert member(v) == H.membership(v) == (not any(residue))
+            assert rep(v) == H.rep(v) == residue
         if H.lattice.rank < len(gens):
             return
         e = FreeAbelianEmbedding(FreeAbelianGroup(len(gens)), G, gens)
         apply, preimage = e.trusted()
         for v in vectors:
-            assert preimage(v) == e.preimage(v)
+            residue, combo = e.image.lattice.reduce(v)
+            assert preimage(v) == e.preimage(v) == (None if any(residue) else combo)
         for cs in data.draw(st.lists(coords.map(tuple), min_size=1, max_size=4)):
             assert apply(cs) == e.apply(cs)
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import pytest
 
-from freenil import cli, groups
+from freenil import cli, groupring, groups
 from freenil.errors import InvariantError
 from freenil.groups import (
     FiniteEmbedding,
@@ -221,9 +221,10 @@ class TestNormalFormInvariants:
 
 class TestDiagonalFastPath:
     def test_long_word_runs_no_general_reduction_and_one_check_per_element(self, monkeypatch):
-        # bs12's lattices are diagonal, so no stable letter may fall back to
-        # `_Lattice.reduce`, and the parser's one object per distinct text is
-        # checked once; the construction is loaded after the counters are in
+        # bs12's lattices are diagonal, so neither normalizing nor grading may
+        # fall back to `_Lattice.reduce`, and the parser's one object per
+        # distinct text is checked once; the construction is loaded after the
+        # counters are in
         calls = {"reduce": 0, "check": 0}
 
         def counted(name, real):
@@ -244,6 +245,9 @@ class TestDiagonalFastPath:
         assert calls == {"reduce": 0, "check": len({id(v) for k, v in tokens if k == "g"})}
         assert calls["check"] == 4
         assert eval_bs12(bs12.word_tokens(word)) == eval_bs12(tokens)
+        calls.update(reduce=0)
+        groupring.word_sequence_type(bs12, word)
+        assert calls["reduce"] == 0
 
 
 class TestErrors:

@@ -5,6 +5,7 @@ file (rotation enumeration, proper-power search, a divisor-sum class
 count) and are never copied from the implementation under test.
 """
 
+import heapq
 import itertools
 from random import Random
 from time import perf_counter
@@ -86,6 +87,38 @@ def reference_sieve(alphabet, bound):
         pivot = min(pool, key=alphabet.sort_key)
         emitted.append(pivot)
         pool = prefix_extensions(pool, pivot, bound)
+    return emitted
+
+
+def heap_sieve(alphabet, bound):
+    # The in-place heap sieve, the large-bound oracle: a heap keyed by
+    # (length, letter ranks) yields each pivot, a set holds the live pool,
+    # and per-length buckets, filtered against the pool before every pivot,
+    # supply the sources.
+    letters = [(l,) for l in alphabet.letters]
+    heap = [(1, alphabet.key(w), w) for w in letters]
+    heapq.heapify(heap)
+    pool = set(letters)
+    buckets = [[] for _ in range(bound + 1)]
+    buckets[1] = [(key, w) for _, key, w in heap]
+    emitted = []
+    while heap:
+        m, pivot_key, pivot = heapq.heappop(heap)
+        pool.remove(pivot)
+        emitted.append(pivot)
+        sources = []
+        for n in range(1, bound - m + 1):
+            buckets[n] = [entry for entry in buckets[n] if entry[1] in pool]
+            sources.extend(buckets[n])
+        for key, w in sources:
+            n = len(w) + m
+            while n <= bound:
+                key, w = pivot_key + key, pivot + w
+                if w not in pool:
+                    pool.add(w)
+                    heapq.heappush(heap, (n, key, w))
+                    buckets[n].append((key, w))
+                n += m
     return emitted
 
 
@@ -268,9 +301,10 @@ class TestSieve:
         assert len(emitted) == 8
         assert len(emitted) == len(primitive_classes(AB, 4))
 
-    def test_one_letter_shortcut(self):
-        _, emitted = sieve(Alphabet(("a",)), 3)
+    def test_one_letter_emits_one_pivot(self):
+        state, emitted = sieve(Alphabet(("a",)), 3)
         assert emitted == [as_word("a")]
+        assert state.step == len(emitted) == 1
 
     @pytest.mark.parametrize("alphabet", [AB, ABC])
     @pytest.mark.parametrize("bound", range(1, 9))
@@ -312,6 +346,27 @@ class TestSieve:
         alphabet = Alphabet(letters)
         _, emitted = sieve(alphabet, bound)
         assert emitted == reference_sieve(alphabet, bound)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("letters, bound", [
+        (("a", "b"), 16),
+        (("x", "yy", "xy"), 11),
+        (("a", "b", "c", "d"), 9),
+        (("e", "dd", "c", "bb", "a"), 8),
+    ])
+    def test_matches_heap_sieve_at_large_bounds(self, letters, bound, reverse):
+        # censuses of 8,800 / 25,486 / 40,584 / 63,319 at the largest bound,
+        # past what `reference_sieve` can reach; both parities of the bound
+        alphabet = Alphabet(letters[::-1] if reverse else letters)
+        for b in (bound - 1, bound):
+            _, emitted = sieve(alphabet, b)
+            assert emitted == heap_sieve(alphabet, b)
+
+    def test_equal_letter_ranks_raise(self):
+        alphabet = Alphabet(("a", "b", "c"))
+        alphabet._rank["c"] = alphabet._rank["b"]
+        with pytest.raises(InvariantError, match="sieve words b and c have equal letter ranks"):
+            sieve(alphabet, 3)
 
 
 class TestVerifyAdmissible:

@@ -28,14 +28,18 @@ Input files may be given by path, or by the bare name of a shipped sample
 
 Every command is one row of the command table ``COMMANDS``, which names
 its runner.  The parser is built once per process, when this module is
-imported; ``main`` only parses argv and calls the named runner, and each
-runner checks its arguments and limits and calls library verifiers.
+imported, with one mode parser per row.  ``main`` hands a command line
+that begins with a row's command and mode straight to that mode's parser,
+and any other line (help, a usage error at the top two levels) to the
+full parser; then it calls the named runner, and each runner checks its
+arguments and limits and calls library verifiers.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import sys
 import time
 from dataclasses import dataclass
 from importlib import resources
@@ -118,14 +122,16 @@ REDUCE_RELATIONS_BUDGET = 200
 COLLAPSE_SAMPLES_BUDGET = 300_000
 
 
+_SAMPLES = resources.files("freenil") / "data"
+
+
 def _resolve_input(path_text: str):
     """A literal path, or the name of a shipped sample under the data dir."""
     p = Path(path_text)
     if p.is_file():
         return p
-    packaged = resources.files("freenil") / "data"
     for candidate in (path_text, path_text + ".json"):
-        q = packaged / candidate
+        q = _SAMPLES / candidate
         if q.is_file():
             return q
     raise OSError(f"no such input file: {path_text}")
@@ -440,7 +446,8 @@ COMMANDS = {
 class _Parser(argparse.ArgumentParser):
     """Raises ValueError where argparse would print usage to stderr and exit,
     so `main` reports a rejected command line like any other usage error.
-    Subparsers inherit the class."""
+    Subparsers inherit the class.  The parser `build_parser` returns also
+    holds ``modes``, the parser of each ``COMMANDS`` row under its key."""
 
     def error(self, message):
         raise ValueError(f"{self.prog}: {message}")
@@ -466,10 +473,12 @@ def build_parser() -> argparse.ArgumentParser:
             ("algebra", "computations over stored constructions"),
         )
     }
+    parser.modes = {}
     p = {}
     for (command, mode), (runner, blurb) in COMMANDS.items():
         p[mode] = modes[command].add_parser(mode, parents=[fmt], help=blurb)
         p[mode].set_defaults(runner=runner)
+        parser.modes[command, mode] = p[mode]
 
     for mode in ("sieve", "verify", "enumerate"):
         p[mode].add_argument("-I", "--alphabet", required=True,
@@ -533,10 +542,37 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
+def parse_args(argv) -> argparse.Namespace:
+    """``_PARSER.parse_args(argv)``, skipping the two outer levels when argv
+    begins with a row's command and mode: the full parser would hand the
+    rest of argv, untouched, to that mode's parser."""
+    mode = _PARSER.modes.get(tuple(argv[:2]))
+    if mode is None:
+        return _PARSER.parse_args(argv)
+    args, extra = mode.parse_known_args(argv[2:])
+    if extra:  # the full parser reports leftovers in its own words
+        return _PARSER.parse_args(argv)
+    args.command, args.mode = argv[:2]
+    return args
+
+
 def _emit(report: Report, args, start: float, code: int) -> int:
     report.timing = time.perf_counter() - start
     fmt = "json" if args is None else "plain" if args.plain else args.format
-    print(report.to_json() if fmt == "json" else report.to_plain())
+    return _flushed(code, report.to_json() if fmt == "json" else report.to_plain())
+
+
+def _flushed(code: int, text: str | None = None) -> int:
+    """Print ``text`` if given, flush stdout and return ``code``.  A reader
+    that closed the pipe early cuts the output short but not the code:
+    stdout then points at devnull, so that the interpreter's flush at exit
+    stays quiet."""
+    try:
+        if text is not None:
+            print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 
@@ -545,7 +581,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     args = None  # a rejected command line is reported in JSON
     try:
-        args = _PARSER.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         limits = read_limits()
         globals()[args.runner](args, report, limits)
     except LimitExceeded as exc:
@@ -562,7 +598,7 @@ def main(argv=None) -> int:
         report.data["invariant"] = str(exc)
         return _emit(report, args, start, 4)
     except SystemExit as exc:  # --help printed the help text
-        return exc.code if isinstance(exc.code, int) else 2
+        return _flushed(exc.code if isinstance(exc.code, int) else 2)
     except (ValueError, KeyError, TypeError, OSError, UnsupportedOperation) as exc:
         report.status = "error"
         message = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)

@@ -9,6 +9,36 @@ from json.encoder import encode_basestring_ascii as _quote
 _ITEM = '\n    {\n      "name": %s,\n      "expected": %s,\n      "got": %s,\n      "ok": %s\n    }'
 
 
+def _render(value, pad: str) -> str:
+    """`json.dumps(value, indent=2)` with every line after the first indented
+    by ``pad``.  Strings, ints, lists, tuples and str-keyed dicts are written
+    here, at C speed per string and per all-int list; any other value goes to
+    `json.dumps`, a scalar through its shared C encoder."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    inner = pad + "  "
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {int}:
+            body = (",\n" + inner).join(map(int.__repr__, value))
+        else:
+            body = (",\n" + inner).join([_render(v, inner) for v in value])
+        return f"[\n{inner}{body}\n{pad}]"
+    if kind is dict and set(map(type, value)) <= {str}:
+        if not value:
+            return "{}"
+        body = (",\n" + inner).join([f"{_quote(k)}: {_render(v, inner)}"
+                                      for k, v in value.items()])
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if isinstance(value, (list, tuple, dict)):
+        return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+    return json.dumps(value)
+
+
 @dataclass(frozen=True)
 class CheckItem:
     """One verified fact: a name, what was expected, what was computed."""
@@ -59,15 +89,18 @@ class Report:
         }
 
     def to_json(self) -> str:
-        """`json.dumps` of the core dict plus timing at indent 2, byte for byte;
-        data is re-indented to its depth (JSON strings hold no raw newline)."""
+        """`json.dumps` of the core dict plus timing at indent 2, byte for byte.
+
+        Each item is written from one template and ``data`` by `_render`, so
+        no value meets the pure-Python encoder that ``indent`` selects unless
+        `_render` hands it over (a non-str-keyed dict, a list subclass)."""
         items = ",".join(_ITEM % (_quote(i.name), _quote(i.expected), _quote(i.got),
                                   "true" if i.ok else "false") for i in self.items)
         timing = "" if self.timing is None else (
             ',\n  "timing": {\n    "seconds": %s\n  }' % json.dumps(round(self.timing, 6)))
         return '{\n  "command": %s,\n  "status": %s,\n  "items": %s,\n  "data": %s%s\n}' % (
             _quote(self.command), _quote(self.status), f"[{items}\n  ]" if items else "[]",
-            json.dumps(self.data, indent=2).replace("\n", "\n  "), timing)
+            _render(self.data, "  "), timing)
 
     def to_plain(self) -> str:
         lines = [f"command: {self.command}", f"status: {self.status}"]

@@ -1115,6 +1115,139 @@ class TestParserReuse:
         assert codes[2] == 2 and codes.count(2) == 1
 
 
+def parsed(parse, argv):
+    """What one parse of argv gives: the namespace, the usage error's text,
+    or the exit code and the help text of -h."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return "args", vars(parse(list(argv)))
+    except ValueError as exc:
+        return "error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue()
+
+
+class TestDispatch:
+    """`cli.parse_args` sends a command line straight to its mode's parser;
+    the full parser `cli._PARSER` is the oracle it must agree with."""
+
+    VALID = [
+        ["words", "sieve", "-I", "a,b", "-L", "4"],
+        ["words", "sieve", "-I", "a,b", "-L", "4", "--verify", "--plain"],
+        ["words", "verify", "-I", "a,b", "-L", "3", "--format", "plain"],
+        ["words", "enumerate", "-I", "a,b,c", "-L", "3"],
+        ["grouph", "verify-kernel", "--max-n", "3"],
+        ["grouph", "relations", "--max-q", "3"],
+        ["grouph", "reduce", "--arity", "4", "--count", "2", "--seed", "1"],
+        ["grouph", "reduce", "--arity", "5", "--pair", "0,1", "--pair", "2,4"],
+        ["grouph", "collapse", "--max-n", "2", "--samples", "3"],
+        ["algebra", "normalize", "--hnn", "bs12", "--word", "T- a T+"],
+        ["algebra", "normalize", "--amalgam", "dinf", "--word", "1:s 2:r 1:s"],
+        ["algebra", "decompose", "--hnn", "bs12", "--word", "a T+ a T-", "--word", "T+ a"],
+        ["algebra", "cosets", "s3", "--left", "(12)", "--right", "(12)"],
+        ["algebra", "nil-check"],
+        ["algebra", "nil-check", "nil_example", "--format", "json"],
+        ["algebra", "nil-map", "nil_example", "--restrict", "p"],
+        ["algebra", "nil-map", "nil_example", "--twist", "f", "--twist", "g,f"],
+    ]
+    USAGE_ERRORS = [
+        [],  # no command
+        ["words"],  # no mode
+        ["frobnicate", "sieve"],  # unknown command
+        ["words", "frobnicate"],  # unknown mode
+        ["grouph", "sieve", "-I", "a", "-L", "3"],  # another command's mode
+        ["words", "sieve", "-L", "4"],  # missing required option
+        ["algebra", "normalize", "--hnn", "bs12"],
+        ["grouph", "relations", "--max-q", "x"],  # bad type
+        ["words", "sieve", "-I", "a", "-L", "3", "--format", "xml"],  # bad choice
+        ["grouph", "relations", "--max-q", "3", "extra"],  # leftover argument
+        ["algebra", "nil-check", "nil_example", "s3"],
+        ["words", "sieve", "-I", "a", "-L", "3", "--bogus", "1"],
+        ["algebra", "normalize", "--hnn", "bs12", "--amalgam", "dinf", "--word", "1"],
+        ["algebra", "normalize", "--hnn", "bs12", "--word", "-a"],
+        ["words", "sieve", "-I", "a", "-L", "3", "--verify=1"],
+        ["grouph", "relations", "--max-q", "-1"],  # parses; the runner rejects it
+    ]
+    HELP = [
+        ["-h"], ["--help"], ["words", "-h"], ["algebra", "--help"],
+        ["words", "sieve", "-h"], ["grouph", "reduce", "--help"], ["algebra", "nil-map", "--he"],
+    ]
+    SPELLINGS = [
+        ["grouph", "relations", "--max-q", "3", "--max-q", "4"],  # the last one counts
+        ["--", "words", "sieve", "-I", "a,b", "-L", "3"],
+        ["words", "--", "sieve", "-I", "a,b", "-L", "3"],
+        ["words", "sieve", "-I", "a,b", "-L", "3", "--"],
+        ["algebra", "nil-check", "--", "nil_example"],
+        ["algebra", "cosets", "--left", "(12)", "--right", "(12)", "--", "s3"],
+        ["grouph", "verify-kernel", "--max", "3"],
+        ["words", "sieve", "--alpha", "a,b", "--bou", "3", "--ver"],
+        ["grouph", "collapse", "--s", "3"],  # ambiguous: --samples or --seed
+        ["grouph", "collapse", "--max-n=2", "--sam=3"],
+        ["words", "sieve", "--alphabet=a,b", "-L3"],
+        ["words", "enumerate", "-Ia,b", "-L=3"],
+        ["algebra", "normalize", "--hnn=bs12", "--word=T+ T-"],
+        ["grouph", "reduce", "--pair=0,1", "--pair", "-1,2"],
+    ]
+    CASES = VALID + USAGE_ERRORS + HELP + SPELLINGS
+
+    def test_every_command_row_is_covered(self):
+        assert {tuple(argv[:2]) for argv in self.VALID} == set(cli.COMMANDS)
+
+    @pytest.mark.parametrize("argv", CASES, ids=" ".join)
+    def test_dispatch_matches_the_full_parser(self, argv):
+        assert parsed(cli.parse_args, argv) == parsed(cli._PARSER.parse_args, argv)
+
+    @pytest.mark.parametrize("argv", CASES, ids=" ".join)
+    def test_main_prints_the_same_report(self, capsys, monkeypatch, argv):
+        def untimed(out):
+            return [l for l in out.splitlines() if '"seconds"' not in l and "timing" not in l]
+
+        code = main(list(argv))
+        got = capsys.readouterr()
+        monkeypatch.setattr(cli, "parse_args", cli._PARSER.parse_args)
+        want_code = main(list(argv))
+        want = capsys.readouterr()
+        assert (code, untimed(got.out), got.err) == (want_code, untimed(want.out), want.err)
+
+    TOKENS = sorted({token for argv in CASES for token in argv} | {"-", "-I", "0", "--out"})
+
+    @settings(settings.get_profile("ci"), max_examples=400)
+    @given(head=st.sampled_from(sorted(cli.COMMANDS)).map(list)
+           | st.lists(st.sampled_from(TOKENS), max_size=2),
+           tail=st.lists(st.sampled_from(TOKENS), max_size=6))
+    def test_random_command_lines_match_the_full_parser(self, head, tail):
+        argv = head + tail
+        assert parsed(cli.parse_args, argv) == parsed(cli._PARSER.parse_args, argv)
+
+
+class TestClosedStdout:
+    # The sieve report (about 220 kB) is larger than a pipe's buffer, so the
+    # command is still writing when its reader closes after one byte; the
+    # help text is short, so that reader closes before reading anything.
+    @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv,read", [
+        (["words", "sieve", "-I", "a,b", "-L", "16"], 1),
+        (["--help"], 0),
+    ], ids=["report", "help"])
+    def test_reader_closing_early_exits_zero_with_empty_stderr(self, argv, read, buffering):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        env.pop("FREENIL_LIMITS", None)
+        env.pop("PYTHONUNBUFFERED", None)
+        if buffering == "unbuffered":
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "freenil", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env,
+        )
+        assert len(proc.stdout.read(read)) == read
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
+
+
 class TestResourceExhaustion:
     @pytest.mark.parametrize("exc", [MemoryError(), RecursionError("too deep")])
     def test_exhaustion_exits_three_with_partial_report(self, capsys, monkeypatch, exc):

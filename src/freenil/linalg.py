@@ -5,22 +5,43 @@ total on degenerate shapes (zero rows, zero columns) because block
 modules routinely have zero-dimensional components.  No floats anywhere.
 
 Every routine takes one field object with a single protocol: `zero`,
-`one`, `from_int`, `dot`, `primitive` and `cancel`.  Elements are ints in
-canonical form (reduced mod p over GF(p)), so zero is plain `0`.
-Elimination is fraction-free: clearing an entry replaces a row by
-`pivot * row - entry * pivot_row` (Bareiss 1968 shows that exact
-elimination over Z needs no rationals), and `QQ` then divides the row by
-the gcd of its entries.  No `Fraction` is ever built, and a reduced basis
-over `QQ` is the rational one with each row scaled to coprime integers.
+`one`, `from_int` and `dot`.  Elements are ints in canonical form
+(reduced mod p over GF(p)), so zero is plain `0`.  No `Fraction` is ever
+built: a reduced basis over `QQ` is the rational one with each row scaled
+to coprime integers.
+
+`rref` packs each row into one int, one W-bit field per column with
+column 0 on top, so a row update is a few C-level big-int operations.
+Over GF(p) fields stay non-negative: with e a row's field in the pivot
+column and r = e mod p, `x += (p - r) * pivot - ((e + p - r) << shift)`
+by the monic pivot row zeroes that field and adds less than p^2 to the
+others.  Fields are reduced only in a new pivot row and at unpack, so
+none reaches p^2 (cols + 1), which sets W.  Over `QQ` fields are signed.
+The basis grows one input row x at a time, Jordan-reduced with every
+pivot equal to d: x becomes `d * x - sum(x[c] * basis_c)` over the pivot
+columns c, with no division.  If that is nonzero its top field is a new
+pivot pv, each basis row y takes the fraction-free Bareiss-Jordan step
+`y = (pv * y - e * x) // d` (Bareiss 1968), e being its field in pv's
+column, and d becomes pv.  Each division is exact field by field and
+every field is a minor of the input, so the Hadamard bound (the root of
+the product of the min(rows, cols) largest squared row norms) plus a
+sign bit sets W.  A row zero above a column reads its entry there as
+`(x + half) >> shift`; any other row adds half a field to each first.
+Output rows are divided by the gcd of their entries once.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
-from operator import mul
+from math import gcd, lcm, prod
+from operator import lshift, mul
 
 Matrix = list[list]
 Vector = list
+
+# Miller-Rabin on the primes up to 41 decides primality below this bound
+# (Sorenson and Webster 2015).
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MODULUS_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 class QQ:
@@ -37,33 +58,22 @@ class QQ:
     def dot(u, v) -> int:
         return sum(map(mul, u, v))
 
-    @staticmethod
-    def primitive(row: Vector) -> Vector:
-        """The canonical multiple of a nonzero row: coprime ints, first entry > 0."""
-        g = gcd(*row)
-        if next(filter(None, row)) < 0:
-            g = -g
-        return row if g == 1 else [x // g for x in row]
 
-    @staticmethod
-    def cancel(row: Vector, pivot_row: Vector, col: int) -> Vector:
-        """A nonzero multiple of row - (row[col] / pivot_row[col]) pivot_row.
-
-        `pivot_row` must be zero before `col`, so only the head is scaled.
-        """
-        p, e = pivot_row[col], row[col]
-        head = row[:col] if p == 1 else [p * x for x in row[:col]]
-        out = head + [p * x - e * y for x, y in zip(row[col:], pivot_row[col:])]
-        g = gcd(*out)
-        return out if g <= 1 else [x // g for x in out]
+def _is_prime(n: int) -> bool:
+    if any(n % b == 0 for b in _BASES):
+        return n in _BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    return all(pow(b, d, n) == 1 or any(pow(b, d << k, n) == n - 1 for k in range(s))
+               for b in _BASES)
 
 
 class GFp:
-    """The field with p elements; p must be prime for division to work."""
+    """The field with p elements, for a prime p below `MODULUS_BOUND`."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
-            raise ValueError(f"modulus must be prime, got {p}")
+        if not 2 <= p < MODULUS_BOUND or not _is_prime(p):
+            raise ValueError(f"modulus must be a prime below {MODULUS_BOUND}, got {p}")
         self.p = p
         self.zero = 0
         self.one = 1 % p
@@ -73,16 +83,6 @@ class GFp:
 
     def dot(self, u, v) -> int:
         return sum(map(mul, u, v)) % self.p
-
-    def primitive(self, row: Vector) -> Vector:
-        """The monic multiple of a nonzero row."""
-        inv = pow(next(filter(None, row)), -1, self.p)
-        return row if inv == 1 else [x * inv % self.p for x in row]
-
-    def cancel(self, row: Vector, pivot_row: Vector, col: int) -> Vector:
-        """row - row[col] pivot_row, for a monic `pivot_row` zero before `col`."""
-        e, q = row[col], self.p
-        return row[:col] + [(x - e * y) % q for x, y in zip(row[col:], pivot_row[col:])]
 
 
 def identity(n: int, field=QQ) -> Matrix:
@@ -112,31 +112,68 @@ def _lead(row: Vector) -> int:
 
 
 def rref(a: Matrix, field=QQ) -> Matrix:
-    """Reduced row echelon form with zero rows dropped, each row `primitive`.
+    """Reduced row echelon form with zero rows dropped.
 
     Over `QQ` every row is the rational rref row times a positive integer,
     so its entries are coprime ints and its pivot is positive; over GF(p)
     rows are monic.  The result is a canonical basis of the row space, so
     two subspaces are equal iff their rref matrices are equal lists.
     """
-    # QQ.from_int is the identity, so over QQ the rows are only copied.
-    m = [list(row) if field is QQ else list(map(field.from_int, row)) for row in a]
-    rows = len(m)
-    cols = len(m[0]) if m else 0
-    pivot_row = 0
-    for col in range(cols):
-        pivot = next((r for r in range(pivot_row, rows) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[pivot_row], m[pivot] = m[pivot], m[pivot_row]
-        prow = m[pivot_row] = field.primitive(m[pivot_row])
-        for r in range(rows):
-            if r != pivot_row and m[r][col]:
-                m[r] = field.cancel(m[r], prow, col)
-        pivot_row += 1
-        if pivot_row == rows:
+    if not a:
+        return []
+    return _rref_qq(a, len(a[0])) if field is QQ else _rref_gf(a, len(a[0]), field.p)
+
+
+def _rref_gf(a: Matrix, cols: int, p: int) -> Matrix:
+    w = (p * p * (cols + 1)).bit_length()
+    mask = (1 << w) - 1
+    shifts = range(w * (cols - 1), -1, -w)
+    rows = [x for x in (sum(map(lshift, map(p.__rmod__, row), shifts)) for row in a) if x]
+    done = 0
+    for shift in shifts:
+        if done == len(rows):
             break
-    return m[:pivot_row]
+        for i in range(done, len(rows)):
+            if (rows[i] >> shift & mask) % p:
+                break
+        else:
+            continue
+        row = rows[i]
+        inv = pow(row >> shift & mask, -1, p)
+        pivot = sum(map(lshift, [(row >> s & mask) * inv % p for s in shifts], shifts))
+        rows[i] = rows[done]
+        rows = [x + (p - r) * pivot - ((e + p - r) << shift) if (r := (e := x >> shift & mask) % p)
+                else x for x in rows]
+        rows[done] = pivot
+        done += 1
+    return [[(x >> s & mask) % p for s in shifts] for x in rows[:done]]
+
+
+def _rref_qq(a: Matrix, cols: int) -> Matrix:
+    a = [row for row in a if any(row)]
+    norms = sorted([sum(map(mul, row, row)) for row in a], reverse=True)
+    w = prod(norms[:cols]).bit_length() // 2 + 2
+    top, mask = 1 << (w - 1), (1 << w) - 1
+    shifts = range(w * (cols - 1), -1, -w)
+    bias = top * ((1 << w * cols) - 1) // mask
+    basis, lead, d = [], [], 1
+    for row in a:
+        x = d * sum(map(lshift, row, shifts)) - sum(map(mul, map(row.__getitem__, lead), basis))
+        if not x:
+            continue
+        # The top nonzero field of x holds its top bit.
+        shift = abs(x).bit_length() // w * w
+        pv = (x + ((1 << shift) >> 1)) >> shift
+        basis = [(pv * y - (((y + bias) >> shift & mask) - top) * x) // d for y in basis]
+        basis.append(x)
+        lead.append(cols - 1 - shift // w)
+        d = pv
+        if len(basis) == cols:
+            break
+    if d < 0:  # every pivot is d
+        basis = [-x for x in basis]
+    out = [[((x + bias) >> s & mask) - top for s in shifts] for _, x in sorted(zip(lead, basis))]
+    return [[f // g for f in row] if (g := gcd(*row)) > 1 else row for row in out]
 
 
 def right_nullspace(a: Matrix, cols: int, field=QQ) -> list[Vector]:

@@ -15,12 +15,13 @@ Nilpotency (some power of f kills all of M) is decided exactly on the
 column image chain alone (see `is_nilpotent`).  The kernel filtration
 M_{i+1} = {v : every letter image of v lies in the M_i layer} is the
 chain of its annihilators, and the certificate is checked in dual form
-on that chain (see `filtration_items`).  Over the integer base the
-eliminations are fraction-free over Z and their results are the rational
-ones up to row scale: the kernels in question are solution spaces of
-integer linear systems, so f^n = 0 holds over Z iff it holds over Q.  The
-chain changes strictly until it saturates, which bounds the index by the
-total dimension.  Prime-field bases run the same algorithm mod p.
+on that chain (see `filtration_items`).  Each elimination runs on packed
+rows (see `freenil.linalg`), fraction-free over Z for the integer base,
+and its result is the rational one up to row scale: the kernels in
+question are solution spaces of integer linear systems, so f^n = 0 holds
+over Z iff it holds over Q.  The chain changes strictly until it
+saturates, which bounds the index by the total dimension.  Prime-field
+bases run the same algorithm mod p, on fields reduced only at pivots.
 Deciding and checking each have the fixed work budget `CHAIN_WORK_BUDGET`.
 
 Word products and filtration steps all use the object's one field,
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InvariantError, LimitExceeded, ensure_within
@@ -53,8 +54,9 @@ Word = tuple[str, ...]
 _GF_RE = re.compile(r"gf\((\d+)\)\Z")
 
 
+@cache
 def field_for_base(base: str):
-    """The field object for a base: QQ for "int", GF(p) for "gf(p)"."""
+    """The field object for a base, one per base text: QQ for "int", GF(p) for "gf(p)"."""
     if base == "int":
         return QQ
     m = _GF_RE.match(base)
@@ -225,9 +227,9 @@ def word_matrix(X: NilObject, word: Iterable[str], unit: str | None = None):
 # certificate check, counted as it goes so that a deep chain exits 3 part
 # way instead of running for minutes.  A product or a containment test is
 # charged rows x inner x columns, each cell one multiply-add inside a C
-# dot product; an elimination rows x columns x min(rows, columns) steps
-# at four times that, since each is a Python step and integer entries
-# grow while it runs.
+# dot product; an elimination rows x columns x min(rows, columns) at four
+# times that, the weight it had as a list elimination.  Packed rows made
+# eliminations cheaper; the charges stay, so every exit point stays put.
 CHAIN_WORK_BUDGET = 200_000_000
 
 # Fixed work budget of one fold (see `fold_through`), and what one composite

@@ -5,14 +5,16 @@ product loop, its own word enumeration) so it shares no code with the
 implementation under test beyond raw Python ints.  The reference
 elimination is the Fraction one `freenil.linalg` used before it went
 fraction-free: monic rref rows over Q, or over GF(p) when a modulus is
-given.  The row-by-row span test is the one `linalg.in_rowspan` ran
-before it became `rowspan_contains` on one row.  The eager image chain is
+given.  The list elimination is the fraction-free Gauss-Jordan on lists
+of ints that `linalg.rref` ran before it packed each row into one int.
+The row-by-row span test is the one `linalg.in_rowspan` ran before it
+became `rowspan_contains` on one row.  The eager image chain is
 the one `nilobj.is_nilpotent` ran before it built its kernel layers only
 when they are read.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from random import Random
 
 from freenil.linalg import QQ, identity, reduced_nullspace, rref
@@ -42,9 +44,9 @@ def _raw_mul(a, b, cols, mod=None):
     return out
 
 
-def brute_nilpotent(X: NilObject) -> bool:
-    """True iff every chained letter word of length total_dim vanishes."""
-    d = sum(X.dims.values())
+def brute_nilpotent(X: NilObject, length: int | None = None) -> bool:
+    """True iff every chained letter word of `length` (default total_dim) letters vanishes."""
+    d = sum(X.dims.values()) if length is None else length
     mod = None
     if X.ring.base.startswith("gf("):
         mod = int(X.ring.base[3:-1])
@@ -112,6 +114,13 @@ def random_object(rng: Random, base: str = "int", max_units: int = 2,
     return NilObject(ring, dims, letters, mats)
 
 
+def brute_index(X: NilObject) -> int:
+    """The least word length at which every word vanishes, for a nilpotent X."""
+    if X.total_dim() == 0:
+        return 0
+    return next(d for d in range(1, X.total_dim() + 1) if brute_nilpotent(X, d))
+
+
 def modulus(base: str):
     """None for the "int" base, p for "gf(p)"."""
     return None if base == "int" else int(base[3:-1])
@@ -142,6 +151,57 @@ def reference_rref(a, p=None):
         if r == rows:
             break
     return m[:r]
+
+
+def primitive(row, p=None):
+    """The canonical multiple of a nonzero row: coprime ints with a positive
+    first entry over Q, monic over GF(p)."""
+    lead = next(filter(None, row))
+    if p is not None:
+        inv = pow(lead, -1, p)
+        return row if inv == 1 else [x * inv % p for x in row]
+    g = gcd(*row)
+    if lead < 0:
+        g = -g
+    return row if g == 1 else [x // g for x in row]
+
+
+def cancel(row, pivot_row, col, p=None):
+    """Clear row[col] by the pivot row, which must be zero before `col`.
+
+    Over Q a nonzero multiple of row - (row[col] / pivot_row[col]) pivot_row,
+    divided by the gcd of its entries; over GF(p) the pivot row is monic and
+    the result is row - row[col] pivot_row.
+    """
+    e = row[col]
+    if p is not None:
+        return row[:col] + [(x - e * y) % p for x, y in zip(row[col:], pivot_row[col:])]
+    pv = pivot_row[col]
+    head = row[:col] if pv == 1 else [pv * x for x in row[:col]]
+    out = head + [pv * x - e * y for x, y in zip(row[col:], pivot_row[col:])]
+    g = gcd(*out)
+    return out if g <= 1 else [x // g for x in out]
+
+
+def list_rref(a, p=None):
+    """Fraction-free Gauss-Jordan on lists: `linalg.rref` with rows unpacked."""
+    m = [list(row) if p is None else [x % p for x in row] for row in a]
+    rows = len(m)
+    cols = len(m[0]) if m else 0
+    pivot_row = 0
+    for col in range(cols):
+        pivot = next((r for r in range(pivot_row, rows) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[pivot_row], m[pivot] = m[pivot], m[pivot_row]
+        prow = m[pivot_row] = primitive(m[pivot_row], p)
+        for r in range(rows):
+            if r != pivot_row and m[r][col]:
+                m[r] = cancel(m[r], prow, col, p)
+        pivot_row += 1
+        if pivot_row == rows:
+            break
+    return m[:pivot_row]
 
 
 def reference_nullspace(a, cols, p=None):

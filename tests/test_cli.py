@@ -22,12 +22,14 @@ from time import perf_counter
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from freenil import cli, nilobj, store, syzygy
+from freenil import cli, linalg, nilobj, store, syzygy
 from freenil.cli import Limits, main, read_limits
 from freenil.errors import InvariantError
 from freenil.groups import EXPONENT_DIGITS_BUDGET
 from freenil.skewpoly import SkewLaurent
 from freenil.words import Alphabet, cyclic_canonical
+
+from nil_helpers import brute_index, brute_nilpotent
 
 
 def run_cli(capsys, *argv):
@@ -735,8 +737,6 @@ class TestNilCommands:
         # certificate on the image chain that decided it, so neither builds
         # a layer M_k.  nil-check runs no second chain either: one rref per
         # unit and chain layer, all of them in the decision.
-        from freenil import linalg
-
         path = tmp_path / "module.json"
         if flags[0] == "check":
             _, base, planted = flags
@@ -782,6 +782,41 @@ class TestNilCommands:
         assert payload["items"] == []
         assert payload["data"]["limit"].startswith("image chain work ")
         assert "this work budget is fixed" in payload["data"]["limit"]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_large_prime_modules_agree_with_brute_force(self, capsys, tmp_path, seed):
+        # Entries -2..2 become p - 2 and p - 1 mod p = 2^61 - 1, so every field
+        # of the packed elimination is far wider than a machine word.
+        total, units, letters = 4 + seed % 3, 1 + seed % 3, 1 + seed % 3
+        module = bench_module(seed, total, units, f"gf({2**61 - 1})", 2 + seed % 3, letters,
+                              seed % 4 != 0)
+        X = nilobj.from_json_dict(module)
+        path = tmp_path / "big-prime.json"
+        path.write_text(json.dumps(module))
+        code, payload = run_json(capsys, "algebra", "nil-check", str(path))
+        nilpotent = brute_nilpotent(X)
+        assert (code, payload["data"]["nilpotent"]) == (0 if nilpotent else 1, nilpotent)
+        assert payload["data"]["index"] == (brute_index(X) if nilpotent else None)
+        if not nilpotent:
+            return
+        names = [l.name for l in X.letters]
+        words = names + [f"{a},{b}" for a in names for b in names][:3]
+        argv = [arg for word in words for arg in ("--twist", word)]
+        code, payload = run_json(capsys, "algebra", "nil-map", str(path), *argv)
+        assert code == 0
+        Y = nilobj.from_json_dict(payload["data"]["result"])
+        assert brute_nilpotent(Y)
+        assert payload["data"]["index"] == brute_index(Y)
+
+    def test_modulus_past_the_primality_bound_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "huge-modulus.json"
+        path.write_text(json.dumps({"units": ["u"], "base": f"gf({10**400 + 1})", "dims": {"u": 1},
+                                    "letters": [{"name": "f", "src": "u", "dst": "u",
+                                                 "matrix": [[0]]}]}))
+        code = main(["algebra", "nil-check", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, err) == (2, "")
+        assert str(linalg.MODULUS_BOUND) in json.loads(out)["data"]["error"]
 
     def test_check_shipped_sample(self, capsys):
         code, payload = run_json(capsys, "algebra", "nil-check")

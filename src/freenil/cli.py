@@ -33,11 +33,18 @@ that begins with a row's command and mode straight to that mode's parser,
 and any other line (help, a usage error at the top two levels) to the
 full parser; then it calls the named runner, and each runner checks its
 arguments and limits and calls library verifiers.
+
+Importing this module executes only it, ``report`` and ``errors``; every other
+library module is registered in ``sys.modules`` at import and executed on first
+use, so a command runs only the modules it needs.  The benchmark's tracer and
+its per-op cache reset rely on that registration: they find every module in
+``sys.modules`` right after this import.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import os
 import sys
 import time
@@ -45,30 +52,26 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from . import nilobj, store
-from .amalgam import Amalgam
-from .cosets import double_cosets
 from .errors import InvariantError, LimitExceeded, UnsupportedOperation, ensure_within
-from .groupring import GroupRingElement, grade_decompose, word_sequence_type
-from .groups import FiniteSubgroup, format_element, parse_element
-from .hnn import HNN
 from .report import CheckItem, Report
-from .syzygy import (
-    collapse_certificate,
-    collapse_images,
-    kernel_pair,  # the x-basis pairs stay importable from here
-    reduce_pair_sum,
-    verify_kernel_pairs,
-    verify_reduction,
-    verify_relations,
-)
-from .words import (
-    Alphabet,
-    aperiodic_necklace_count,
-    primitive_classes,
-    sieve,
-    verify_admissible,
-)
+
+
+def _lazy(name: str):
+    """``freenil.<name>``, put in `sys.modules` and on the package unexecuted: a
+    `LazyLoader` runs it on first attribute access.  One imported before is kept."""
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[full] = module = importlib.util.module_from_spec(spec)
+        setattr(sys.modules[__package__], name, module)
+        spec.loader.exec_module(module)
+    return sys.modules[full]
+
+
+(amalgam, cosets, groupring, groups, hnn, laurent, linalg, nilobj, skewpoly, store, syzygy,
+ words) = map(_lazy, "amalgam cosets groupring groups hnn laurent linalg nilobj skewpoly "
+                     "store syzygy words".split())
 
 
 @dataclass(frozen=True)
@@ -144,9 +147,9 @@ def _load_construction(path_text: str):
 def _load_tagged(args):
     path = args.hnn if args.hnn else args.amalgam
     construction = _load_construction(path)
-    if args.hnn and not isinstance(construction, HNN):
+    if args.hnn and not isinstance(construction, hnn.HNN):
         raise ValueError(f"{path} does not hold an HNN extension")
-    if args.amalgam and not isinstance(construction, Amalgam):
+    if args.amalgam and not isinstance(construction, amalgam.Amalgam):
         raise ValueError(f"{path} does not hold an amalgamated product")
     return construction
 
@@ -161,22 +164,22 @@ def parse_word_tokens(construction, text: str):
     if text.strip() == "1":
         return []  # the identity, as `render_word` prints it
     raws = text.split()
-    hnn = isinstance(construction, HNN)
-    if raws and not hnn and not isinstance(construction, Amalgam):
+    is_hnn = isinstance(construction, hnn.HNN)
+    if raws and not is_hnn and not isinstance(construction, amalgam.Amalgam):
         raise ValueError("words need an amalgam or HNN construction")
     parsed = {}  # each distinct text once, in order of first appearance
     for raw in dict.fromkeys(raws):
-        if hnn:
+        if is_hnn:
             if raw in ("T+", "T-"):
                 parsed[raw] = ("t", 1 if raw == "T+" else -1)
             elif raw != "1":  # the identity anywhere: `HNN.__init__` reserves "1"
-                parsed[raw] = ("g", parse_element(construction.base, raw.replace(",", " ")))
+                parsed[raw] = ("g", groups.parse_element(construction.base, raw.replace(",", " ")))
             continue
         tag, sep, rest = raw.partition(":")
         if not sep or tag not in ("1", "2"):
             raise ValueError(f"amalgam tokens look like 1:ELEMENT or 2:ELEMENT, got {raw!r}")
         k = int(tag)
-        parsed[raw] = (k, parse_element(construction.factors[k - 1], rest.replace(",", " ")))
+        parsed[raw] = (k, groups.parse_element(construction.factors[k - 1], rest.replace(",", " ")))
     return [parsed[raw] for raw in raws if raw in parsed]
 
 
@@ -187,9 +190,9 @@ def render_word(construction, word) -> str:
         if kind == "t":
             texts[kind, value] = "T+" if value == 1 else "T-"
         elif kind == "g":
-            texts[kind, value] = format_element(construction.base, value).replace(" ", ",")
+            texts[kind, value] = groups.format_element(construction.base, value).replace(" ", ",")
         else:
-            text = format_element(construction.factors[kind - 1], value).replace(" ", ",")
+            text = groups.format_element(construction.factors[kind - 1], value).replace(" ", ",")
             texts[kind, value] = f"{kind}:{text}"
     return " ".join(map(texts.__getitem__, tokens)) if tokens else "1"
 
@@ -202,7 +205,7 @@ def run_words(args, report: Report, limits: Limits) -> None:
     report.command = f"words {args.mode} -I {args.alphabet} -L {args.bound}" + (
         " --verify" if args.mode == "sieve" and args.verify else ""
     )
-    alphabet = Alphabet(args.alphabet.split(","))
+    alphabet = words.Alphabet(args.alphabet.split(","))
     ordered = sorted(alphabet.letters)  # a letter that begins another begins the next one
     for x, y in zip(ordered, ordered[1:]):
         if y.startswith(x):
@@ -210,15 +213,15 @@ def run_words(args, report: Report, limits: Limits) -> None:
                              "this alphabet print ambiguously")
     ensure_within(args.bound, limits.l, "length bound")
     k = len(alphabet)
-    census = sum(aperiodic_necklace_count(k, n) for n in range(1, args.bound + 1))
+    census = sum(words.aperiodic_necklace_count(k, n) for n in range(1, args.bound + 1))
     ensure_within(census, WORDS_CENSUS_BUDGET, "class census", "this work budget is fixed")
     if args.mode == "enumerate":
-        words_out = sorted(primitive_classes(alphabet, args.bound), key=alphabet.sort_key)
+        words_out = sorted(words.primitive_classes(alphabet, args.bound), key=alphabet.sort_key)
     else:
-        _, words_out = sieve(alphabet, args.bound)
+        _, words_out = words.sieve(alphabet, args.bound)
     report.add("word count matches the class census", census, len(words_out))
     if verify:
-        report.extend(verify_admissible(words_out, alphabet, args.bound))
+        report.extend(words.verify_admissible(words_out, alphabet, args.bound))
     report.data["alphabet"] = list(alphabet.letters)
     report.data["bound"] = args.bound
     report.data["count"] = len(words_out)
@@ -230,7 +233,7 @@ def run_verify_kernel(args, report: Report, limits: Limits) -> None:
     if args.max_n < 0:
         raise ValueError("--max-n must be >= 0")
     ensure_within(args.max_n, limits.n, "kernel bound")
-    report.extend(verify_kernel_pairs(args.max_n))
+    report.extend(syzygy.verify_kernel_pairs(args.max_n))
 
 
 def run_relations(args, report: Report, limits: Limits) -> None:
@@ -238,7 +241,7 @@ def run_relations(args, report: Report, limits: Limits) -> None:
     if args.max_q < 0:
         raise ValueError("--max-q must be >= 0")
     ensure_within(args.max_q, limits.n, "relation bound")
-    report.extend(verify_relations(args.max_q))
+    report.extend(syzygy.verify_relations(args.max_q))
 
 
 def run_reduce(args, report: Report, limits: Limits) -> None:
@@ -258,7 +261,7 @@ def run_reduce(args, report: Report, limits: Limits) -> None:
     if not args.pair:
         if args.count < 1:
             raise ValueError("--count must be >= 1")
-        report.extend(verify_reduction(args.arity, args.count, args.seed))
+        report.extend(syzygy.verify_reduction(args.arity, args.count, args.seed))
         report.data["count"] = args.count
         report.data["seed"] = args.seed
         return
@@ -270,7 +273,7 @@ def run_reduce(args, report: Report, limits: Limits) -> None:
         if len(fields) != 2 or not all(d.isascii() and d.isdigit() for d in digits):
             raise ValueError(f"--pair takes P,Q with two integers, got {text!r}")
         pairs.append(tuple(int(f) for f in fields))
-    items, steps = reduce_pair_sum(pairs, args.arity)
+    items, steps = syzygy.reduce_pair_sum(pairs, args.arity)
     report.extend(items)
     report.data["steps"] = len(steps) - 1
     report.data["trace"] = steps
@@ -288,9 +291,9 @@ def run_collapse(args, report: Report, limits: Limits) -> None:
     ensure_within(args.samples * args.max_n, COLLAPSE_SAMPLES_BUDGET, "samples x stages",
                   "this work budget is fixed")
     for n in range(1, args.max_n + 1):
-        for it in collapse_certificate(n, args.samples, args.seed):
+        for it in syzygy.collapse_certificate(n, args.samples, args.seed):
             report.items.append(CheckItem(f"stage {n}: {it.name}", it.expected, it.got, it.ok))
-    report.data["images"] = collapse_images(args.max_n)
+    report.data["images"] = syzygy.collapse_images(args.max_n)
 
 
 def run_normalize(args, report: Report, limits: Limits) -> None:
@@ -306,7 +309,7 @@ def run_normalize(args, report: Report, limits: Limits) -> None:
     report.add("normal form is stable under reparsing", rendered, again)
     report.data["input"] = args.word
     report.data["normal_form"] = rendered
-    report.data["sequence"] = list(word_sequence_type(construction, word).seq)
+    report.data["sequence"] = list(groupring.word_sequence_type(construction, word).seq)
 
 
 def run_decompose(args, report: Report, limits: Limits) -> None:
@@ -315,13 +318,11 @@ def run_decompose(args, report: Report, limits: Limits) -> None:
     quoted = " ".join(f'--word "{w}"' for w in args.word)
     report.command = f"algebra decompose {kind} {path} {quoted}"
     construction = _load_tagged(args)
-    u = GroupRingElement.zero(construction)
+    u = groupring.GroupRingElement.zero(construction)
     for text in args.word:
-        u = u + GroupRingElement.basis(construction, parse_word_tokens(construction, text))
-    components = grade_decompose(u)
-    total = GroupRingElement.zero(construction)
-    for part in components.values():
-        total = total + part
+        u += groupring.GroupRingElement.basis(construction, parse_word_tokens(construction, text))
+    components = groupring.grade_decompose(u)
+    total = sum(components.values(), groupring.GroupRingElement.zero(construction))
     report.add("components sum back to the input", True, total == u)
     report.data["terms"] = len(u.terms)
     report.data["components"] = [
@@ -339,16 +340,16 @@ def run_decompose(args, report: Report, limits: Limits) -> None:
 def run_cosets(args, report: Report, limits: Limits) -> None:
     report.command = f"algebra cosets {args.file} --left {args.left} --right {args.right}"
     construction = _load_construction(args.file)
-    if isinstance(construction, (Amalgam, HNN)):
+    if isinstance(construction, (amalgam.Amalgam, hnn.HNN)):
         raise ValueError("double cosets need a plain group file")
     group = construction
     if not group.is_finite:
         raise UnsupportedOperation("double cosets need a finite group")
     subgroups = []
     for text in (args.left, args.right):
-        gens = [parse_element(group, part.strip()) for part in text.split(",")]
-        subgroups.append(FiniteSubgroup.generated(group, gens))
-    orbits = double_cosets(group, subgroups[0], subgroups[1])
+        gens = [groups.parse_element(group, part.strip()) for part in text.split(",")]
+        subgroups.append(groups.FiniteSubgroup.generated(group, gens))
+    orbits = cosets.double_cosets(group, subgroups[0], subgroups[1])
     covered = [g for orbit in orbits for g in orbit]
     report.add(
         "orbits partition the group",
@@ -380,15 +381,8 @@ def run_nil_check(args, report: Report, limits: Limits) -> None:
 
 
 def run_nil_map(args, report: Report, limits: Limits) -> None:
-    flags = []
-    if args.restrict:
-        flags.append(f"--restrict {args.restrict}")
-    if args.fold:
-        flags.append(f"--fold {args.fold}")
-    if args.onto:
-        flags.append(f"--onto {args.onto}")
-    for text in args.twist or ():
-        flags.append(f'--twist "{text}"')
+    flags = [f"--{k} {getattr(args, k)}" for k in ("restrict", "fold", "onto") if getattr(args, k)]
+    flags += [f'--twist "{text}"' for text in args.twist or ()]
     if args.out:
         flags.append(f"--out {args.out}")
     report.command = " ".join([f"algebra nil-map {args.file}"] + flags)
@@ -408,9 +402,9 @@ def run_nil_map(args, report: Report, limits: Limits) -> None:
         result = nilobj.fold_through(X, args.fold, args.onto)
         applied = f"fold through {args.fold} onto {args.onto}"
     else:
-        words = [tuple(text.replace(",", " ").split()) for text in args.twist]
-        result = nilobj.word_twist(X, words)
-        applied = "twist by " + ", ".join("|".join(w) for w in words)
+        family = [tuple(text.replace(",", " ").split()) for text in args.twist]
+        result = nilobj.word_twist(X, family)
+        applied = "twist by " + ", ".join("|".join(w) for w in family)
     cert = nilobj.is_nilpotent(result)
     report.add("the transported object is nilpotent", True, cert.nilpotent)
     report.data["applied"] = applied

@@ -9,17 +9,16 @@ Block modules are read and written: a block-module file holds
 newline.  Paths may be strings, `Path`s or package resources.  Every object
 and array field is shape-checked before it is read, so a misshapen file is
 an input error that names the JSON path.
+
+The readers are imported inside the functions that use them: the CLI registers
+every module at import (the tracer and the cache reset rely on that) and each
+executes on first use, so loading a block module runs no group code.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-
-from .amalgam import amalgam_from_dict
-from .groups import group_from_dict
-from .hnn import hnn_from_dict
-from .nilobj import NilObject, from_json_dict, to_json_dict
 
 
 # The JSON shape of each file: a field holds a type (dict is an object,
@@ -56,14 +55,16 @@ def _check_shape(value, shape, path: str = "$") -> None:
 
 
 def construction_from_dict(data):
+    from . import amalgam, groups, hnn
+
     _check_shape(data, _CONSTRUCTION)
     kind = data.get("construction")
     if kind == "amalgam":
-        return amalgam_from_dict(data)
+        return amalgam.amalgam_from_dict(data)
     if kind == "hnn":
-        return hnn_from_dict(data)
+        return hnn.hnn_from_dict(data)
     if kind == "group":
-        return group_from_dict(data["group"])
+        return groups.group_from_dict(data["group"])
     raise ValueError(f"unknown construction kind {kind!r}")
 
 
@@ -76,12 +77,16 @@ def load_construction(path):
     return construction_from_dict(_read_json(path))
 
 
-def load_nil(path) -> NilObject:
+def load_nil(path):
+    from .nilobj import from_json_dict
+
     data = _read_json(path)
     _check_shape(data, _NIL)
     return from_json_dict(data)
 
 
-def save_nil(X: NilObject, path) -> None:
+def save_nil(X, path) -> None:
+    from .nilobj import to_json_dict
+
     text = json.dumps(to_json_dict(X), indent=2) + "\n"
     Path(path).write_text(text, encoding="utf-8")

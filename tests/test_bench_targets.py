@@ -13,10 +13,25 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
+import freenil
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+# Which freenil modules a fresh process holds after `import freenil.cli`, and
+# which of them have executed: a registered module that has not run yet is
+# still an `importlib.util._LazyModule`, and `type` reads that without running it.
+MODULES_AFTER_IMPORT = """
+import json, sys, types
+import freenil.cli
+names = sorted(n for n in sys.modules if n.startswith("freenil."))
+print(json.dumps([names, [n for n in names if type(sys.modules[n]) is types.ModuleType]]))
+"""
 
 
 def load_tracing():
@@ -29,6 +44,17 @@ def load_tracing():
     finally:
         sys.dont_write_bytecode = saved
     return module
+
+
+def test_cli_import_registers_every_target_and_executes_three_modules():
+    # The tracer looks every target module up in sys.modules right after this
+    # import, and the per-op cache reset reads vars() of every one.
+    env = dict(os.environ, PYTHONPATH=str(Path(freenil.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-B", "-c", MODULES_AFTER_IMPORT],
+                          capture_output=True, text=True, env=env, check=True)
+    registered, executed = json.loads(proc.stdout)
+    assert {target[0] for target in load_tracing().TARGETS} <= set(registered)
+    assert executed == ["freenil.cli", "freenil.errors", "freenil.report"]
 
 
 def test_every_traced_target_resolves():

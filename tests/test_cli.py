@@ -241,7 +241,7 @@ class TestGrouph:
     def test_collapse_samples_budget_exits_three_before_any_work(self, capsys, monkeypatch):
         # Within FREENIL_LIMITS (n=64), but every stage collapses each sample.
         over = cli.COLLAPSE_SAMPLES_BUDGET // 8 + 1
-        monkeypatch.setattr(cli, "collapse_certificate", None)  # no stage may run
+        monkeypatch.setattr(syzygy, "collapse_certificate", None)  # no stage may run
         start = perf_counter()
         code, out = run_cli(capsys, "grouph", "collapse", "--max-n", "8", "--samples", str(over))
         assert perf_counter() - start < 1.0
@@ -1254,6 +1254,56 @@ class TestDispatch:
     def test_random_command_lines_match_the_full_parser(self, head, tail):
         argv = head + tail
         assert parsed(cli.parse_args, argv) == parsed(cli._PARSER.parse_args, argv)
+
+
+class TestModulesPerCommand:
+    """A process runs only the library modules its command reaches: `cli`
+    registers every module at import and each executes on first use."""
+
+    # Runs main(argv) in a fresh process that writes no bytecode, then prints
+    # the exit code and the freenil modules that have executed: a registered
+    # module that has not run yet is still an `importlib.util._LazyModule`.
+    SCRIPT = """
+import contextlib, io, json, sys, types
+from freenil import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(n.removeprefix("freenil.") for n, m in sys.modules.items()
+                               if n.startswith("freenil.") and type(m) is types.ModuleType)]))
+"""
+    ALWAYS = {"cli", "errors", "report"}
+    WORDS = {"words"}
+    TWISTED = {"syzygy", "laurent", "skewpoly"}
+    NORMAL_FORMS = {"store", "groups", "amalgam", "hnn", "groupring"}
+    NIL = {"store", "nilobj", "linalg"}
+    CASES = [
+        (["words", "sieve", "-I", "a,b", "-L", "4"], WORDS),
+        (["words", "verify", "-I", "a,b", "-L", "3"], WORDS),
+        (["words", "enumerate", "-I", "a,b,c", "-L", "3"], WORDS),
+        (["grouph", "verify-kernel", "--max-n", "4"], TWISTED),
+        (["grouph", "relations", "--max-q", "3"], TWISTED),
+        (["grouph", "reduce", "--arity", "4", "--count", "2"], TWISTED),
+        (["grouph", "collapse", "--max-n", "2", "--samples", "3"], TWISTED),
+        (["algebra", "normalize", "--amalgam", "dinf", "--word", "1:s 2:r"], NORMAL_FORMS),
+        (["algebra", "decompose", "--hnn", "bs12", "--word", "T+ a"], NORMAL_FORMS),
+        (["algebra", "cosets", "s3", "--left", "(12)", "--right", "(12)"],
+         {"store", "groups", "amalgam", "hnn", "cosets"}),
+        (["algebra", "nil-check"], NIL),
+        (["algebra", "nil-map", "nil_example", "--restrict", "p"], NIL),
+    ]
+
+    def test_every_command_row_is_covered(self):
+        assert [tuple(argv[:2]) for argv, _ in self.CASES] == list(cli.COMMANDS)
+
+    @pytest.mark.parametrize("argv,modules", CASES, ids=[" ".join(argv[:2]) for argv, _ in CASES])
+    def test_command_executes_only_its_modules(self, argv, modules):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        env.pop("FREENIL_LIMITS", None)
+        proc = subprocess.run([sys.executable, "-B", "-c", self.SCRIPT, *argv],
+                              capture_output=True, text=True, env=env, check=True)
+        code, executed = json.loads(proc.stdout)
+        assert code == 0
+        assert set(executed) == self.ALWAYS | modules
 
 
 class TestClosedStdout:

@@ -215,8 +215,8 @@ def run_words(args, report: Report, limits: Limits) -> None:
     k = len(alphabet)
     census = sum(words.aperiodic_necklace_count(k, n) for n in range(1, args.bound + 1))
     ensure_within(census, WORDS_CENSUS_BUDGET, "class census", "this work budget is fixed")
-    if args.mode == "enumerate":
-        words_out = sorted(words.primitive_classes(alphabet, args.bound), key=alphabet.sort_key)
+    if args.mode == "enumerate":  # lexicographic order in; a stable sort by length keeps it
+        words_out = sorted(words.primitive_classes(alphabet, args.bound), key=len)
     else:
         _, words_out = words.sieve(alphabet, args.bound)
     report.add("word count matches the class census", census, len(words_out))
@@ -225,7 +225,7 @@ def run_words(args, report: Report, limits: Limits) -> None:
     report.data["alphabet"] = list(alphabet.letters)
     report.data["bound"] = args.bound
     report.data["count"] = len(words_out)
-    report.data["words"] = ["".join(w) for w in words_out]
+    report.data["words"] = list(map(alphabet.spell, words_out))
 
 
 def run_verify_kernel(args, report: Report, limits: Limits) -> None:

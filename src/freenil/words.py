@@ -1,12 +1,16 @@
-"""Free-monoid words, cyclic words, primitivity, and the admissible-set sieve.
+r"""Free-monoid words, cyclic words, primitivity, and the admissible-set sieve.
 
-Words are tuples of letters drawn from a finite ordered alphabet.  The
-alphabet's declared order (not Python's string order) drives every
-lexicographic comparison, so ``Alphabet(("b", "a"))`` really does sort
-``b`` before ``a``.  Primitivity is a power test (one comparison per
-prime dividing the length), and both the least rotation and the Lyndon
-class oracle come from Duval's factorization pass.  The sieve runs one
-length at a time over sorted per-length buckets.
+A word is a rank string: one code point per letter, ``chr(rank)`` for the
+letter's rank in the alphabet's declared order (not Python's string
+order), so over ``Alphabet(("b", "a"))`` the word ``b`` is ``"\x00"`` and
+really does sort before ``a``.  Code-point order is then the alphabet
+order and a word is its own sort key, so concatenation, sorting and
+slicing are C string operations; `Alphabet.spell` writes a word out in
+letters with one ``str.translate``.  Primitivity is a power test (one
+comparison per prime dividing the length); the least rotation comes from
+Duval's factorization pass and the Lyndon classes from Duval's generation
+step, both run on the string itself.  The sieve runs one length at a
+time over sorted per-length buckets.
 """
 
 from __future__ import annotations
@@ -16,13 +20,6 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import InvariantError
-
-Word = tuple[str, ...]
-
-
-def as_word(w: Iterable[str] | str) -> Word:
-    """Coerce a string (one letter per character) or iterable to a Word."""
-    return tuple(w)
 
 
 class Alphabet:
@@ -37,6 +34,7 @@ class Alphabet:
         if any(not l for l in self.letters):
             raise ValueError("alphabet letters must be nonempty strings")
         self._rank = {l: i for i, l in enumerate(self.letters)}
+        self._spelling = dict(enumerate(self.letters))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -44,24 +42,28 @@ class Alphabet:
     def __repr__(self) -> str:
         return f"Alphabet({self.letters!r})"
 
-    def key(self, u: Word) -> tuple[int, ...]:
-        """Map a word to its letter-rank tuple for order comparisons."""
+    def encode(self, u: Iterable[str]) -> str:
+        """The rank string of a sequence of letters."""
         try:
-            return tuple(self._rank[l] for l in u)
+            return "".join([chr(self._rank[l]) for l in u])
         except KeyError as exc:
             raise ValueError(f"letter {exc.args[0]!r} not in alphabet") from None
 
-    def sort_key(self, u: Word) -> tuple[int, tuple[int, ...]]:
-        """Length-then-lex key, the order used to pick sieve pivots."""
-        return (len(u), self.key(u))
+    def spell(self, w: str) -> str:
+        """A rank string written out in letters."""
+        return w.translate(self._spelling)
+
+    def sort_key(self, w: str) -> tuple[int, str]:
+        """Length-then-lex key, the order of sieve pivots and reported classes."""
+        return (len(w), w)
 
 
-def is_reduced(u: Word) -> bool:
+def is_reduced(u: str) -> bool:
     """True iff the word is primitive: not a proper power of any shorter word.
 
     A word of length n is a proper power iff it is its prefix of length
     n/p repeated p times for some prime p dividing n (a power u^m is also
-    (u^(m/p))^p), so the power test is one tuple comparison per prime.
+    (u^(m/p))^p), so the power test is one string comparison per prime.
     """
     n = len(u)
     if n == 0:
@@ -72,38 +74,36 @@ def is_reduced(u: Word) -> bool:
     return True
 
 
-def _least_rotation_index(key: tuple[int, ...]) -> int:
-    """Index of a lexicographically least rotation, by Duval's factorization.
-
-    Factor ``key + key`` into non-increasing Lyndon words (Duval 1983); the
-    last factor that starts in the first half starts a least rotation.
-    Linear in the length, like the generation step of `primitive_classes`.
-    """
-    n = len(key)
-    doubled = key + key
-    i = 0
-    while i < n:
-        start, j, k = i, i + 1, i
-        while j < 2 * n and doubled[k] <= doubled[j]:
-            k = i if doubled[k] < doubled[j] else k + 1
-            j += 1
-        while i <= k:
-            i += j - k
-    return start
-
-
-def cyclic_canonical(u: Word, alphabet: Alphabet) -> Word:
+def cyclic_canonical(u: str) -> str:
     """Canonical representative of the rotation class: the least rotation.
 
     Two words get equal results iff they are rotations of each other.
+    Factor ``u + u`` into non-increasing Lyndon words (Duval 1983); the
+    last factor that starts in the first half starts a least rotation.
+    Linear in the length, like the generation step of `primitive_classes`.
     """
-    if not u:
+    n = len(u)
+    if not n:
         raise ValueError("empty word has no rotation class")
-    k = _least_rotation_index(alphabet.key(u))
-    return u[k:] + u[:k]
+    doubled, end = u + u, 2 * n
+    i = 0
+    while i < n:
+        start, j, k = i, i + 1, i
+        while j < end:
+            a, b = doubled[k], doubled[j]
+            if a == b:
+                k += 1
+            elif a < b:
+                k = i
+            else:
+                break
+            j += 1
+        while i <= k:
+            i += j - k
+    return u[start:] + u[:start]
 
 
-def primitive_classes(alphabet: Alphabet, bound: int) -> set[Word]:
+def primitive_classes(alphabet: Alphabet, bound: int) -> list[str]:
     """Canonical representatives of rotation classes of primitive words.
 
     The least rotation of a primitive word is its Lyndon conjugate (Duval,
@@ -112,20 +112,18 @@ def primitive_classes(alphabet: Alphabet, bound: int) -> set[Word]:
     generation step (in Fredricksen-Kessler-Maiorana order) repeats the
     current word up to the bound, drops trailing largest letters and steps
     the last letter up: O(bound) per Lyndon word, O(census * bound) in all.
+    The words come out in lexicographic order.
     """
     if bound < 1:
         raise ValueError("length bound must be >= 1")
-    letters = alphabet.letters
-    successor = dict(zip(letters, letters[1:]))  # all but the largest letter
-    out: set[Word] = set()
-    w = [letters[0]]
+    largest = chr(len(alphabet) - 1)
+    out: list[str] = []
+    w = "\x00"
     while w:
-        out.add(tuple(w))
-        w = (w * (bound // len(w) + 1))[:bound]
-        while w and w[-1] not in successor:
-            w.pop()
+        out.append(w)
+        w = (w * (bound // len(w) + 1))[:bound].rstrip(largest)
         if w:
-            w[-1] = successor[w[-1]]
+            w = w[:-1] + chr(ord(w[-1]) + 1)
     return out
 
 
@@ -167,11 +165,11 @@ def aperiodic_necklace_count(k: int, n: int) -> int:
     return total // n
 
 
-def prefix_extensions(words: set[Word], pivot: Word, bound: int) -> set[Word]:
+def prefix_extensions(words: set, pivot, bound: int) -> set:
     """All words ``pivot^p + other`` (p >= 0, other != pivot) of length <= bound."""
     if pivot not in words:
         raise ValueError("pivot must belong to the word set")
-    out: set[Word] = set()
+    out = set()
     for other in words:
         if other == pivot:
             continue
@@ -187,10 +185,10 @@ class SieveState:
     """Final state of a sieve run: the step count and every pivot emitted."""
 
     step: int
-    emitted: tuple[Word, ...]
+    emitted: tuple[str, ...]
 
 
-def sieve(alphabet: Alphabet, bound: int) -> tuple[SieveState, list[Word]]:
+def sieve(alphabet: Alphabet, bound: int) -> tuple[SieveState, list[str]]:
     """Run the pivot sieve (Lazard elimination) up to the length budget.
 
     Starts from the single letters, repeatedly picks the shortest word
@@ -211,30 +209,29 @@ def sieve(alphabet: Alphabet, bound: int) -> tuple[SieveState, list[Word]]:
     """
     if bound < 1:
         raise ValueError("length bound must be >= 1")
-    # Entries are (rank tuple, word); the recheck below proves rank tuples
-    # distinct per bucket, so sorting orders words by the alphabet alone.
-    buckets: list[list[tuple[tuple[int, ...], Word]]] = [[] for _ in range(bound + 1)]
-    buckets[1] = [(alphabet.key((l,)), (l,)) for l in alphabet.letters]
-    emitted: list[Word] = []
+    buckets: list[list[str]] = [[] for _ in range(bound + 1)]
+    buckets[1] = list(alphabet.encode(alphabet.letters))
+    emitted: list[str] = []
     for m in range(1, bound + 1):
         bucket = sorted(buckets[m])
-        for (key, w), (next_key, v) in zip(bucket, bucket[1:]):
-            if key == next_key:
+        for w, v in zip(bucket, bucket[1:]):
+            if w == v:
                 raise InvariantError(
-                    f"sieve words {''.join(w)} and {''.join(v)} have equal letter ranks")
-        for i, (pivot_key, pivot) in enumerate(bucket):
+                    f"sieve word {alphabet.spell(w)} is twice in its length-{m} bucket")
+        for i, pivot in enumerate(bucket):
             if not is_reduced(pivot):
-                raise InvariantError(f"sieve pivot {''.join(pivot)} is not primitive")
+                raise InvariantError(f"sieve pivot {alphabet.spell(pivot)} is not primitive")
             emitted.append(pivot)
             for n in range(bound - m, m - 1, -1):
-                for key, w in bucket[i + 1:] if n == m else buckets[n]:
-                    for k in range(n + m, bound + 1, m):
-                        key, w = pivot_key + key, pivot + w
-                        buckets[k].append((key, w))
+                sources = bucket[i + 1:] if n == m else buckets[n]
+                prefix = pivot
+                for k in range(n + m, bound + 1, m):
+                    buckets[k] += [prefix + w for w in sources]
+                    prefix += pivot
     return SieveState(len(emitted), tuple(emitted)), emitted
 
 
-def verify_admissible(candidates: Sequence[Word], alphabet: Alphabet, bound: int):
+def verify_admissible(candidates: Sequence[str], alphabet: Alphabet, bound: int):
     """Check a candidate admissible set against the enumeration oracle.
 
     Verifies that, restricted to length <= bound, every candidate is
@@ -252,27 +249,27 @@ def verify_admissible(candidates: Sequence[Word], alphabet: Alphabet, bound: int
     for w in in_range:
         (primitive if is_reduced(w) else not_reduced).append(w)
     items.append(CheckItem("all candidates primitive", "[]",
-                           _fmt_words(not_reduced), not not_reduced))
+                           _fmt_words(not_reduced, alphabet), not not_reduced))
 
-    canon: dict[Word, Word] = {}
-    collisions: list[Word] = []
+    canon: dict[str, str] = {}
+    collisions: list[str] = []
     for w in primitive:
-        c = cyclic_canonical(w, alphabet)
+        c = cyclic_canonical(w)
         if c in canon and canon[c] != w:
             collisions.append(w)
         canon.setdefault(c, w)
     items.append(CheckItem("rotation classes distinct", "[]",
-                           _fmt_words(collisions), not collisions))
+                           _fmt_words(collisions, alphabet), not collisions))
 
-    target = primitive_classes(alphabet, bound)
-    missing = sorted(target - set(canon), key=alphabet.sort_key)
-    extra = sorted(set(canon) - target, key=alphabet.sort_key)
-    items.append(CheckItem("no class missing", "[]", _fmt_words(missing), not missing))
-    items.append(CheckItem("no class extraneous", "[]", _fmt_words(extra), not extra))
+    target = set(primitive_classes(alphabet, bound))
+    missing = sorted(target - canon.keys(), key=alphabet.sort_key)
+    extra = sorted(canon.keys() - target, key=alphabet.sort_key)
+    items.append(CheckItem("no class missing", "[]", _fmt_words(missing, alphabet), not missing))
+    items.append(CheckItem("no class extraneous", "[]", _fmt_words(extra, alphabet), not extra))
     items.append(CheckItem("class count", str(len(target)), str(len(canon)),
                            len(canon) == len(target) and not collisions))
     return items
 
 
-def _fmt_words(ws: Iterable[Word]) -> str:
-    return "[" + ", ".join("".join(w) for w in ws) + "]"
+def _fmt_words(ws: Iterable[str], alphabet: Alphabet) -> str:
+    return "[" + ", ".join(map(alphabet.spell, ws)) + "]"

@@ -2,23 +2,28 @@
 
 Expected values come from brute-force oracles defined at the top of this
 file (rotation enumeration, proper-power search, a divisor-sum class
-count) and are never copied from the implementation under test.
+count) and from the tuple-word library in `tuple_words`, and are never
+copied from the implementation under test.  The library's words are rank
+strings; the oracles here work on tuples or strings of letters, and a
+result is compared after `Alphabet.encode` maps the oracle's words to
+rank strings.
 """
 
 import heapq
 import itertools
 from random import Random
 from time import perf_counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tuple_words
 from freenil import words
 from freenil.errors import InvariantError
 from freenil.words import (
     Alphabet,
     aperiodic_necklace_count,
-    as_word,
     cyclic_canonical,
     is_reduced,
     prefix_extensions,
@@ -29,6 +34,7 @@ from freenil.words import (
 
 AB = Alphabet(("a", "b"))
 ABC = Alphabet(("a", "b", "c"))
+as_word = AB.encode  # one letter per character of a text over a < b
 
 
 # Oracles.
@@ -76,15 +82,15 @@ def brute_classes(alphabet, bound):
 
 
 def reference_sieve(alphabet, bound):
-    # The original O(census^2) sieve: rebuild the whole pool from its prefix
-    # extensions each step and scan it for the least word.
+    # The original O(census^2) sieve on tuple words: rebuild the whole pool
+    # from its prefix extensions each step and scan it for the least word.
     letters = [(l,) for l in alphabet.letters]
     if len(alphabet) <= 1:
         return letters
     pool = set(letters)
     emitted = []
     while pool:
-        pivot = min(pool, key=alphabet.sort_key)
+        pivot = min(pool, key=lambda w: tuple_words.sort_key(alphabet, w))
         emitted.append(pivot)
         pool = prefix_extensions(pool, pivot, bound)
     return emitted
@@ -96,7 +102,7 @@ def heap_sieve(alphabet, bound):
     # and per-length buckets, filtered against the pool before every pivot,
     # supply the sources.
     letters = [(l,) for l in alphabet.letters]
-    heap = [(1, alphabet.key(w), w) for w in letters]
+    heap = [(1, tuple_words.rank_key(alphabet, w), w) for w in letters]
     heapq.heapify(heap)
     pool = set(letters)
     buckets = [[] for _ in range(bound + 1)]
@@ -122,7 +128,12 @@ def heap_sieve(alphabet, bound):
     return emitted
 
 
+def encoded(alphabet, ws):
+    return [alphabet.encode(w) for w in ws]
+
+
 words_ab = st.text(alphabet="ab", min_size=1, max_size=12).map(as_word)
+RANKS_AB = AB.encode(AB.letters)
 
 # Largest bound per letter count with a class census of about 1,000 or less
 # (1 letter: 1 class at any bound; 2: 747; 3: 508; 4: 964).
@@ -143,7 +154,7 @@ class TestIsReduced:
 
     def test_empty_word_rejected(self):
         with pytest.raises(ValueError):
-            is_reduced(())
+            is_reduced("")
 
     @given(words_ab)
     def test_matches_brute_force(self, w):
@@ -157,29 +168,30 @@ class TestIsReduced:
 
 class TestCyclicCanonical:
     def test_two_letters(self):
-        assert cyclic_canonical(as_word("ba"), AB) == as_word("ab")
+        assert cyclic_canonical(as_word("ba")) == as_word("ab")
 
     def test_identity_on_length_one(self):
-        assert cyclic_canonical(as_word("a"), AB) == as_word("a")
+        assert cyclic_canonical(as_word("a")) == as_word("a")
 
     def test_three_rotations(self):
-        assert cyclic_canonical(as_word("cab"), ABC) == as_word("abc")
+        assert cyclic_canonical(ABC.encode("cab")) == ABC.encode("abc")
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            cyclic_canonical((), AB)
+            cyclic_canonical("")
 
     @given(words_ab)
     def test_matches_brute_force(self, w):
-        assert cyclic_canonical(w, AB) == brute_min_rotation(w)
+        assert cyclic_canonical(w) == brute_min_rotation(w, RANKS_AB)
 
     @given(words_ab, st.integers(0, 11))
     def test_constant_on_rotation_class(self, w, k):
-        assert cyclic_canonical(rotate(w, k), AB) == cyclic_canonical(w, AB)
+        assert cyclic_canonical(rotate(w, k)) == cyclic_canonical(w)
 
     def test_respects_alphabet_order_not_string_order(self):
         reversed_ab = Alphabet(("b", "a"))
-        assert cyclic_canonical(as_word("ab"), reversed_ab) == as_word("ba")
+        least = cyclic_canonical(reversed_ab.encode("ab"))
+        assert least == reversed_ab.encode("ba") and reversed_ab.spell(least) == "ba"
 
 
 # Every word of length 1..10 over three letters, 88,572 in all, powers included.
@@ -190,13 +202,15 @@ class TestPowerTestAndLeastRotation:
     """`is_reduced` and `cyclic_canonical` against the brute-force oracles."""
 
     def test_is_reduced_on_every_word_up_to_length_ten(self):
-        assert [w for w in WORDS_UP_TO_10 if is_reduced(w) != brute_is_primitive(w)] == []
+        assert [w for w in WORDS_UP_TO_10
+                if is_reduced(ABC.encode(w)) != brute_is_primitive(w)] == []
 
     @pytest.mark.parametrize("letters", ["abc", "cba"])
     def test_cyclic_canonical_on_every_word_up_to_length_ten(self, letters):
         alphabet = Alphabet(letters)
+        encode = alphabet.encode
         assert [w for w in WORDS_UP_TO_10
-                if cyclic_canonical(w, alphabet) != brute_min_rotation(w, letters)] == []
+                if cyclic_canonical(encode(w)) != encode(brute_min_rotation(w, letters))] == []
 
     @settings(settings.get_profile("ci"), max_examples=300)
     @given(st.data())
@@ -207,10 +221,11 @@ class TestPowerTestAndLeastRotation:
         u = tuple(data.draw(st.lists(st.sampled_from(letters), min_size=1, max_size=6)))
         p = data.draw(st.integers(1, 4))
         w = rotate(u * p, data.draw(st.integers(0, len(u) * p - 1)))
-        assert is_reduced(w) == brute_is_primitive(w)
+        encode = Alphabet(letters).encode
+        assert is_reduced(encode(w)) == brute_is_primitive(w)
         if p > 1:
-            assert not is_reduced(w)
-        assert cyclic_canonical(w, Alphabet(letters)) == brute_min_rotation(w, letters)
+            assert not is_reduced(encode(w))
+        assert cyclic_canonical(encode(w)) == encode(brute_min_rotation(w, letters))
 
     @pytest.mark.parametrize("text", [
         "".join(Random(20000).choice("abc") for _ in range(20000)),
@@ -219,13 +234,13 @@ class TestPowerTestAndLeastRotation:
     def test_linear_time_on_20000_letters(self, text):
         # A least rotation taken as a min over all rotation slices is
         # quadratic and takes seconds here.
-        w = as_word(text)
+        w = ABC.encode(text)
         start = perf_counter()
         primitive = is_reduced(w)
         middle = perf_counter()
-        least = "".join(cyclic_canonical(w, ABC))
+        least = ABC.spell(cyclic_canonical(w))
         assert max(middle - start, perf_counter() - middle) < 0.5
-        assert primitive == brute_is_primitive(w)
+        assert primitive == brute_is_primitive(text)
         assert len(least) == len(text) and least in text + text
         if text.endswith("bb"):
             assert least == text  # (ab)^10000 b is its own Lyndon conjugate
@@ -233,7 +248,7 @@ class TestPowerTestAndLeastRotation:
 
 class TestPrimitiveClasses:
     def test_bound_one(self):
-        assert primitive_classes(AB, 1) == {("a",), ("b",)}
+        assert primitive_classes(AB, 1) == [as_word("a"), as_word("b")]
 
     def test_counts_up_to_four(self):
         classes = primitive_classes(AB, 4)
@@ -242,7 +257,7 @@ class TestPrimitiveClasses:
         assert len(classes) == 8
 
     def test_one_letter_alphabet(self):
-        assert primitive_classes(Alphabet(("a",)), 5) == {("a",)}
+        assert primitive_classes(Alphabet(("a",)), 5) == [as_word("a")]
 
     @pytest.mark.parametrize("k,alphabet", [(2, AB), (3, ABC)])
     @pytest.mark.parametrize("n", range(1, 9))
@@ -254,7 +269,7 @@ class TestPrimitiveClasses:
 
     @pytest.mark.parametrize("bound", range(1, 7))
     def test_matches_independent_enumeration(self, bound):
-        assert primitive_classes(AB, bound) == brute_classes(AB, bound)
+        assert set(primitive_classes(AB, bound)) == set(encoded(AB, brute_classes(AB, bound)))
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
@@ -264,7 +279,8 @@ class TestPrimitiveClasses:
         )
         bound = data.draw(st.integers(1, REFERENCE_BOUNDS[len(letters)]))
         alphabet = Alphabet(letters)
-        assert primitive_classes(alphabet, bound) == brute_classes(alphabet, bound)
+        want = sorted(encoded(alphabet, brute_classes(alphabet, bound)))
+        assert primitive_classes(alphabet, bound) == want  # in lexicographic order
 
     def test_bad_necklace_sum_raises_invariant_error(self, monkeypatch):
         monkeypatch.setattr(words, "mobius", lambda d: 1)
@@ -295,6 +311,7 @@ class TestSieve:
     def test_small_budget_prefix(self):
         _, emitted = sieve(AB, 2)
         assert emitted[:3] == [as_word("a"), as_word("b"), as_word("ab")]
+        assert list(map(AB.spell, emitted)) == ["a", "b", "ab"]
 
     def test_emitted_count_matches_enumeration(self):
         _, emitted = sieve(AB, 4)
@@ -310,9 +327,9 @@ class TestSieve:
     @pytest.mark.parametrize("bound", range(1, 9))
     def test_bijection_with_classes(self, alphabet, bound):
         _, emitted = sieve(alphabet, bound)
-        canon = {cyclic_canonical(w, alphabet) for w in emitted}
+        canon = {cyclic_canonical(w) for w in emitted}
         assert len(canon) == len(emitted)
-        assert canon == primitive_classes(alphabet, bound)
+        assert canon == set(primitive_classes(alphabet, bound))
 
     def test_pivot_lengths_non_decreasing(self):
         _, emitted = sieve(AB, 8)
@@ -334,7 +351,7 @@ class TestSieve:
         alphabet = Alphabet(tuple(letters))
         bound = REFERENCE_BOUNDS[len(letters)]
         _, emitted = sieve(alphabet, bound)
-        assert emitted == reference_sieve(alphabet, bound)
+        assert emitted == encoded(alphabet, reference_sieve(alphabet, bound))
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
@@ -345,7 +362,7 @@ class TestSieve:
         bound = data.draw(st.integers(1, REFERENCE_BOUNDS[len(letters)]))
         alphabet = Alphabet(letters)
         _, emitted = sieve(alphabet, bound)
-        assert emitted == reference_sieve(alphabet, bound)
+        assert emitted == encoded(alphabet, reference_sieve(alphabet, bound))
 
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("letters, bound", [
@@ -360,12 +377,14 @@ class TestSieve:
         alphabet = Alphabet(letters[::-1] if reverse else letters)
         for b in (bound - 1, bound):
             _, emitted = sieve(alphabet, b)
-            assert emitted == heap_sieve(alphabet, b)
+            assert emitted == encoded(alphabet, heap_sieve(alphabet, b))
 
     def test_equal_letter_ranks_raise(self):
+        # the sieve encodes its letters through the rank table, so a
+        # non-injective table puts one word in a bucket twice
         alphabet = Alphabet(("a", "b", "c"))
         alphabet._rank["c"] = alphabet._rank["b"]
-        with pytest.raises(InvariantError, match="sieve words b and c have equal letter ranks"):
+        with pytest.raises(InvariantError, match="sieve word b is twice in its length-1 bucket"):
             sieve(alphabet, 3)
 
 
@@ -389,3 +408,89 @@ class TestVerifyAdmissible:
         items = verify_admissible([as_word("aa"), as_word("a"), as_word("b")], AB, 2)
         bad = [i for i in items if "primitive" in i.name]
         assert bad and not bad[0].ok
+
+
+# Letters of one to three characters, so that rank order, string order and
+# the order of the spelled words all differ.
+ORACLE_LETTERS = ["a", "b", "c", "x1", "x10", "yy", "zq"]
+# Largest bound per letter count with a class census of about 1,000 or less.
+ORACLE_BOUNDS = {1: 12, 2: 12, 3: 7, 4: 6, 5: 5, 6: 4}
+
+
+def compare_with_tuple_oracles(alphabet, bound, candidates, dropped=()):
+    """Rank-string sieve, classes and verify against `tuple_words`.
+
+    ``candidates`` are tuple words; ``dropped`` Lyndon words (tuples) are
+    taken out of both verifiers' targets, so the candidates' classes among
+    them read as extraneous.
+    """
+    _, emitted = sieve(alphabet, bound)
+    assert emitted == encoded(alphabet, tuple_words.sieve(alphabet, bound))
+    classes = tuple_words.primitive_classes(alphabet, bound)
+    assert primitive_classes(alphabet, bound) == sorted(encoded(alphabet, classes))
+    dropped_ranks = set(encoded(alphabet, dropped))
+    library_classes, oracle_classes = words.primitive_classes, tuple_words.primitive_classes
+    with mock.patch.object(words, "primitive_classes", lambda a, b: [
+            w for w in library_classes(a, b) if w not in dropped_ranks]), \
+            mock.patch.object(tuple_words, "primitive_classes",
+                              lambda a, b: oracle_classes(a, b) - set(dropped)):
+        got = verify_admissible(encoded(alphabet, candidates), alphabet, bound)
+        want = tuple_words.verify_admissible(candidates, alphabet, bound)
+    assert got == want  # names, expected and got texts byte for byte, verdicts
+    return got
+
+
+class TestRankStringsMatchTupleOracles:
+    @settings(settings.get_profile("ci"), max_examples=60)
+    @given(st.data())
+    def test_sieve_classes_and_verify(self, data):
+        k = data.draw(st.integers(1, 6))
+        letters = data.draw(st.permutations(ORACLE_LETTERS))[:k]
+        order = data.draw(st.sampled_from(["drawn", "ascending", "reversed"]))
+        if order != "drawn":
+            letters = sorted(letters, reverse=order == "reversed")
+        alphabet = Alphabet(letters)
+        bound = data.draw(st.integers(1, ORACLE_BOUNDS[k]))
+        sieved = tuple_words.sieve(alphabet, bound)
+        index = st.integers(0, len(sieved) - 1)
+        missing = data.draw(st.sets(index, max_size=3))
+        candidates = [w for i, w in enumerate(sieved) if i not in missing]
+        for i in data.draw(st.lists(index, max_size=3)):  # proper powers
+            candidates.append(sieved[i] * data.draw(st.integers(2, 3)))
+        for i in data.draw(st.lists(index, max_size=3)):  # rotated duplicates
+            candidates.append(rotate(sieved[i], data.draw(st.integers(1, bound))))
+        candidates = data.draw(st.permutations(candidates))
+        classes = sorted(tuple_words.primitive_classes(alphabet, bound))
+        dropped = data.draw(st.sets(st.sampled_from(classes), max_size=3))
+        compare_with_tuple_oracles(alphabet, bound, candidates, dropped)
+
+    def test_every_failing_item_in_reversed_multi_character_order(self):
+        alphabet = Alphabet(("yy", "x1", "b"))
+        sieved = tuple_words.sieve(alphabet, 3)
+        candidates = [w for w in sieved if w != ("x1", "b")]  # a missing class
+        candidates += [("b", "b"), ("b", "x1", "b", "x1")]  # a power, and one past the bound
+        candidates += [("yy", "b", "x1")]  # a rotation of the sieve's x1 yy b
+        items = compare_with_tuple_oracles(alphabet, 3, candidates,
+                                           dropped=[("yy", "b"), ("b",)])
+        assert [(i.name, i.got, i.ok) for i in items] == [
+            ("all candidates primitive", "[bb]", False),
+            ("rotation classes distinct", "[yybx1]", False),
+            ("no class missing", "[x1b]", False),
+            ("no class extraneous", "[b, yyb]", False),
+            ("class count", "13", False),
+        ]
+
+    def test_ranks_across_the_surrogate_block(self):
+        # 57,400 letters at L = 1: ranks 55,296-57,343 are the UTF-16
+        # surrogate code points, and ranks run past them to 57,399.
+        letters = [f"{i:05d}" for i in range(57_400)]
+        Random(57_344).shuffle(letters)  # declared order is not string order
+        alphabet = Alphabet(letters)
+        _, emitted = sieve(alphabet, 1)
+        assert "\ud800" in emitted and "\udfff" in emitted and emitted[-1] == chr(57_399)
+        assert list(map(alphabet.spell, emitted)) == letters
+        missing = set(range(55_000, 57_400, 97))
+        candidates = [(l,) for i, l in enumerate(letters) if i not in missing]
+        items = compare_with_tuple_oracles(alphabet, 1, candidates,
+                                           dropped=[(letters[56_000],)])
+        assert [i.ok for i in items] == [True, True, False, False, False]

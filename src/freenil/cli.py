@@ -49,7 +49,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 from .errors import InvariantError, LimitExceeded, UnsupportedOperation, ensure_within
@@ -121,18 +120,22 @@ REDUCE_RELATIONS_BUDGET = 200
 # 2-core host, but forms only the distinct products, at most 625 x
 # `--max-n` per command, each once; the witnesses add O(max_n^2) relation
 # proofs, once per command.  At the budget `--max-n` 1, 8 and 64 take
-# about 0.8, 0.8 and 2 s.
+# about 0.6, 0.6 and 1.6 s.
 COLLAPSE_SAMPLES_BUDGET = 300_000
 
 
-_SAMPLES = resources.files("freenil") / "data"
+_SAMPLES = None  # the shipped sample dir, looked up once by `_resolve_input`
 
 
 def _resolve_input(path_text: str):
     """A literal path, or the name of a shipped sample under the data dir."""
+    global _SAMPLES
     p = Path(path_text)
     if p.is_file():
         return p
+    if _SAMPLES is None:  # here, so only a command that names a sample loads its readers
+        from importlib import resources
+        _SAMPLES = resources.files("freenil") / "data"
     for candidate in (path_text, path_text + ".json"):
         q = _SAMPLES / candidate
         if q.is_file():

@@ -4,8 +4,8 @@
 per integer index i <= TOP_INDEX; it carries an index-shift map
 x_i -> x_{i+m} used by the twisted multiplication one level up.  The same
 class, read with x at index 0 and t at index 1, is the two-variable ring
-Z[x^{+-1}, t^{+-1}] that receives the collapse homomorphism
-(`collapse_poly`) sending every x_i to x.
+Z[x^{+-1}, t^{+-1}] that receives the collapse homomorphism sending every
+x_i to x (`skewpoly.collapse_dot`).
 
 Coefficients are arbitrary-precision ints; nothing here is floating
 point.  A monomial is one packed int (Monagan and Pearce, 2007): prod
@@ -62,28 +62,26 @@ def pack(mono: Iterable[tuple[int, int]]) -> int:
     return key
 
 
-def _digits(key: int) -> bytes:
-    """The digits of a packed key plus _HALF, from position 0 up, with zeros above."""
-    n = key.bit_length() // _W + 2
-    return (key + _masks(n)[1]).to_bytes(n, "little")
-
-
 def unpack(key: int) -> Monomial:
     """The sorted (index, exponent) pairs of a packed key."""
-    digits = _digits(key)
+    n = key.bit_length() // _W + 2
+    digits = (key + _masks(n)[1]).to_bytes(n, "little")  # each plus _HALF, from position 0 up
     return tuple((TOP_INDEX - p, digits[p] - _HALF) for p in range(len(digits) - 1, -1, -1)
                  if digits[p] != _HALF)
 
 
-def _check_bound(keys) -> None:
-    """LimitExceeded unless every exponent of the keys (a collection) is in bound.
-    Each digit is an exact sum of two in-bound exponents; offset by EXP_BOUND per
-    digit, a key is in bound iff it is nonnegative with no digit's top bit set."""
-    if keys:
-        offset, high, _ = _masks(max(map(int.bit_length, keys)) // _W + 2)
-        spread = reduce(or_, map(offset.__add__, keys))
-        if spread < 0 or spread & high:
-            raise LimitExceeded(f"a product has an exponent outside [{-EXP_BOUND}, {EXP_BOUND})")
+def _check_bound(keys) -> int:
+    """LimitExceeded unless every exponent of the keys (a collection) is in bound, else a
+    digit count n that holds them.  Each digit is an exact sum of two in-bound exponents;
+    offset by `_masks(n)[0]`, a key is in bound iff it is nonnegative with no top bit set."""
+    n = max(map(int.bit_length, keys), default=0) // _W + 2
+    offset, high, _ = _masks(n)
+    spread = 0
+    for key in keys:
+        spread |= key + offset
+    if spread < 0 or spread & high:
+        raise LimitExceeded(f"a product has an exponent outside [{-EXP_BOUND}, {EXP_BOUND})")
+    return n
 
 
 def _split_digit(key: int, bits: int) -> tuple[int, int]:
@@ -196,8 +194,7 @@ class LaurentPoly:
         if m < 0:
             return LaurentPoly._trusted({k << (-_W * m): c for k, c in self.coeffs.items()})
         bits = _W * m
-        low = (1 << bits) - 1
-        if any(k & low for k in self.coeffs):
+        if reduce(or_, self.coeffs, 0) & ((1 << bits) - 1):
             raise LimitExceeded(f"shifting by {m} moves an index above x_{TOP_INDEX}")
         return LaurentPoly._trusted({k >> bits: c for k, c in self.coeffs.items()})
 
@@ -282,17 +279,3 @@ def format_poly(p: LaurentPoly) -> str:
     if p.is_zero():
         return "0"
     return " + ".join(f"[{format_monomial(m)}] * {c}" for m, c in sorted(p.terms().items()))
-
-
-def collapse_poly(p: LaurentPoly, t_exp: int = 0) -> LaurentPoly:
-    """Apply x_i -> x to one coefficient, at t-degree t_exp.
-
-    The image lives in Z[x^{+-1}, t^{+-1}], read as a LaurentPoly with x at
-    index 0 and t at index 1.
-    """
-    by_x: dict[int, int] = {}
-    for key, c in p.coeffs.items():
-        digits = _digits(key)
-        xe = sum(digits) - _HALF * len(digits)
-        by_x[xe] = by_x.get(xe, 0) + c
-    return LaurentPoly._trusted({pack(((0, xe), (1, t_exp))): c for xe, c in by_x.items() if c})

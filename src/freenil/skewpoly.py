@@ -19,8 +19,9 @@ and one check per call keeps the results within the exponent bound.
 The module also owns the line-oriented text format for these elements
 (one term per `t^K * [MONO] * COEFF` chunk, " + "-joined, canonically
 sorted; the tests hold its parser) and the collapse homomorphism onto
-Z[x^{+-1}, t^{+-1}] that identifies every x_i with x; that target is a
-LaurentPoly in two fixed variables, x at index 0 and t at index 1.
+Z[x^{+-1}, t^{+-1}] that identifies every x_i with x, a LaurentPoly with x
+at index 0 and t at index 1.  `collapse_dot` collapses a sum of products
+without building it: it bins each term product by its key's digit sum.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import math
 from operator import add, sub
 from typing import Iterable, Mapping
 
-from .laurent import _W, LaurentPoly, _check_bound, collapse_poly, format_monomial
+from .laurent import _W, EXP_BOUND, TOP_INDEX, LaurentPoly, _check_bound, _masks, format_monomial
 
 
 class SkewLaurent:
@@ -129,14 +130,8 @@ class SkewLaurent:
         return SkewLaurent({k: a.change_basis() for k, a in self.coeffs.items()})
 
     def collapse(self) -> LaurentPoly:
-        """Homomorphism x_i -> x, t -> t into the commutative two-variable ring.
-
-        The image is a LaurentPoly with x at index 0 and t at index 1; the
-        layers land on distinct powers of t, so their terms never collide.
-        """
-        return LaurentPoly._trusted(
-            {m: c for k, a in self.coeffs.items() for m, c in collapse_poly(a, k).coeffs.items()}
-        )
+        """x_i -> x, t -> t into a LaurentPoly with x at index 0, t at index 1 (`collapse_dot`)."""
+        return collapse_dot([(self, {0: {0: 1}})])
 
     def __repr__(self) -> str:
         return f"SkewLaurent({format_skew(self)!r})"
@@ -174,6 +169,35 @@ def dot(pairs: Iterable[tuple[SkewLaurent, SkewLaurent]]) -> SkewLaurent:
     kept = {k: {m: c for m, c in layer.items() if c} for k, layer in out.items()}
     _check_bound([m for d in kept.values() for m in d])
     return SkewLaurent._trusted({k: LaurentPoly._trusted(d) for k, d in kept.items() if d})
+
+
+def collapse_dot(pairs: Iterable[tuple[SkewLaurent, Mapping]]) -> LaurentPoly:
+    """collapse(sum a * b) over pairs whose right factors are packed terms {t-degree:
+    {key: coefficient}}: each term product's key is formed as in `dot`, all are checked
+    against the bound, then each coefficient is binned at (t-degree, digit sum of key)."""
+    keys, at = [], []
+    for a, b in pairs:
+        for l, right in b.items():
+            right, down = right.items(), _W * l if l > 0 else 0
+            for k, ak in a.coeffs.items():
+                for ma, ca in (ak if l >= 0 else ak.shift(-l)).coeffs.items():
+                    ma <<= down
+                    for mb, cb in right:
+                        keys.append(ma + mb)
+                        at.append((k + l, ca * cb))
+    n = _check_bound(keys)
+    offset, base, bins, out, bad = _masks(n)[0], EXP_BOUND * n, {}, {}, []
+    for m, (t, c) in zip(keys, at):
+        tx = t, sum((m + offset).to_bytes(n, "little")) - base
+        bins[tx] = bins.get(tx, 0) + c
+    for (t, xe), c in bins.items():
+        if c and -EXP_BOUND <= xe < EXP_BOUND and -EXP_BOUND <= t < EXP_BOUND:
+            out[(xe << _W * TOP_INDEX) + (t << _W * (TOP_INDEX - 1))] = c
+        elif c:
+            bad.append(((0, xe), (1, t)))
+    if bad:  # the least such monomial raises LimitExceeded, as `pack` does
+        LaurentPoly({min(bad): 1})
+    return LaurentPoly._trusted(out)
 
 
 def format_skew(p: SkewLaurent) -> str:

@@ -53,9 +53,9 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InvariantError, LimitExceeded
-from .laurent import LaurentPoly, clearing_unit, one_minus_x, x_diff
+from .laurent import LaurentPoly, clearing_unit, one_minus_x, pack, x_diff
 from .report import CheckItem, item
-from .skewpoly import SkewLaurent, dot, format_skew
+from .skewpoly import SkewLaurent, collapse_dot, dot, format_skew
 
 Pair = tuple[SkewLaurent, SkewLaurent]
 
@@ -478,9 +478,9 @@ def _collapsed_generator(j: int) -> tuple[SkewLaurent, bool]:
 
 @lru_cache(maxsize=625 * 64)  # a draw is j < n, then s, a, b, c in [-2, 2]; n <= 64
 def _sample_collapses(j: int, s: int, a: int, b: int, c: int) -> bool:
-    """Whether z_{-j} t^s (x_a^b + c) collapses to zero; each draw is multiplied once."""
-    w = SkewLaurent.t(s, LaurentPoly.x(a, b) + LaurentPoly.const(c))
-    return (_collapsed_generator(j)[0] * w).collapse().is_zero()
+    """Whether z_{-j} t^s (x_a^b + c) collapses to zero; each draw's product is formed once."""
+    w = {pack([(a, b)]): 1, 0: c} if b else {0: 1 + c}  # x_a^b + c; 1 has the key 0
+    return collapse_dot([(_collapsed_generator(j)[0], {s: w})]).is_zero()
 
 
 def collapse_certificate(n: int, samples: int = 20, seed: int = 7) -> list[CheckItem]:
@@ -489,8 +489,8 @@ def collapse_certificate(n: int, samples: int = 20, seed: int = 7) -> list[Check
     The collapse map x_i -> x is a ring morphism killing every generator,
     hence the whole right ideal, while collapse(1) = 1 survives.  Checked
     on the generators, on random right multiples, and on the unit.  Each
-    stage draws its own samples from Random(seed); a product drawn again,
-    in this stage or another, is looked up rather than formed.
+    stage draws its own samples from Random(seed); a new draw's product is
+    formed key by key and collapsed in one `collapse_dot`, a repeat looked up.
     """
     rng = Random(seed)
     items = [

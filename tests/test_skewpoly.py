@@ -8,7 +8,7 @@ tolerance anywhere).
 import json
 import re
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pytest
 
@@ -20,14 +20,13 @@ from freenil.laurent import (
     LaurentPoly,
     Monomial,
     clearing_unit,
-    collapse_poly,
     format_poly,
     one_minus_x,
     pack,
     unpack,
     x_diff,
 )
-from freenil.skewpoly import SkewLaurent, dot, format_skew
+from freenil.skewpoly import SkewLaurent, collapse_dot, dot, format_skew
 
 
 # The parser of format_skew's text; the library only writes it.
@@ -396,6 +395,30 @@ twist_skews = st.dictionaries(
 ).map(SkewLaurent)
 
 
+# Left factors with t-degrees at the collapse bound, and right factors as the
+# collapse samples draw them, t^s (x_i^e + c): twists that cross TOP_INDEX,
+# exponents at the bound and w = 0 (e = 0, c = -1).
+edge_skews = st.one_of(
+    st.integers(-3, 3).map(lambda i: SkewLaurent.from_poly(x_diff(i))),
+    st.dictionaries(
+        st.one_of(st.integers(-2, 2), st.sampled_from([-EXP_BOUND - 1, -EXP_BOUND, EXP_BOUND - 2, EXP_BOUND - 1])),
+        top_polys, min_size=1, max_size=3,
+    ).map(SkewLaurent),
+)
+sample_factors = st.builds(
+    lambda s, i, e, c: SkewLaurent.t(s, LaurentPoly.x(i, e) + LaurentPoly.const(c)),
+    st.integers(-3, 3), st.one_of(st.integers(-3, 3), far_below, st.integers(TOP_INDEX - 2, TOP_INDEX)),
+    st.one_of(st.just(0), edge_exponents), st.integers(-2, 2),
+)
+
+
+def outcome(compute):
+    try:
+        return compute()
+    except LimitExceeded as e:
+        return LimitExceeded, str(e)
+
+
 def in_bound(tables):
     return all(-EXP_BOUND <= e < EXP_BOUND for t in tables for mono in t for _, e in mono)
 
@@ -448,6 +471,17 @@ class TestPackedKeys:
         want = tuple_ring.collapse(p)
         assert or_limit(lambda: p.collapse().terms()) == (want if in_bound([want]) else LimitExceeded)
 
+    @settings(settings.get_profile("ci"), max_examples=400)
+    @given(edge_skews, sample_factors)
+    @example(SkewLaurent.from_poly(LaurentPoly.x(TOP_INDEX)), SkewLaurent.zero())
+    @example(SkewLaurent.t(EXP_BOUND - 1, LaurentPoly.x(1, 2)), SkewLaurent.t(1, LaurentPoly.x(0, 3)))
+    def test_collapse_kernel_matches_the_collapsed_product(self, a, w):
+        packed = {l: p.coeffs for l, p in w.coeffs.items()}
+        got = outcome(lambda: collapse_dot([(a, packed)]))
+        assert got == outcome(lambda: (a * w).collapse())
+        if isinstance(got, LaurentPoly):
+            assert got.terms() == tuple_ring.collapse(a * w)
+
     @given(top_polys)
     def test_pack_round_trip(self, a):
         for mono in a.terms():
@@ -470,10 +504,12 @@ class TestPackedKeys:
         from freenil.cli import main
 
         products = []
-        real_mul, real_dot = LaurentPoly.__mul__, skewpoly.dot
+        real_mul, real_dot, real_collapse = LaurentPoly.__mul__, skewpoly.dot, skewpoly.collapse_dot
         monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: products.append(1) or real_mul(a, b))
         for module in (skewpoly, syzygy):
             monkeypatch.setattr(module, "dot", lambda pairs: products.append(1) or real_dot(pairs))
+            monkeypatch.setattr(module, "collapse_dot",
+                                lambda pairs: products.append(1) or real_collapse(pairs))
         # A generator x_{i-1}^EXP_BOUND - x_i, one step past the bound, built
         # afresh as in a new process: no generator an earlier test cached is read.
         monkeypatch.setattr(syzygy, "x_diff", lambda i: LaurentPoly.x(i - 1, EXP_BOUND) - LaurentPoly.x(i))
@@ -494,7 +530,8 @@ class TestCollapse:
 
     def test_collapse_ignores_shift(self):
         p = one_minus_x(0) * LaurentPoly.x(3, -2)
-        assert collapse_poly(p.shift(7)) == collapse_poly(p)
+        for k in (-2, 0, 3):
+            assert SkewLaurent.t(k, p.shift(7)).collapse() == SkewLaurent.t(k, p).collapse()
 
     @given(skews, skews)
     @settings(max_examples=60)

@@ -7,6 +7,7 @@ The library builds pairs and relations in y-coordinates; the direct
 x-coordinate constructors below are kept as references for their images.
 """
 
+import itertools
 import json
 import math
 from dataclasses import asdict, astuple
@@ -594,12 +595,40 @@ class TestVerifiers:
         info = syzygy._projection_texts.cache_info()
         assert (info.misses, info.hits) == (q, q * (q + 1) // 2 - q)
 
-    def test_collapse_forms_each_distinct_sample_product_once(self, capsys):
+    def test_collapse_forms_each_distinct_sample_product_once(self, capsys, monkeypatch):
         import freenil.syzygy as syzygy
 
+        formed = []
+        real = syzygy.collapse_dot
+        monkeypatch.setattr(syzygy, "collapse_dot", lambda pairs: formed.append(1) or real(pairs))
         syzygy._sample_collapses.cache_clear()
         assert main(["grouph", "collapse", "--max-n", "7"]) == 0
         capsys.readouterr()
-        # 7 stages of 20 draws: 140 lookups, 92 distinct products
+        # 7 stages of 20 draws: 140 lookups, 92 distinct products, each formed once
         info = syzygy._sample_collapses.cache_info()
         assert (info.misses, info.hits) == (92, 48)
+        assert len(formed) == 92
+
+    @pytest.mark.parametrize("left", [SkewLaurent.one(), SkewLaurent.from_poly(LaurentPoly.x(0))])
+    def test_samples_item_sees_a_left_factor_outside_the_ideal(self, left, monkeypatch):
+        import freenil.syzygy as syzygy
+
+        # Every drawn product of a generator lies in the ideal, so only a left
+        # factor outside it shows that the samples are formed and collapsed.
+        monkeypatch.setattr(syzygy, "_collapsed_generator", lambda j: (left, False))
+        syzygy._sample_collapses.cache_clear()
+        try:
+            items = {i.name: i for i in collapse_certificate(3, 40, 7)}
+        finally:
+            syzygy._sample_collapses.cache_clear()
+        samples = items["random right multiples collapse to zero"]
+        assert samples.expected == "40" and int(samples.got) < 40 and not samples.ok
+
+    @pytest.mark.parametrize("j", range(3))
+    def test_each_sample_matches_its_collapsed_product(self, j):
+        import freenil.syzygy as syzygy
+
+        z = SkewLaurent.from_poly(x_diff(-j))
+        for s, a, b, c in itertools.product(range(-2, 3), repeat=4):
+            w = SkewLaurent.t(s, LaurentPoly.x(a, b) + LaurentPoly.const(c))
+            assert syzygy._sample_collapses.__wrapped__(j, s, a, b, c) == (z * w).collapse().is_zero()

@@ -12,11 +12,16 @@ to coprime integers.
 
 `rref` packs each row into one int, one W-bit field per column with
 column 0 on top, so a row update is a few C-level big-int operations.
-Over GF(p) fields stay non-negative: with e a row's field in the pivot
-column and r = e mod p, `x += (p - r) * pivot - ((e + p - r) << shift)`
-by the monic pivot row zeroes that field and adds less than p^2 to the
-others.  Fields are reduced only in a new pivot row and at unpack, so
-none reaches p^2 (cols + 1), which sets W.  Over `QQ` fields are signed.
+Over GF(p) the rows are `PackedRows`, on which `rref`, `rowspan_contains`
+and the image chain of `freenil.nilobj` run.  Fields stay non-negative:
+with e a row's field in the pivot column and r = e mod p,
+`x += (p - r) * pivot - ((e + p - r) << shift)` by the monic pivot row
+zeroes that field and adds less than p^2 to the others; a span test
+reduces a row so by each row of a monic basis, then tests each field
+mod p.  Only a new pivot row and the output are reduced.  An image row
+F a of a reduced row a, from F's packed columns, has fields below D p^2
+for units at most D wide and takes at most D such steps, so no field
+reaches p^2 (2D + 2), which sets W.  Over `QQ` fields are signed.
 The basis grows one input row x at a time, Jordan-reduced with every
 pivot equal to d: x becomes `d * x - sum(x[c] * basis_c)` over the pivot
 columns c, with no division.  If that is nonzero its top field is a new
@@ -121,32 +126,82 @@ def rref(a: Matrix, field=QQ) -> Matrix:
     """
     if not a:
         return []
-    return _rref_qq(a, len(a[0])) if field is QQ else _rref_gf(a, len(a[0]), field.p)
+    if field is QQ:
+        return _rref_qq(a, len(a[0]))
+    rows = PackedRows(field.p, len(a[0]))
+    return rows.rref(rows.pack([[x % field.p for x in row] for row in a]), len(a[0]))[1]
 
 
-def _rref_gf(a: Matrix, cols: int, p: int) -> Matrix:
-    w = (p * p * (cols + 1)).bit_length()
-    mask = (1 << w) - 1
-    shifts = range(w * (cols - 1), -1, -w)
-    rows = [x for x in (sum(map(lshift, map(p.__rmod__, row), shifts)) for row in a) if x]
-    done = 0
-    for shift in shifts:
-        if done == len(rows):
-            break
-        for i in range(done, len(rows)):
-            if (rows[i] >> shift & mask) % p:
+class PackedRows:
+    """GF(p) rows of at most `dim` entries in [0, p), packed one int per row (see the module doc)."""
+
+    def __init__(self, p: int, dim: int):
+        self.p, self.w, self.mask = p, (w := (p * p * (2 * dim + 2)).bit_length()), (1 << w) - 1
+
+    def pack(self, rows: Matrix) -> list[int]:
+        shifts = range(self.w * (len(rows[0]) - 1), -1, -self.w) if rows else ()
+        return [sum(map(lshift, row, shifts)) for row in rows]
+
+    images = staticmethod(lambda rows, columns: [sum(map(mul, a, columns)) for a in rows])
+
+    def rref(self, rows: list[int], cols: int) -> tuple[list[int], Matrix]:
+        """The monic rref basis of packed rows, packed and as lists."""
+        if not (rows := [x for x in rows if x]):
+            return [], []
+        p, mask, shifts, done = self.p, self.mask, range(self.w * (cols - 1), -1, -self.w), 0
+        for shift in shifts:
+            if done == len(rows):
                 break
-        else:
-            continue
-        row = rows[i]
-        inv = pow(row >> shift & mask, -1, p)
-        pivot = sum(map(lshift, [(row >> s & mask) * inv % p for s in shifts], shifts))
-        rows[i] = rows[done]
-        rows = [x + (p - r) * pivot - ((e + p - r) << shift) if (r := (e := x >> shift & mask) % p)
-                else x for x in rows]
-        rows[done] = pivot
-        done += 1
-    return [[(x >> s & mask) % p for s in shifts] for x in rows[:done]]
+            for i in range(done, len(rows)):
+                if (rows[i] >> shift & mask) % p:
+                    break
+            else:
+                continue
+            row = rows[i]
+            inv = pow(row >> shift & mask, -1, p)
+            pivot = sum(map(lshift, [(row >> s & mask) * inv % p for s in shifts], shifts))
+            rows[i] = rows[done]
+            rows = [x + (p - r) * pivot - ((e + p - r) << shift) if (r := (e := x >> shift & mask) % p)
+                    else x for x in rows]
+            rows[done] = pivot
+            done += 1
+        out = [[(x >> s & mask) % p for s in shifts] for x in rows[:done]]
+        return [sum(map(lshift, row, shifts)) for row in out], out
+
+    def contains(self, inner: list[int], outer: list[int], cols: int) -> bool:
+        """Is each packed row of `inner` in the span of the packed monic rref basis `outer`?"""
+        p, mask, shifts = self.p, self.mask, range(self.w * (cols - 1), -1, -self.w)
+        if not inner:
+            return True
+        lead = [x.bit_length() - 1 for x in outer]
+        for v in inner:
+            v += sum(map(mul, [-(v >> s & mask) % p for s in lead], outer))
+            if any((v >> s & mask) % p for s in shifts):
+                return False
+        return True
+
+
+class ListRows:
+    """The same kernels over `QQ` on lists of ints, by `rref` and `rowspan_contains`."""
+
+    pack = staticmethod(lambda rows: rows)
+    images = staticmethod(lambda rows, columns: [_image(columns, a) for a in rows])
+    rref = staticmethod(lambda rows, cols: (rref(rows),) * 2)
+    contains = staticmethod(lambda inner, outer, cols: rowspan_contains(inner, outer))
+
+
+def _image(columns, a):
+    """F a from the columns of F, summed over the nonzero entries of a only."""
+    (x, col), *rest = [(x, col) for x, col in zip(a, columns) if x]
+    out = [x * y for y in col]
+    for x, col in rest:
+        out = [o + x * y for o, y in zip(out, col)]
+    return out
+
+
+def row_kernels(field, dim: int):
+    """The image chain's kernels, picked by field, for units at most `dim` wide."""
+    return ListRows if field is QQ else PackedRows(field.p, dim)
 
 
 def _rref_qq(a: Matrix, cols: int) -> Matrix:
@@ -217,21 +272,21 @@ def in_rowspan(v: Vector, basis: Matrix, field=QQ) -> bool:
 def rowspan_contains(inner: Matrix, outer: Matrix, field=QQ) -> bool:
     """Is every row of `inner` a combination of the rows of the reduced basis `outer`?
 
-    Each reduced row is zero on the other rows' pivots, so the only
-    candidate for a row v is the sum of v[p] / b[p] * b over the rows b
-    with pivot p.  Both sides are compared scaled by the lcm of the pivots
-    (1 over GF(p)); a pivot column always agrees, so only the free columns
-    are compared.
+    Over GF(p) this is `PackedRows.contains`.  Over `QQ` the only candidate
+    for a row v is the sum of v[p] / b[p] * b over the rows b with pivot p,
+    compared scaled by the lcm of the pivots on the free columns only.
     """
+    if field is not QQ:
+        rows = PackedRows(field.p, cols := len((inner or outer or [[]])[0]))
+        return rows.contains(rows.pack([[x % field.p for x in v] for v in inner]), rows.pack(outer), cols)
     if not outer:
-        return not any(field.from_int(x) for row in inner for x in row)
+        return not any(map(any, inner))
     pivots = [_lead(row) for row in outer]
     scale = lcm(*(row[p] for row, p in zip(outer, pivots)))
     factors = [(p, scale // row[p]) for row, p in zip(outer, pivots)]
     free = [(j, col) for j, col in enumerate(zip(*outer)) if j not in pivots]
     for v in inner:
-        v = list(map(field.from_int, v))
         coef = [v[p] * f for p, f in factors]
-        if any(field.dot(coef, col) != field.from_int(scale * v[j]) for j, col in free):
+        if any(sum(map(mul, coef, col)) != scale * v[j] for j, col in free):
             return False
     return True

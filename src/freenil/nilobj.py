@@ -21,7 +21,8 @@ and its result is the rational one up to row scale: the kernels in
 question are solution spaces of integer linear systems, so f^n = 0 holds
 over Z iff it holds over Q.  The chain changes strictly until it
 saturates, which bounds the index by the total dimension.  Prime-field
-bases run the same algorithm mod p, on fields reduced only at pivots.
+bases run the same chain mod p, packed one int per row from the image
+rows to the containment proofs (`linalg.PackedRows`).
 Deciding and checking each have the fixed work budget `CHAIN_WORK_BUDGET`.
 
 Word products and filtration steps all use the object's one field,
@@ -38,16 +39,7 @@ from functools import cache, cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InvariantError, LimitExceeded, ensure_within
-from .linalg import (
-    GFp,
-    QQ,
-    identity,
-    mat_eq_zero,
-    mat_mul,
-    reduced_nullspace,
-    rowspan_contains,
-    rref,
-)
+from .linalg import GFp, QQ, identity, mat_eq_zero, mat_mul, reduced_nullspace, row_kernels
 
 Word = tuple[str, ...]
 
@@ -102,6 +94,7 @@ class Filtration:
     images: tuple[Mapping[str, list], ...]
     dims: Mapping[str, int]
     field: object
+    increasing: bool = False  # proved by `is_nilpotent` as it built the chain
 
     @cached_property
     def subspaces(self) -> tuple[Mapping[str, tuple], ...]:
@@ -254,15 +247,6 @@ class _Work:
         self.charge(rows, cols, 4 * min(rows, cols))
 
 
-def _image(columns, a):
-    """F @ a from the columns of F, summed over the nonzero entries of a only."""
-    (x, col), *rest = [(x, col) for x, col in zip(a, columns) if x]
-    out = [x * y for y in col]
-    for x, col in rest:
-        out = [o + x * y for o, y in zip(out, col)]
-    return out
-
-
 def is_nilpotent(X: NilObject) -> NilCertificate:
     """Decide nilpotency exactly; returns (verdict, least index, filtration).
 
@@ -276,33 +260,33 @@ def is_nilpotent(X: NilObject) -> NilCertificate:
     """
     if X._certificate is not None:
         return X._certificate
-    field = X.field
-    units = X.ring.units
-    dims = X.dims
+    field, units, dims = X.field, X.ring.units, X.dims
+    kit = row_kernels(field, max(dims.values()))
     # A basis row a of A_k(t) maps to F_l a, a combination of columns of
     # F_l; a letter out of a zero-dimensional unit has none and adds nothing.
-    columns = [(l.src, l.dst, list(zip(*X.mats[l.name]))) for l in X.letters if dims[l.src]]
+    columns = [(l.src, l.dst, kit.pack(list(zip(*X.mats[l.name])))) for l in X.letters if dims[l.src]]
     images = {u: identity(dims[u], field) for u in units}
+    basis = {u: kit.pack(images[u]) for u in units}
     chain = [images]
     work = _Work("image chain")
     while True:
         rows = {u: [] for u in units}
         for src, dst, cols in columns:
-            rows[src] += [_image(cols, a) for a in images[dst]]
+            rows[src] += kit.images(images[dst], cols)
         for u in units:
             work.eliminate(len(rows[u]), dims[u])
-        nxt = {u: rref(rows[u], field) for u in units}
-        if not all(rowspan_contains(nxt[u], images[u], field) for u in units):
+        nxt = {u: kit.rref(rows[u], dims[u]) for u in units}
+        if not all(kit.contains(nxt[u][0], basis[u], dims[u]) for u in units):
             raise InvariantError("image chain failed to shrink")
-        if all(len(nxt[u]) == len(images[u]) for u in units):
+        if all(len(nxt[u][0]) == len(basis[u]) for u in units):
             break
-        images = nxt
+        basis, images = ({u: nxt[u][i] for u in units} for i in (0, 1))
         if len(chain) > X.total_dim():
             raise InvariantError("image chain outlived the dimension bound")
         chain.append(images)
     nilpotent = not any(images.values())
     index = len(chain) - 1 if nilpotent else None
-    X._certificate = NilCertificate(nilpotent, index, Filtration(tuple(chain), dims, field))
+    X._certificate = NilCertificate(nilpotent, index, Filtration(tuple(chain), dims, field, increasing=True))
     return X._certificate
 
 
@@ -462,21 +446,22 @@ def filtration_items(X: NilObject):
     from .report import item
 
     cert = is_nilpotent(X)
-    field, units, dims = X.field, X.ring.units, X.dims
-    chain = cert.filtration.images
+    units, dims, chain = X.ring.units, X.dims, cert.filtration.images
+    kit = row_kernels(X.field, max(dims.values()))
     work = _Work("certificate check")
-    # F_l A as a product with F_l transposed; letters out of empty units check nothing.
-    letters = [(l.src, l.dst, list(zip(*X.mats[l.name]))) for l in X.letters if dims[l.src]]
-    steps = list(zip(chain, chain[1:]))  # (A_{i-1}, A_i)
-    for b, a in steps:
+    # F_l A from the columns of F_l; letters out of empty units check nothing.
+    letters = [(l.src, l.dst, kit.pack(list(zip(*X.mats[l.name])))) for l in X.letters if dims[l.src]]
+    for b, a in zip(chain, chain[1:]):  # (A_{i-1}, A_i)
         for u in units:
             work.charge(len(a[u]), len(b[u]), dims[u])
         for src, dst, _ in letters:
             work.charge(len(b[dst]), dims[dst] + len(a[src]), dims[src])
+    packed = [{u: kit.pack(layer[u]) for u in units} for layer in chain]
     zero_start = all(len(chain[0][u]) == dims[u] for u in units)
-    increasing = all(rowspan_contains(a[u], b[u], field) for b, a in steps for u in units)
-    mapped_down = all(rowspan_contains(mat_mul(b[dst], cols, field), a[src], field)
-                      for b, a in steps for src, dst, cols in letters)
+    increasing = cert.filtration.increasing or all(
+        kit.contains(a[u], b[u], dims[u]) for b, a in zip(packed, packed[1:]) for u in units)
+    mapped_down = all(kit.contains(kit.images(b[dst], cols), a[src], dims[src])
+                      for b, a in zip(chain, packed[1:]) for src, dst, cols in letters)
     items = [item("chain starts at zero", True, zero_start),
              item("chain is increasing", True, increasing),
              item("letters map layer i into layer i-1", True, mapped_down)]

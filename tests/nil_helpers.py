@@ -10,14 +10,16 @@ of ints that `linalg.rref` ran before it packed each row into one int.
 The row-by-row span test is the one `linalg.in_rowspan` ran before it
 became `rowspan_contains` on one row.  The eager image chain is
 the one `nilobj.is_nilpotent` ran before it built its kernel layers only
-when they are read.
+when they are read.  The list image, the list span test and the list
+chain are what `is_nilpotent` and `filtration_items` ran over GF(p)
+before their rows were packed one int per row.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 from random import Random
 
-from freenil.linalg import QQ, identity, reduced_nullspace, rref
+from freenil.linalg import QQ, identity, mat_mul, reduced_nullspace, rref
 from freenil.nilobj import BlockRing, Letter, NilObject
 
 
@@ -275,3 +277,67 @@ def eager_is_nilpotent(X: NilObject):
         assert len(chain) <= X.total_dim()
     nilpotent = not any(images.values())
     return nilpotent, len(chain) - 1 if nilpotent else None, tuple(chain)
+
+
+def list_image(columns, a, p=None):
+    """F @ a from the columns of F, summed over the nonzero entries of a only; mod p if given."""
+    (x, col), *rest = [(x, col) for x, col in zip(a, columns) if x]
+    out = [x * y for y in col]
+    for x, col in rest:
+        out = [o + x * y for o, y in zip(out, col)]
+    return out if p is None else [o % p for o in out]
+
+
+def list_rowspan_contains(inner, outer, field=QQ):
+    """Is every row of `inner` a combination of the rows of the reduced basis `outer`?
+
+    Each reduced row is zero on the other rows' pivots, so the only
+    candidate for a row v is the sum of v[p] / b[p] * b over the rows b
+    with pivot p.  Both sides are compared scaled by the lcm of the pivots
+    (1 over GF(p)) in the free columns.
+    """
+    if not outer:
+        return not any(field.from_int(x) for row in inner for x in row)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in outer]
+    scale = lcm(*(row[p] for row, p in zip(outer, pivots)))
+    factors = [(p, scale // row[p]) for row, p in zip(outer, pivots)]
+    free = [(j, col) for j, col in enumerate(zip(*outer)) if j not in pivots]
+    for v in inner:
+        v = list(map(field.from_int, v))
+        coef = [v[p] * f for p, f in factors]
+        if any(field.dot(coef, col) != field.from_int(scale * v[j]) for j, col in free):
+            return False
+    return True
+
+
+def list_is_nilpotent(X: NilObject):
+    """(verdict, index, image chain) by the list chain: list images, `list_rref`, list shrink test."""
+    p, field, dims = modulus(X.ring.base), X.field, X.dims
+    units = X.ring.units
+    columns = [(l.src, l.dst, list(zip(*X.mats[l.name]))) for l in X.letters if dims[l.src]]
+    images = {u: identity(dims[u], field) for u in units}
+    chain = [images]
+    while True:
+        rows = {u: [] for u in units}
+        for src, dst, cols in columns:
+            rows[src] += [list_image(cols, a, p) for a in images[dst]]
+        nxt = {u: list_rref(rows[u], p) for u in units}
+        assert all(list_rowspan_contains(nxt[u], images[u], field) for u in units)
+        if all(len(nxt[u]) == len(images[u]) for u in units):
+            break
+        images = nxt
+        assert len(chain) <= X.total_dim()
+        chain.append(images)
+    nilpotent = not any(images.values())
+    return nilpotent, len(chain) - 1 if nilpotent else None, chain
+
+
+def list_chain_items(X: NilObject, chain):
+    """The chain items of the certificate on list rows: starts at zero, increasing, mapped down."""
+    field, units, dims = X.field, X.ring.units, X.dims
+    letters = [(l.src, l.dst, list(zip(*X.mats[l.name]))) for l in X.letters if dims[l.src]]
+    steps = list(zip(chain, chain[1:]))
+    return (all(len(chain[0][u]) == dims[u] for u in units),
+            all(list_rowspan_contains(a[u], b[u], field) for b, a in steps for u in units),
+            all(list_rowspan_contains(mat_mul(b[dst], cols, field), a[src], field)
+                for b, a in steps for src, dst, cols in letters))

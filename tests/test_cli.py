@@ -748,7 +748,8 @@ class TestNilCommands:
             path.write_text(json.dumps(bench_module(7, 12, 2, "int", 4, 4, True)))
             argv = ("nil-map", str(path), *flags)
         nullspaces, eliminations = [], []
-        real_nullspace, real_rref = linalg.reduced_nullspace, nilobj.rref
+        real_nullspace = linalg.reduced_nullspace
+        real_lists, real_packed = linalg.ListRows.rref, linalg.PackedRows.rref
 
         def counted(*args):
             nullspaces.append(1)
@@ -756,7 +757,11 @@ class TestNilCommands:
 
         monkeypatch.setattr(linalg, "reduced_nullspace", counted)
         monkeypatch.setattr(nilobj, "reduced_nullspace", counted)
-        monkeypatch.setattr(nilobj, "rref", lambda a, field: eliminations.append(1) or real_rref(a, field))
+        # The chain eliminates through its field's row kernels.
+        monkeypatch.setattr(linalg.ListRows, "rref", staticmethod(
+            lambda rows, cols: eliminations.append(1) or real_lists(rows, cols)))
+        monkeypatch.setattr(linalg.PackedRows, "rref",
+                            lambda self, rows, cols: eliminations.append(1) or real_packed(self, rows, cols))
         code, payload = run_json(capsys, "algebra", *argv)
         assert code == (0 if planted else 1)
         assert nullspaces == []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from freenil.errors import InvariantError, LimitExceeded
-from freenil.linalg import identity, mat_eq_zero, mat_mul, QQ
+from freenil.linalg import ListRows, identity, mat_eq_zero, mat_mul, QQ
 from freenil.nilobj import (
     BlockRing,
     Filtration,
@@ -440,11 +440,9 @@ class TestIsNilpotent:
 
     def test_growing_image_is_an_invariant_error(self, monkeypatch):
         # The second layer comes back as everything, outside the first.
-        import freenil.nilobj as nilobj
-
-        real = nilobj.rref
-        layers = iter([real, lambda rows, field: identity(2, field)])
-        monkeypatch.setattr(nilobj, "rref", lambda rows, field: next(layers)(rows, field))
+        real = ListRows.rref
+        layers = iter([real, lambda rows, cols: real(identity(cols), cols)])
+        monkeypatch.setattr(ListRows, "rref", staticmethod(lambda rows, cols: next(layers)(rows, cols)))
         with pytest.raises(InvariantError, match="failed to shrink"):
             is_nilpotent(single("f", [[0, 1], [0, 0]]))
 

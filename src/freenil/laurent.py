@@ -175,18 +175,6 @@ class LaurentPoly:
             return NotImplemented
         return LaurentPoly._trusted({m: scalar * c for m, c in self.coeffs.items()} if scalar else {})
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers only exist for monomials; invert x(i, e) directly")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def shift(self, m: int) -> "LaurentPoly":
         """Ring automorphism relabelling x_i to x_{i+m}; LimitExceeded past TOP_INDEX."""
         if m == 0:

@@ -26,16 +26,15 @@ Two coordinate systems share the LaurentPoly and SkewLaurent types, and
   Their pieces (z_i, the runs, the tails t^{p+1} z_1 y_0 ... y_{-p}) are
   built once per command and shared read-only; every X(p, q) ends in the
   one object z_{-p}, so its last projection is converted once per p.
-* x-coordinates are the public basis: `kernel_pair`, `pairwise_relation`
-  and `defining_map` are in x, as the exact images of the y objects.
-  Descent (`reduce_step`, `ideal_decompose`, `complexity`) stays in x,
-  because its inputs carry negative exponents, which have no y image
-  until a monomial unit clears them.
+* x-coordinates are the public basis: `kernel_pair`, `pairwise_relation`,
+  `defining_map` and a RelationVector's `c` are in x, as exact images.
 
 A relation is a map from index to nonzero component; X(p, q) has at most
-three in any arity (`pairwise_relation` is its dense view).  Every descent
-state (a random combination, a pair sum, a step's result) is built by
-`_descent_state`, one `dot` per touched index, and proved once.
+three in any arity (`pairwise_relation` is its dense view).  Descent runs in
+y as well: a state's c_i is P_i x^(-M), P_i read in y over one x-monomial M,
+and `ideal_decompose` splits Delta(P g) = Delta(P) g + sigma(P) Delta(g) for
+g = x^(-M), so each a_j is the ring element of the x descent.  Each state
+is built by `_descent_state`, one `dot` per touched index, and proved once.
 
 Everything is exact; any failed internal assertion raises InvariantError
 because the identities involved are theorems, not runtime conditions.
@@ -47,13 +46,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from random import Random
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InvariantError, LimitExceeded
-from .laurent import LaurentPoly, clearing_unit, one_minus_x, pack, x_diff
+from .laurent import LaurentPoly, clearing_unit, one_minus_x, pack, unpack, x_diff
 from .report import CheckItem, item
 from .skewpoly import SkewLaurent, collapse_dot, dot, format_skew
 
@@ -89,16 +88,43 @@ def _tail(p: int) -> SkewLaurent:
     return SkewLaurent.t(p + 1, _z(1) * _yrun(0, -p))
 
 
-def _to_y(elements: Sequence[SkewLaurent]) -> tuple[list[SkewLaurent], LaurentPoly]:
-    """Clear x-denominators with one right unit m, then change basis.
+def _to_y(elements: Sequence[SkewLaurent]) -> tuple[list[SkewLaurent], int]:
+    """(the P_i, M) with each c = P x^(-M), x^M the least monomial clearing every c, P in y."""
+    unit, _ = clearing_unit(a for c in elements for a in c.coeffs.values())
+    return [(c * unit).change_basis() for c in elements], next(iter(unit.coeffs))
 
-    Returns the y images of the c * m, and m^{-1}.  Both uses (f, and
-    sum W_i c_i) are right-linear, so m^{-1} takes the unit back off.
-    """
-    unit, inverse = clearing_unit(a for c in elements for a in c.coeffs.values())
-    if unit != LaurentPoly.one():
-        elements = [c * unit for c in elements]
-    return [c.change_basis() for c in elements], inverse
+
+@lru_cache(maxsize=None)
+def _unit_y(M: int) -> LaurentPoly:
+    """x^M read in y, a product of (1 - y_i)^e_i, for a packed M with no negative exponent."""
+    return LaurentPoly._trusted({M: 1}).change_basis()
+
+
+def _over(P, M: int, D: int):
+    """The numerator of P x^(-M) over x^(-D), for M dividing D."""
+    return P if M == D else P * _unit_y(D - M)
+
+
+def _divided(comps: dict[int, SkewLaurent], i: int) -> Optional[dict[int, SkewLaurent]]:
+    """Each P / (1 - y_i) if 1 - y_i divides every P, else None: a quotient's coefficients in
+    y_i are the running sums of P's, and the last sum, P at y_i = 1, must vanish."""
+    out = {}
+    for k, pk in comps.items():
+        out[k] = SkewLaurent._trusted({})
+        for t, a in pk.coeffs.items():
+            parts, run, q = a.by_power(i), LaurentPoly.zero(), LaurentPoly.zero()
+            for d in range(max(parts)):
+                run = run + parts.get(d, LaurentPoly.zero())
+                q = q + run * LaurentPoly.x(i, d)
+            if not (run + parts[max(parts)]).is_zero():
+                return None
+            out[k].coeffs[t] = q
+    return out
+
+
+def _shift_key(M: int, m: int) -> int:
+    """x^M with x_i relabelled x_{i+m}, as `LaurentPoly.shift` does."""
+    return next(iter(LaurentPoly._trusted({M: 1}).shift(m).coeffs)) if M else 0
 
 
 @lru_cache(maxsize=None)
@@ -127,8 +153,8 @@ def defining_map(U: SkewLaurent, V: SkewLaurent) -> SkewLaurent:
     f is left multiplication, so f(U m, V m) = f(U, V) m for the unit m
     that clears the x-denominators of U and V.
     """
-    (Uy, Vy), inverse = _to_y([U, V])
-    return defining_map_y(Uy, Vy).change_basis() * inverse
+    (Uy, Vy), M = _to_y([U, V])
+    return defining_map_y(Uy, Vy).change_basis() * LaurentPoly._trusted({-M: 1})
 
 
 @lru_cache(maxsize=None)
@@ -188,21 +214,31 @@ class Complexity:
         return (-self.alpha, -self.beta, self.gamma) < (-other.alpha, -other.beta, other.gamma)
 
 
-@dataclass(frozen=True)
 class RelationVector:
-    """Validated relation sum W_i c_i = (0, 0), as {i: c_i != 0} with 0 <= i < n."""
+    """Validated relation sum W_i c_i = (0, 0), as {i: c_i != 0} with 0 <= i < n, from x
+    components c, held as c_i = P_i x^(-M): P_i read in y, one packed x-monomial M >= 0 for
+    all i.  So sum W_i c_i = 0 iff sum W_i P_i = 0, and P_i has c_i's t-valuations.  A
+    descent state sets n, P and M; its `c` is built on first read."""
 
-    n: int
-    c: dict[int, SkewLaurent]
+    def __init__(self, n: int, c: Mapping[int, SkewLaurent]):
+        P, M = _to_y(list(c.values()))
+        self.n, self.P, self.M, self.c = n, dict(zip(c, P)), M, dict(c)
+        self.__post_init__()
 
     def __post_init__(self):
-        if self.n < 1 or any(not 0 <= i < self.n or ci.is_zero() for i, ci in self.c.items()):
+        if self.n < 1 or any(not 0 <= i < self.n or pi.is_zero() for i, pi in self.P.items()):
             raise ValueError(f"need n >= 1 and nonzero components in [0, n), got n={self.n}")
-        # sum W_i c_i m = 0 iff sum W_i c_i = 0, for the unit m of _to_y.
-        _check_relation_y(zip(self.c, _to_y(list(self.c.values()))[0]))
+        _check_relation_y(self.P.items())
+
+    @cached_property
+    def c(self) -> dict[int, SkewLaurent]:
+        return {i: pi.change_basis() * LaurentPoly._trusted({-self.M: 1}) for i, pi in self.P.items()}
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, RelationVector) and (self.n, self.c) == (other.n, other.c)
 
     def is_zero(self) -> bool:
-        return not self.c
+        return not self.P
 
 
 def _check_relation_y(entries: Iterable[tuple[int, SkewLaurent]]) -> None:
@@ -219,25 +255,31 @@ def _check_arity(p: int, q: int, n: int) -> None:
         raise ValueError(f"need 0 <= p < q < n, got p={p}, q={q}, n={n}")
 
 
-def _descent_state(n: int, terms: Iterable, base=None) -> RelationVector:
-    """base + sum X(p, q) w over the terms (p, q, w), one `dot` per touched index.
-
-    Built from proven relations: a failed check means the library is wrong.
-    """
+def _descent_state(n: int, terms: Iterable, M: int = 0, base=None) -> RelationVector:
+    """base + sum X(p, q) w x^(-M) over the terms (p, q, w), all in y, one `dot` per touched
+    index, with M a multiple of the base's denominator, then each x_i = 1 - y_i that divides
+    every component cancelled.  Built from proven relations: a failed check means the
+    library is wrong."""
     touched: dict[int, list[tuple[SkewLaurent, SkewLaurent]]] = {}
     for p, q, w in terms:
         _check_arity(p, q, n)
-        for i, ci in pairwise_relation_x(p, q).items():
+        for i, ci in pairwise_relation_y(p, q).items():
             touched.setdefault(i, []).append((ci, w))
-    comps = dict(base or {})
+    comps = {} if base is None else {i: _over(pi, base.M, M) for i, pi in base.P.items()}
     for i, products in touched.items():
         ci = comps.pop(i, SkewLaurent.zero()) + dot(products)
         if not ci.is_zero():
             comps[i] = ci
+    for i, e in unpack(M):  # lowest terms: M becomes the least monomial clearing the x view
+        while e and (quotients := _divided(comps, i)) is not None:
+            comps, M, e = quotients, M - pack([(i, 1)]), e - 1
+    X = RelationVector.__new__(RelationVector)
+    X.n, X.P, X.M = n, comps, M
     try:
-        return RelationVector(n, comps)
+        X.__post_init__()
     except ValueError as exc:
         raise InvariantError(f"descent state: {exc}") from None
+    return X
 
 
 @lru_cache(maxsize=None)
@@ -261,59 +303,57 @@ def pairwise_relation_y(p: int, q: int) -> Mapping[int, SkewLaurent]:
 
 
 @lru_cache(maxsize=None)
-def pairwise_relation_x(p: int, q: int) -> Mapping[int, SkewLaurent]:
-    """X(p, q) in x-coordinates, the read-only map the descent reads."""
-    return MappingProxyType({i: ci.change_basis() for i, ci in pairwise_relation_y(p, q).items()})
+def pairwise_relation(p: int, q: int, n: int) -> tuple[SkewLaurent, ...]:
+    """X(p, q) at arity n in x-coordinates: the image of `pairwise_relation_y` as a dense tuple."""
+    _check_arity(p, q, n)
+    ys = pairwise_relation_y(p, q)
+    return tuple(ys[i].change_basis() if i in ys else SkewLaurent.zero() for i in range(n))
 
 
 @lru_cache(maxsize=None)
-def pairwise_relation(p: int, q: int, n: int) -> tuple[SkewLaurent, ...]:
-    """X(p, q) at arity n in x-coordinates: `pairwise_relation_x` as a dense tuple."""
-    _check_arity(p, q, n)
-    xs = pairwise_relation_x(p, q)
-    return tuple(xs.get(i, SkewLaurent.zero()) for i in range(n))
+def _quotient(e: int, i: int) -> LaurentPoly:
+    """-sum_{m<e} v_i^m v_{i+1}^(e-1-m): read in y, (y_i^e - y_{i+1}^e)/(x_i - x_{i+1});
+    read in x, (x_i^(-e) - x_{i+1}^(-e))/(x_i - x_{i+1}) times (x_i x_{i+1})^e."""
+    return LaurentPoly({((i, m), (i + 1, e - 1 - m)): -1 for m in range(e)})
 
 
-def _power_diff_quotient(e: int, u_index: int, v_index: int) -> LaurentPoly:
-    """g with x_u^e - x_v^e = (x_u - x_v) * g, for any integer e."""
-    if e >= 0:
-        return sum((LaurentPoly.x(u_index, m) * LaurentPoly.x(v_index, e - 1 - m) for m in range(e)),
-                   LaurentPoly.zero())
-    pos = _power_diff_quotient(-e, u_index, v_index)
-    return -(LaurentPoly.x(u_index, e) * LaurentPoly.x(v_index, e) * pos)
+def ideal_decompose(a: LaurentPoly, M: int, n: int) -> Optional[tuple[list[LaurentPoly], int]]:
+    """Write a x^(-M) = sum_{0<=j<n} z_{-j} a_j if it lies in (z_0, ..., z_{1-n}), with a
+    read in y and M packed; returns the a_j read in y over one x^(-D), M | D, or None.
 
-
-def ideal_decompose(a: LaurentPoly, n: int) -> Optional[list[LaurentPoly]]:
-    """Write a = sum_{0<=j<n} z_{-j} a_j if a lies in (z_0, ..., z_{1-n}).
-
-    Strategy: substitute x_{-j} = x_{1-j} + z_{1-j} for j = n down to 1,
-    harvesting the z-coefficient at each stage.  Membership holds exactly
-    when the fully substituted residue (every x_{-j} pushed to x_0) is zero.
+    For j = n down to 1: a_{j-1} = Delta_j b = (b - sigma_j b)/(x_{-j} - x_{1-j}) and
+    b -> sigma_j b, where sigma_j is x_{-j} -> x_{1-j}; a lies in the ideal exactly when
+    the residue is zero.  On b = P g, g = x^(-M): Delta_j(P g) = Delta_j(P) g +
+    sigma_j(P) Delta_j(g), and Delta_j(x_{-j}^(-e)) = -(x_{-j} x_{1-j})^(-e) sum_{m<e}
+    x_{-j}^m x_{1-j}^(e-1-m), so the denominator grows only at index 1 - j.
     """
     if n < 1:
         raise ValueError(f"the ideal needs at least one generator, got n={n}")
-    coeffs = [LaurentPoly.zero() for _ in range(n)]
-    b = a
+    parts, b, Mb, D = [], a, M, M  # each part's denominator divides D = M times every bump
     for j in range(n, 0, -1):
-        parts = b.by_power(-j)
-        harvested = LaurentPoly.zero()
-        substituted = LaurentPoly.zero()
-        for e, be in parts.items():
-            harvested = harvested + be * _power_diff_quotient(e, -j, 1 - j)
+        harvested, substituted = LaurentPoly.zero(), LaurentPoly.zero()
+        for e, be in b.by_power(-j).items():
+            harvested = harvested + be * _quotient(e, -j)
             substituted = substituted + be * LaurentPoly.x(1 - j, e)
-        coeffs[j - 1] = coeffs[j - 1] + harvested
+        e = dict(unpack(Mb)).get(-j, 0)  # x_{-j}^(-e) in the denominator
+        bump = pack([(1 - j, e)])
+        if e:
+            harvested = harvested * _unit_y(bump) + substituted * _quotient(e, -j).change_basis()
+        parts.append((harvested, Mb + bump))
+        Mb, D = Mb + bump - pack([(-j, e)]), D + bump
         b = substituted
     if not b.is_zero():
         return None
-    if sum((x_diff(-j) * c for j, c in enumerate(coeffs)), LaurentPoly.zero()) != a:
+    coeffs = [_over(aj, Mj, D) for aj, Mj in reversed(parts)]
+    if sum((_z(-j) * c for j, c in enumerate(coeffs)), LaurentPoly.zero()) != _over(a, M, D):
         raise InvariantError("ideal decomposition fails to recombine")
-    return coeffs
+    return coeffs, D
 
 
 def complexity(X: RelationVector) -> Complexity:
     if X.is_zero():
         raise ValueError("the zero vector has no complexity")
-    nus = {k: ci.valuation() for k, ci in X.c.items()}
+    nus = {k: pk.valuation() for k, pk in X.P.items()}
     beta = min(nus.values())
     gamma = max(k for k, nu in nus.items() if nu == beta)
     return Complexity(alpha=nus.get(X.n - 1, math.inf), beta=beta, gamma=gamma)
@@ -338,21 +378,21 @@ def reduce_step(X: RelationVector) -> RelationVector:
     if not isinstance(beta, int):
         raise InvariantError(f"lowest t-degree {beta} of a nonzero vector is not finite")
 
-    # Left layer coefficients at t-degree beta: c_k = ... + layer_k t^beta + ...
-    layer = {k: ck.coeff(beta).shift(beta) for k, ck in X.c.items() if k <= gamma}
-    if not sum((x_diff(-k) * c for k, c in layer.items()), LaurentPoly.zero()).is_zero():
+    # Left layer coefficients at t-degree beta: c_k = ... + layer_k t^beta + ...,
+    # each layer_k the numerator read in y over the shared x^(-M) shifted by beta.
+    layer = {k: pk.coeff(beta).shift(beta) for k, pk in X.P.items() if k <= gamma}
+    if not sum((_z(-k) * c for k, c in layer.items()), LaurentPoly.zero()).is_zero():
         raise InvariantError("lowest-layer identity violated")
 
-    parts = ideal_decompose(layer[gamma], gamma)
-    if parts is None:
+    decomposed = ideal_decompose(layer[gamma], _shift_key(X.M, beta), gamma)
+    if decomposed is None:
         raise InvariantError("layer coefficient escapes the expected ideal")
 
-    terms = [
-        (j, gamma, -SkewLaurent.from_poly(aj) * SkewLaurent.t(beta))
-        for j, aj in enumerate(parts)
-        if not aj.is_zero()
-    ]
-    out = _descent_state(X.n, terms, X.c)
+    # X(j, gamma) times -a_j t^beta = -t^beta a_j.shift(-beta), over the denominator shifted back
+    parts, D = decomposed
+    terms = [(j, gamma, -SkewLaurent.t(beta, aj.shift(-beta))) for j, aj in enumerate(parts)
+             if not aj.is_zero()]
+    out = _descent_state(X.n, terms, _shift_key(D, -beta), X)
     if not out.is_zero() and not complexity(out) < chi:
         raise InvariantError("descent step failed to lower the complexity")
     return out
@@ -419,11 +459,13 @@ def random_relation(n: int, rng: Random) -> RelationVector:
     for p, q in pairs:
         if len(terms) >= 2 and rng.random() < 0.5:
             break
-        mono = LaurentPoly.x(rng.randint(-RANDOM_SPREAD, RANDOM_SPREAD), rng.randint(-1, 1))
-        coef = rng.choice([-2, -1, 1, 2]) * mono
-        w = SkewLaurent.t(rng.randint(0, RANDOM_SPREAD), coef)
-        terms.append((p, q, w))
-    return _descent_state(n, terms)
+        # x_a^e read in y: (1 - y_a)^e for e >= 0, a denominator x_a for e = -1
+        x_a = pack([(rng.randint(-RANDOM_SPREAD, RANDOM_SPREAD), 1)])
+        e = rng.randint(-1, 1)
+        coef = rng.choice([-2, -1, 1, 2]) * (_unit_y(x_a) if e == 1 else LaurentPoly.one())
+        terms.append((p, q, SkewLaurent.t(rng.randint(0, RANDOM_SPREAD), coef), x_a if e < 0 else 0))
+    M = sum({Mw for *_, Mw in terms})  # x_a for each a drawn with e = -1
+    return _descent_state(n, [(p, q, _over(w, Mw, M)) for p, q, w, Mw in terms], M)
 
 
 def reduce_pair_sum(
@@ -483,6 +525,14 @@ def _sample_collapses(j: int, s: int, a: int, b: int, c: int) -> bool:
     return collapse_dot([(_collapsed_generator(j)[0], {s: w})]).is_zero()
 
 
+def _below(bits, n: int, k: int) -> int:
+    """`randrange(n)` off `bits` = getrandbits, k = n.bit_length(): its rejection loop, same stream."""
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def collapse_certificate(n: int, samples: int = 20, seed: int = 7) -> list[CheckItem]:
     """Certify 1 is outside the right ideal generated by z_0..z_{1-n}.
 
@@ -497,11 +547,10 @@ def collapse_certificate(n: int, samples: int = 20, seed: int = 7) -> list[Check
         item(f"generator z_{-j} collapses to zero", True, _collapsed_generator(j)[1])
         for j in range(n)
     ]
-    draw = rng.randrange  # draw(5) - 2 reads the stream as randint(-2, 2) does
-    dead = 0
+    bits, k, dead = rng.getrandbits, n.bit_length(), 0  # _below(bits, 5, 3) - 2 is randint(-2, 2)
     for _ in range(samples):
-        j = draw(n)
-        dead += _sample_collapses(j, draw(5) - 2, draw(5) - 2, draw(5) - 2, draw(5) - 2)
+        j, s, a, b = _below(bits, n, k), _below(bits, 5, 3), _below(bits, 5, 3), _below(bits, 5, 3)
+        dead += _sample_collapses(j, s - 2, a - 2, b - 2, _below(bits, 5, 3) - 2)
     items.append(item("random right multiples collapse to zero", samples, dead))
     one = SkewLaurent.one().collapse()
     items.append(item("the unit survives the collapse", "1", "1" if one == one * one and not one.is_zero() else "0"))

@@ -13,15 +13,31 @@ is the relation suite that builds every X(p, q) from fresh objects and
 converts and formats each last projection per pair, the way the library
 did before its pieces were shared within a command.  `kernel_pair_y_oracle`
 builds V_n as one `dot` over its terms rather than from its layers.
+
+The x descent is the complexity descent as the library ran it before it
+held states in y: every state's components in x, where X(p, q) has
+2^(p+2) terms, each state proved through a clearing unit and a change of
+basis, and `ideal_decompose_x` taking divided differences of x-Laurent
+polynomials term by term.
 """
 
+import math
 from random import Random
 
-from freenil.errors import InvariantError
+from freenil.errors import InvariantError, LimitExceeded
 from freenil.laurent import LaurentPoly, one_minus_x, x_diff
 from freenil.report import item
 from freenil.skewpoly import SkewLaurent, dot, format_skew
-from freenil.syzygy import defining_map, kernel_pair_y, last_projection_generator
+from freenil.syzygy import (
+    MAX_DESCENT_STEPS,
+    RANDOM_SPREAD,
+    Complexity,
+    RelationVector,
+    defining_map,
+    kernel_pair_y,
+    last_projection_generator,
+    pairwise_relation_y,
+)
 
 
 def y_run(top: int, bottom: int) -> LaurentPoly:
@@ -150,3 +166,119 @@ def verify_relations_oracle(max_q: int):
                 item(f"last projection of ({p},{n - 1}) at arity {n}", format_skew(want), format_skew(got))
             )
     return items
+
+
+def relation_x(p: int, q: int) -> dict:
+    """The nonzero components of X(p, q) in x-coordinates."""
+    return {i: c.change_basis() for i, c in pairwise_relation_y(p, q).items()}
+
+
+def power_diff_quotient(e: int, u_index: int, v_index: int) -> LaurentPoly:
+    """g with x_u^e - x_v^e = (x_u - x_v) * g, for any integer e."""
+    if e >= 0:
+        return sum((LaurentPoly.x(u_index, m) * LaurentPoly.x(v_index, e - 1 - m) for m in range(e)),
+                   LaurentPoly.zero())
+    pos = power_diff_quotient(-e, u_index, v_index)
+    return -(LaurentPoly.x(u_index, e) * LaurentPoly.x(v_index, e) * pos)
+
+
+def ideal_decompose_x(a: LaurentPoly, n: int):
+    """Write a = sum_{0<=j<n} z_{-j} a_j if a lies in (z_0, ..., z_{1-n}), all in x.
+
+    Substitute x_{-j} = x_{1-j} + z_{1-j} for j = n down to 1, harvesting the
+    z-coefficient at each stage.  Membership holds exactly when the fully
+    substituted residue (every x_{-j} pushed to x_0) is zero.
+    """
+    if n < 1:
+        raise ValueError(f"the ideal needs at least one generator, got n={n}")
+    coeffs = [LaurentPoly.zero() for _ in range(n)]
+    b = a
+    for j in range(n, 0, -1):
+        harvested = LaurentPoly.zero()
+        substituted = LaurentPoly.zero()
+        for e, be in b.by_power(-j).items():
+            harvested = harvested + be * power_diff_quotient(e, -j, 1 - j)
+            substituted = substituted + be * LaurentPoly.x(1 - j, e)
+        coeffs[j - 1] = coeffs[j - 1] + harvested
+        b = substituted
+    if not b.is_zero():
+        return None
+    if sum((x_diff(-j) * c for j, c in enumerate(coeffs)), LaurentPoly.zero()) != a:
+        raise InvariantError("ideal decomposition fails to recombine")
+    return coeffs
+
+
+def descent_state_x(n: int, terms, base=None) -> RelationVector:
+    """base + sum X(p, q) w over the terms (p, q, w), all in x, one `dot` per
+    touched index; proved by `RelationVector(n, c)` through its clearing unit."""
+    touched = {}
+    for p, q, w in terms:
+        for i, ci in relation_x(p, q).items():
+            touched.setdefault(i, []).append((ci, w))
+    comps = dict(base or {})
+    for i, products in touched.items():
+        ci = comps.pop(i, SkewLaurent.zero()) + dot(products)
+        if not ci.is_zero():
+            comps[i] = ci
+    try:
+        return RelationVector(n, comps)
+    except ValueError as exc:
+        raise InvariantError(f"descent state: {exc}") from None
+
+
+def complexity_x(X: RelationVector) -> Complexity:
+    """The complexity read from the x components."""
+    if not X.c:
+        raise ValueError("the zero vector has no complexity")
+    nus = {k: ci.valuation() for k, ci in X.c.items()}
+    beta = min(nus.values())
+    gamma = max(k for k, nu in nus.items() if nu == beta)
+    return Complexity(alpha=nus.get(X.n - 1, math.inf), beta=beta, gamma=gamma)
+
+
+def reduce_step_x(X: RelationVector) -> RelationVector:
+    """One descent step in x: subtract sum_j X(j, gamma) a_j t^beta, where the a_j
+    decompose the left layer coefficient of c_gamma at t-degree beta."""
+    chi = complexity_x(X)
+    beta, gamma = chi.beta, chi.gamma
+    layer = {k: ck.coeff(beta).shift(beta) for k, ck in X.c.items() if k <= gamma}
+    if not sum((x_diff(-k) * c for k, c in layer.items()), LaurentPoly.zero()).is_zero():
+        raise InvariantError("lowest-layer identity violated")
+    parts = ideal_decompose_x(layer[gamma], gamma)
+    if parts is None:
+        raise InvariantError("layer coefficient escapes the expected ideal")
+    terms = [(j, gamma, -SkewLaurent.from_poly(aj) * SkewLaurent.t(beta))
+             for j, aj in enumerate(parts) if not aj.is_zero()]
+    out = descent_state_x(X.n, terms, X.c)
+    if out.c and not complexity_x(out) < chi:
+        raise InvariantError("descent step failed to lower the complexity")
+    return out
+
+
+def reduce_chain_x(X: RelationVector) -> list:
+    """Iterate `reduce_step_x` to zero; returns the full trace."""
+    trace = [X]
+    for _ in range(MAX_DESCENT_STEPS):
+        if not trace[-1].c:
+            return trace
+        trace.append(reduce_step_x(trace[-1]))
+    raise LimitExceeded(f"reduction did not terminate within {MAX_DESCENT_STEPS} steps")
+
+
+def random_relation_x(n: int, rng: Random) -> RelationVector:
+    """`syzygy.random_relation` with every right factor built in x."""
+    terms = []
+    pairs = [(p, q) for q in range(1, n) for p in range(q)]
+    rng.shuffle(pairs)
+    for p, q in pairs:
+        if len(terms) >= 2 and rng.random() < 0.5:
+            break
+        mono = LaurentPoly.x(rng.randint(-RANDOM_SPREAD, RANDOM_SPREAD), rng.randint(-1, 1))
+        coef = rng.choice([-2, -1, 1, 2]) * mono
+        terms.append((p, q, SkewLaurent.t(rng.randint(0, RANDOM_SPREAD), coef)))
+    return descent_state_x(n, terms)
+
+
+def chi_trace_x(X: RelationVector) -> list:
+    """The complexities along the x descent from X, then "zero"."""
+    return [complexity_x(v) for v in reduce_chain_x(X)[:-1]] + ["zero"]

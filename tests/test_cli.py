@@ -281,9 +281,10 @@ class TestGrouph:
         assert code == 3
         assert payload["command"] == "grouph verify-kernel --max-n 12"
 
-    def test_reduce_arity_budget_exits_three_before_any_work(self, capsys):
-        # Within FREENIL_LIMITS (n=64), but X(p, q) has 2^(p+2) terms in x.
-        arity = cli.REDUCE_ARITY_BUDGET + 1
+    def test_reduce_arity_budget_exits_three_before_any_work(self, capsys, monkeypatch):
+        # The FREENIL_LIMITS n ceiling (64) is the only bound on the arity.
+        monkeypatch.setattr(syzygy, "reduce_pair_sum", None)  # no descent may run
+        arity = cli.Limits().n + 1
         start = perf_counter()
         code, out = run_cli(
             capsys, "grouph", "reduce", "--arity", str(arity), "--pair", f"{arity - 2},{arity - 1}"
@@ -295,8 +296,8 @@ class TestGrouph:
         assert payload["status"] == "error"
         assert payload["command"] == f"grouph reduce --arity {arity} --pair {arity - 2},{arity - 1}"
         assert payload["items"] == []
-        assert "arity" in payload["data"]["limit"]
-        assert "fixed" in payload["data"]["limit"]
+        assert payload["data"]["limit"] == (
+            "arity 65 exceeds the configured ceiling 64; set FREENIL_LIMITS to go higher")
 
     @pytest.mark.parametrize("how", ["count", "pair"])
     def test_reduce_relations_budget_exits_three_before_any_work(self, capsys, how):
@@ -326,8 +327,17 @@ class TestGrouph:
         assert code == 0
         assert payload["data"]["trace"][-1] == "zero"
 
-    def test_reduce_at_the_arity_budget(self, capsys):
-        arity = cli.REDUCE_ARITY_BUDGET
+    def test_reduce_at_the_arity_budget(self, capsys, cold_caches):
+        # At the n ceiling, 200 random chains; in x-coordinates arity 20 took
+        # 27 s, and the fixed arity budget stopped at 14.
+        arity = cli.Limits().n
+        start = perf_counter()
+        code, payload = run_json(
+            capsys, "grouph", "reduce", "--arity", str(arity), "--count", "200", "--seed", "0"
+        )
+        assert perf_counter() - start < 6.0
+        assert code == 0
+        assert len(payload["items"]) == 200 and all(it["ok"] for it in payload["items"])
         code, payload = run_json(
             capsys, "grouph", "reduce", "--arity", str(arity), "--pair", f"{arity - 2},{arity - 1}"
         )
@@ -364,14 +374,15 @@ class TestGrouph:
     def test_broken_pairwise_relation_exits_four(self, capsys, monkeypatch):
         # A library-built relation that fails its proof is an invariant
         # violation, not an input error.
-        real = syzygy.pairwise_relation_x
+        # The descent reads each relation in y.
+        real = syzygy.pairwise_relation_y
 
         def broken(p, q):
             c = dict(real(p, q))
             c[q] = c[q] + SkewLaurent.t(5)
             return c
 
-        monkeypatch.setattr(syzygy, "pairwise_relation_x", broken)
+        monkeypatch.setattr(syzygy, "pairwise_relation_y", broken)
         code, payload = run_json(capsys, "grouph", "reduce", "--arity", "3", "--pair", "0,2")
         assert code == 4
         assert payload["status"] == "error"

@@ -18,12 +18,11 @@ from hypothesis import given, settings, strategies as st
 
 from freenil.cli import main
 from freenil.errors import InvariantError
-from freenil.laurent import LaurentPoly, format_poly, one_minus_x, x_diff
+from freenil.laurent import LaurentPoly, clearing_unit, format_poly, one_minus_x, pack, unpack, x_diff
 from freenil.skewpoly import SkewLaurent, format_skew
 from freenil.syzygy import (
     Complexity,
     kernel_pair_y,
-    pairwise_relation_x,
     pairwise_relation_y,
     RelationVector,
     collapse_certificate,
@@ -34,6 +33,7 @@ from freenil.syzygy import (
     pairwise_relation,
     random_relation,
     reduce_chain,
+    reduce_pair_sum,
     reduce_step,
     verify_kernel_pairs,
     verify_relations,
@@ -42,11 +42,19 @@ from freenil.syzygy import (
 
 from kernel_oracles import (
     bounded_kernel_check,
+    chi_trace_x,
     collapse_certificate_oracle,
+    complexity_x,
+    descent_state_x,
     fresh_relation_y,
     fresh_yrun,
     fresh_z,
+    ideal_decompose_x,
     kernel_pair_y_oracle,
+    random_relation_x,
+    reduce_chain_x,
+    reduce_step_x,
+    relation_x,
     verify_relations_oracle,
     y_run,
 )
@@ -97,16 +105,16 @@ def combine(n: int, *terms) -> RelationVector:
 
 
 def unchecked(n: int, c: dict) -> RelationVector:
-    """A RelationVector that skips validation, for raw complexity profiles."""
+    """A RelationVector that skips validation, for raw complexity profiles: the
+    components c are x-polynomials, so they are their own numerators over M = 1."""
     X = object.__new__(RelationVector)
-    object.__setattr__(X, "n", n)
-    object.__setattr__(X, "c", c)
+    X.n, X.c, X.M = n, c, 0
+    X.P = {i: ci.change_basis() for i, ci in c.items()}
     return X
 
 
 def clear_relation_caches():
     pairwise_relation.cache_clear()
-    pairwise_relation_x.cache_clear()
     pairwise_relation_y.cache_clear()
 
 
@@ -153,7 +161,6 @@ class TestAgainstXReferences:
     def test_y_relation_maps_to_x_relation(self):
         for p, q, n in [(0, 1, 2), (1, 3, 4), (2, 5, 7)]:
             xs = {i: c.change_basis() for i, c in pairwise_relation_y(p, q).items()}
-            assert xs == pairwise_relation_x(p, q)
             assert tuple(xs.get(i, SkewLaurent.zero()) for i in range(n)) == pairwise_relation(p, q, n)
 
 
@@ -289,7 +296,7 @@ class TestPairwiseRelation:
         monkeypatch.setattr(syzygy, "_check_relation_y", lambda c: calls.append(1) or real(c))
         heads = set()
         for n in (9, 4, 6, 12):
-            ys, xs = pairwise_relation_y(1, 3), pairwise_relation_x(1, 3)
+            ys, xs = pairwise_relation_y(1, 3), relation_x(1, 3)
             dense = pairwise_relation(1, 3, n)
             # q - p - 1 = p here, so X(1, 3) has two entries, and no zero is stored.
             assert sorted(ys) == sorted(xs) == [1, 3]
@@ -331,32 +338,45 @@ small_polys = st.dictionaries(
 ).map(LaurentPoly)
 
 
+def decompose_in_y(a: LaurentPoly, n: int):
+    """`ideal_decompose` on an x-Laurent a, given as its y numerator over the
+    clearing unit x^M; the a_j come back as x elements, or None."""
+    unit, _ = clearing_unit([a])
+    got = ideal_decompose((a * unit).change_basis(), pack(next(iter(unit.terms()))), n)
+    if got is None:
+        return None
+    parts, D = got
+    return [aj.change_basis() * LaurentPoly({unpack(-D): 1}) for aj in parts]
+
+
 class TestIdealDecompose:
+    # The library decomposes y numerators over x-monomial denominators; each
+    # case reads its a_j back in x, and must also be what the x oracle gives.
     def test_telescoping_example(self):
         a = LaurentPoly.x(-2) - LaurentPoly.x(0)
-        got = ideal_decompose(a, 3)
-        assert got == [LaurentPoly.one(), LaurentPoly.one(), LaurentPoly.zero()]
+        got = decompose_in_y(a, 3)
+        assert got == ideal_decompose_x(a, 3) == [LaurentPoly.one(), LaurentPoly.one(), LaurentPoly.zero()]
 
     def test_non_member(self):
-        assert ideal_decompose(LaurentPoly.x(1), 2) is None
-        assert ideal_decompose(LaurentPoly.one(), 5) is None
+        assert decompose_in_y(LaurentPoly.x(1), 2) is None
+        assert decompose_in_y(LaurentPoly.one(), 5) is None
 
     def test_generator_times_unit(self):
         a = x_diff(-3) * LaurentPoly.x(3)
-        got = ideal_decompose(a, 4)
-        assert got is not None
+        got = decompose_in_y(a, 4)
+        assert got is not None and got == ideal_decompose_x(a, 4)
         rebuilt = LaurentPoly.zero()
         for j, aj in enumerate(got):
             rebuilt = rebuilt + x_diff(-j) * aj
         assert rebuilt == a
 
     def test_zero_is_member(self):
-        assert ideal_decompose(LaurentPoly.zero(), 2) == [LaurentPoly.zero()] * 2
+        assert decompose_in_y(LaurentPoly.zero(), 2) == [LaurentPoly.zero()] * 2
 
     def test_inverse_exponents_handled(self):
         a = LaurentPoly.x(-1, -2) - LaurentPoly.x(0, -2)
-        got = ideal_decompose(a, 1)
-        assert got is not None
+        got = decompose_in_y(a, 1)
+        assert got is not None and got == ideal_decompose_x(a, 1)
         assert x_diff(0) * got[0] == a
 
     @given(st.lists(small_polys, min_size=1, max_size=3))
@@ -366,8 +386,8 @@ class TestIdealDecompose:
         a = LaurentPoly.zero()
         for j, aj in enumerate(parts):
             a = a + x_diff(-j) * aj
-        got = ideal_decompose(a, n)
-        assert got is not None
+        got = decompose_in_y(a, n)
+        assert got is not None and got == ideal_decompose_x(a, n)
         rebuilt = LaurentPoly.zero()
         for j, aj in enumerate(got):
             rebuilt = rebuilt + x_diff(-j) * aj
@@ -375,7 +395,40 @@ class TestIdealDecompose:
 
     def test_bad_arity(self):
         with pytest.raises(ValueError):
-            ideal_decompose(LaurentPoly.one(), 0)
+            ideal_decompose(LaurentPoly.one(), 0, 0)
+        with pytest.raises(ValueError):
+            ideal_decompose_x(LaurentPoly.one(), 0)
+
+    def test_not_linear_over_the_clearing_unit(self):
+        # Decomposing the cleared numerator and dividing each a_j by the unit
+        # gives another decomposition of a, with other a_j (so another descent
+        # trace): Delta_j does not commute with a unit at x_{-j}.  The P/D rule
+        # gives the x oracle's a_j.
+        a = x_diff(-1) * LaurentPoly.x(-3, -1) * LaurentPoly.x(-1, -1)
+        unit, inverse = clearing_unit([a])
+        naive = [aj * inverse for aj in ideal_decompose_x(a * unit, 3)]
+        assert naive == [LaurentPoly.zero(), LaurentPoly.x(-3, -1) * LaurentPoly.x(-1, -1), LaurentPoly.zero()]
+        want = ideal_decompose_x(a, 3)
+        assert want[1] == LaurentPoly.x(-2, -1) * LaurentPoly.x(-1, -1) and not want[2].is_zero()
+        assert decompose_in_y(a, 3) == want
+
+    @given(st.integers(1, 4), st.data())
+    @settings(settings.get_profile("ci"), max_examples=60)
+    def test_laurent_inputs_match_the_x_oracle(self, n, data):
+        # Negative exponents at x_{-j} and x_{1-j}, members and non-members:
+        # every a_j is the oracle's as an x element.
+        def mono():
+            j = data.draw(st.integers(0, n))
+            return LaurentPoly({((-j, data.draw(st.integers(-2, 2).filter(bool))),
+                                 (1 - j, data.draw(st.integers(-2, 2).filter(bool)))): 1})
+
+        a = LaurentPoly.zero()
+        for j in range(n):
+            for _ in range(data.draw(st.integers(0, 2))):
+                a = a + data.draw(st.sampled_from([-2, -1, 1, 3])) * (x_diff(-j) * mono())
+        if data.draw(st.booleans()):
+            a = a + mono()  # usually leaves the ideal
+        assert decompose_in_y(a, n) == ideal_decompose_x(a, n)
 
 
 class TestComplexity:
@@ -384,11 +437,11 @@ class TestComplexity:
         assert astuple(chi) == (2, 2, 0)
 
     def test_relation_profile(self):
-        X = RelationVector(4, dict(pairwise_relation_x(0, 3)))
+        X = RelationVector(4, relation_x(0, 3))
         assert astuple(complexity(X)) == (0, 0, 3)
 
     def test_vanishing_last_component(self):
-        X = RelationVector(3, dict(pairwise_relation_x(0, 1)))
+        X = RelationVector(3, relation_x(0, 1))
         chi = complexity(X)
         assert chi.alpha == math.inf and chi.beta == 0 and chi.gamma == 1
 
@@ -478,8 +531,10 @@ class TestReduceStep:
         # four factors once (4 calls), not once per kernel pair (4 x 14), and
         # each of the 14 kernel pairs is proved with one `dot`: its V is built
         # from its layers, and the literal spelling of f is checked on the
-        # factors, not multiplied again (465 calls before, 3 per pair).
-        assert len(calls) == 437
+        # factors, not multiplied again (465 calls before, 3 per pair).  Each
+        # of the 91 descent terms' right factors -t^beta a_j.shift(-beta) is
+        # built as one term, not as a product (437 calls before).
+        assert len(calls) == 346
         assert len(idle) == 2
 
 
@@ -508,13 +563,88 @@ class TestSharedPieces:
                 fresh = fresh_relation_y(p, q)
                 assert {i: format_skew(c) for i, c in pairwise_relation_y(p, q).items()} == {
                     i: format_skew(c) for i, c in fresh.items()}
-                assert {i: format_skew(c) for i, c in pairwise_relation_x(p, q).items()} == {
-                    i: format_skew(c.change_basis()) for i, c in fresh.items()}
+                assert list(map(format_skew, pairwise_relation(p, q, q + 1))) == [
+                    format_skew(fresh[i].change_basis() if i in fresh else SkewLaurent.zero())
+                    for i in range(q + 1)]
         for n in range(10):
             assert list(map(format_skew, kernel_pair_y(n))) == list(
                 map(format_skew, kernel_pair_y.__wrapped__(n)))
         assert list(map(format_skew, syzygy._defining_factors())) == list(
             map(format_skew, syzygy._defining_factors.__wrapped__()))
+
+
+class TestXDescentOracle:
+    # The x descent in kernel_oracles, as the library ran it before it held
+    # states in y; the y descent is checked against it below.
+    @pytest.mark.parametrize("seed", range(6))
+    def test_oracle_chains_terminate_and_descend(self, seed):
+        rng = Random(seed)
+        X = random_relation_x(rng.randint(2, 5), rng)
+        trace = reduce_chain_x(X)
+        assert not trace[-1].c
+        chis = [complexity_x(v) for v in trace[:-1]]
+        assert all(b < a for a, b in zip(chis, chis[1:]))
+
+    def test_oracle_gamma_zero_breaks_the_layer_identity(self):
+        with pytest.raises(InvariantError, match="lowest-layer identity"):
+            reduce_step_x(unchecked(2, {0: SkewLaurent.one()}))
+
+    def test_oracle_states_are_the_library_states(self):
+        X = combine(4, (pairwise_relation(1, 2, 4), SkewLaurent.t(1, LaurentPoly.x(-1))),
+                    (pairwise_relation(0, 3, 4), SkewLaurent.const(2)))
+        assert reduce_step_x(X) == reduce_step(X)
+
+
+def chi_trace_y(X) -> list:
+    return [complexity(v) for v in reduce_chain(X)[:-1]] + ["zero"]
+
+
+class TestTracesMatchTheXDescent:
+    # Every a_j of the y descent is the x descent's ring element, so each
+    # step lands on the same state and the chi traces agree.
+    @settings(settings.get_profile("ci"), max_examples=60)
+    @given(st.integers(2, 10), st.integers(0, 10**6))
+    def test_random_relations(self, n, seed):
+        X = random_relation(n, Random(seed))
+        assert X == random_relation_x(n, Random(seed))
+        if not X.is_zero():
+            assert chi_trace_y(X) == chi_trace_x(X)
+
+    @settings(settings.get_profile("ci"), max_examples=60)
+    @given(st.integers(2, 10).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(1, n - 1).flatmap(
+            lambda q: st.tuples(st.integers(0, q - 1), st.just(q))), min_size=1, max_size=8))))
+    def test_pair_sums(self, case):
+        n, pairs = case
+        _, steps = reduce_pair_sum(pairs, n)
+        start = descent_state_x(n, [(p, q, SkewLaurent.one()) for p, q in pairs])
+        want = [f"chi=({c.alpha}, {c.beta}, {c.gamma})" for c in chi_trace_x(start)[:-1]]
+        assert steps == want + ["zero"]
+
+    @pytest.mark.parametrize("seed", [2, 3, 4, 8, 20])
+    def test_states_are_in_lowest_terms(self, seed, monkeypatch):
+        # Each of these chains cancels a factor x_i = 1 - y_i from a state:
+        # its x view is still the x descent's state, it revalidates from that
+        # view, and its denominator is the least monomial that clears it.
+        import freenil.syzygy as syzygy
+
+        cancelled, real = [], syzygy._divided
+
+        def counting(comps, i):
+            quotients = real(comps, i)
+            cancelled.append(quotients is not None)
+            return quotients
+
+        monkeypatch.setattr(syzygy, "_divided", counting)
+        rng = Random(seed)
+        X = random_relation(rng.randint(3, 7), rng)
+        y_trace, x_trace = reduce_chain(X), reduce_chain_x(X)
+        assert any(cancelled)
+        assert [v.c for v in y_trace] == [v.c for v in x_trace]
+        for v in y_trace:
+            unit, _ = clearing_unit(a for c in v.c.values() for a in c.coeffs.values())
+            assert v.M == pack(next(iter(unit.terms()), ()))
+            assert RelationVector(v.n, v.c) == v
 
 
 class TestRandomRelation:
@@ -594,6 +724,18 @@ class TestVerifiers:
         assert len(conversions) == q
         info = syzygy._projection_texts.cache_info()
         assert (info.misses, info.hits) == (q, q * (q + 1) // 2 - q)
+
+    def test_draws_are_the_randrange_stream(self):
+        # collapse_certificate reads getrandbits directly; the stream, and so
+        # every report, must be the one Random.randrange reads.
+        from freenil.syzygy import _below
+
+        for seed in range(40):
+            ours, theirs = Random(seed), Random(seed)
+            for n in range(1, 65):
+                for _ in range(5):
+                    assert _below(ours.getrandbits, n, n.bit_length()) == theirs.randrange(n)
+                assert ours.getstate() == theirs.getstate()
 
     def test_collapse_forms_each_distinct_sample_product_once(self, capsys, monkeypatch):
         import freenil.syzygy as syzygy

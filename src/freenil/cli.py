@@ -115,7 +115,7 @@ REDUCE_RELATIONS_BUDGET = 200
 # 2-core host, but forms only the distinct products, at most 625 x
 # `--max-n` per command, each once; the witnesses add O(max_n^2) relation
 # proofs, once per command.  At the budget `--max-n` 1, 8 and 64 take
-# about 0.6, 0.6 and 1.6 s.
+# about 0.5, 0.4 and 0.8 s.
 COLLAPSE_SAMPLES_BUDGET = 300_000
 
 

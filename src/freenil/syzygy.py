@@ -21,8 +21,8 @@ Two coordinate systems share the LaurentPoly and SkewLaurent types, and
   `pairwise_relation_y`, `defining_map_y`.  There a run y_0 ... y_{-n} is
   one monomial, so U_n has 4 terms and V_n has O(n), one per t-degree.
   f(W_n) is one `skewpoly.dot`, over factors proved equal to f's literal
-  spelling once per command; each sum W_i c_i is one `dot` per side, and
-  X(p, q) is proved once per (p, q).
+  spelling once per command; each sum W_i c_i is one `dot` on the U side (24
+  term pairs for X(p, q)), and X(p, q) is proved once per (p, q).
   Their pieces (z_i, the runs, the tails t^{p+1} z_1 y_0 ... y_{-p}) are
   built once per command and shared read-only; every X(p, q) ends in the
   one object z_{-p}, so its last projection is converted once per p.
@@ -242,11 +242,10 @@ class RelationVector:
 
 
 def _check_relation_y(entries: Iterable[tuple[int, SkewLaurent]]) -> None:
-    """Raise ValueError unless sum W_i c_i = (0, 0) over the (i, c_i), all in y."""
-    terms = [(kernel_pair_y(i), ci) for i, ci in entries]
-    first = dot((U, ci) for (U, _), ci in terms)
-    second = dot((V, ci) for (_, V), ci in terms)
-    if not (first.is_zero() and second.is_zero()):
+    """Raise ValueError unless sum W_i c_i = (0, 0) over the (i, c_i) in y, from sum U_i c_i:
+    `kernel_pair_y` proved (1 - t*y_0) U_i = (1 - t*y_1) V_i; left-multiply sum U_i c_i = 0 by
+    1 - t*y_0; a skew Laurent ring over a domain is a domain, so sum V_i c_i = 0 as well."""
+    if not dot((kernel_pair_y(i)[0], ci) for i, ci in entries).is_zero():
         raise ValueError("not a relation: sum W_i c_i is nonzero")
 
 

@@ -13,6 +13,8 @@ is the relation suite that builds every X(p, q) from fresh objects and
 converts and formats each last projection per pair, the way the library
 did before its pieces were shared within a command.  `kernel_pair_y_oracle`
 builds V_n as one `dot` over its terms rather than from its layers.
+`two_sided_relation` multiplies out both sides of sum W_i c_i, where the
+library multiplies out the U side and derives the V side from f(W_i) = 0.
 
 The x descent is the complexity descent as the library ran it before it
 held states in y: every state's components in x, where X(p, q) has
@@ -148,6 +150,13 @@ def fresh_relation_y(p: int, q: int) -> dict:
     return c
 
 
+def two_sided_relation(entries, pair=kernel_pair_y) -> bool:
+    """Is sum W_i c_i = (0, 0) over the (i, c_i), with W_i = pair(i)?  One `dot`
+    per side, both multiplied out; `kernel_pair` checks x components."""
+    terms = [(pair(i), ci) for i, ci in entries]
+    return all(dot((W[side], ci) for W, ci in terms).is_zero() for side in (0, 1))
+
+
 def verify_relations_oracle(max_q: int):
     """`syzygy.verify_relations` with every relation built afresh and
     every last projection converted and formatted per pair."""
@@ -155,9 +164,7 @@ def verify_relations_oracle(max_q: int):
     for q in range(1, max_q + 1):
         for p in range(q):
             c = relations[p, q] = fresh_relation_y(p, q)
-            terms = [(kernel_pair_y(i), ci) for i, ci in c.items()]
-            proved = all(dot((W[side], ci) for W, ci in terms).is_zero() for side in (0, 1))
-            items.append(item(f"relation ({p},{q}) validates", True, proved))
+            items.append(item(f"relation ({p},{q}) validates", True, two_sided_relation(c.items())))
     for n in range(2, max_q + 2):
         for p in range(n - 1):
             got = relations[p, n - 1][n - 1].change_basis()

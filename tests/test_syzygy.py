@@ -55,6 +55,7 @@ from kernel_oracles import (
     reduce_chain_x,
     reduce_step_x,
     relation_x,
+    two_sided_relation,
     verify_relations_oracle,
     y_run,
 )
@@ -331,6 +332,102 @@ class TestPairwiseRelation:
             RelationVector(4, forged)
 
 
+def accepted(check, *args) -> bool:
+    """Does check(*args) return rather than raise ValueError?"""
+    try:
+        check(*args)
+    except ValueError:
+        return False
+    return True
+
+
+def terms_in(a: SkewLaurent) -> int:
+    return sum(len(layer.coeffs) for layer in a.coeffs.values())
+
+
+nonzero_skews = small_skews.filter(lambda a: not a.is_zero())
+
+
+class TestRelationProof:
+    """The library multiplies out sum U_i c_i alone; `two_sided_relation` also
+    multiplies out sum V_i c_i, which f(W_i) = 0 makes redundant."""
+
+    @settings(settings.get_profile("ci"), max_examples=120)
+    @given(st.integers(2, 8), st.data())
+    def test_accepts_exactly_what_the_two_sided_oracle_accepts(self, n, data):
+        import freenil.syzygy as syzygy
+
+        pairs = st.integers(1, n - 1).flatmap(lambda q: st.tuples(st.integers(0, q - 1), st.just(q)))
+        terms = data.draw(st.lists(st.tuples(pairs, nonzero_skews), min_size=1, max_size=3))
+        perturb = data.draw(st.none() | st.tuples(st.integers(0, n - 1), nonzero_skews))
+        # In y: right-combinations of the proven relations, read off `pairwise_relation_y`.
+        ys = [SkewLaurent.zero()] * n
+        for (p, q), w in terms:
+            for i, ci in pairwise_relation_y(p, q).items():
+                ys[i] = ys[i] + ci * w
+        # In x: the same right factors read as x elements, through the clearing unit.
+        xs = [SkewLaurent.zero()] * n
+        for (p, q), w in terms:
+            xs = [a + b * w for a, b in zip(xs, pairwise_relation(p, q, n))]
+        if perturb is not None:
+            i, delta = perturb
+            ys[i], xs[i] = ys[i] + delta, xs[i] + delta
+        y_entries = [(i, c) for i, c in enumerate(ys) if not c.is_zero()]
+        x_entries = {i: c for i, c in enumerate(xs) if not c.is_zero()}
+        # A perturbation at one index moves sum U_i c_i by U_i delta != 0.
+        valid = perturb is None
+        assert accepted(syzygy._check_relation_y, y_entries) == two_sided_relation(y_entries) == valid
+        assert accepted(RelationVector, n, x_entries) == valid
+        assert two_sided_relation(x_entries.items(), kernel_pair) == valid
+
+    def test_planted_t5_rejected(self):
+        import freenil.syzygy as syzygy
+
+        w = SkewLaurent.t(1, LaurentPoly.x(-1, 2) - 3 * LaurentPoly.x(2, -1))
+        c = {i: ci * w for i, ci in pairwise_relation_y(2, 5).items()}
+        assert accepted(syzygy._check_relation_y, c.items()) and two_sided_relation(c.items())
+        c[5] = c[5] + SkewLaurent.t(5)
+        assert not accepted(syzygy._check_relation_y, c.items()) and not two_sided_relation(c.items())
+        X = combine(6, (pairwise_relation(2, 5, 6), w))
+        forged = {**X.c, 5: X.c[5] + SkewLaurent.t(5)}
+        assert not two_sided_relation(forged.items(), kernel_pair)
+        with pytest.raises(ValueError, match="not a relation"):
+            RelationVector(6, forged)
+
+    def test_proof_work_is_constant_in_q(self, monkeypatch):
+        # Sum over the proof's `dot` pairs of |a| |b| in terms: U_i has 4 terms
+        # and each X(p, q) has 6, so 24 for every (p, q); the V side, skipped,
+        # has 4i + 4 terms.
+        import freenil.syzygy as syzygy
+
+        for i in range(64):
+            kernel_pair_y(i)  # proved before counting: f(W_i) is a `dot` of its own
+        clear_relation_caches()
+        work, active = [], []
+        real_dot, real_check = syzygy.dot, syzygy._check_relation_y
+
+        def counting(pairs):
+            pairs = list(pairs)
+            if active:
+                work[-1] += sum(terms_in(a) * terms_in(b) for a, b in pairs)
+            return real_dot(pairs)
+
+        def check(entries):
+            active.append(1)
+            try:
+                real_check(entries)
+            finally:
+                active.pop()
+
+        monkeypatch.setattr(syzygy, "dot", counting)
+        monkeypatch.setattr(syzygy, "_check_relation_y", check)
+        for q in range(1, 64):
+            for p in range(q):
+                work.append(0)
+                pairwise_relation_y(p, q)
+                assert work[-1] == 24, (p, q)
+
+
 small_polys = st.dictionaries(
     st.tuples(st.integers(-3, 0), st.integers(-2, 2).filter(bool)).map(lambda p: (p,)),
     st.integers(-3, 3).filter(bool),
@@ -527,15 +624,18 @@ class TestReduceStep:
         assert json.loads(capsys.readouterr().out)["data"]["trace"][-1] == "zero"
         # Zipping dense tuples against the state took 1,673 calls, 1,010 of
         # them on zeros alone.  Now only the proof of the final zero state
-        # sums nothing: one empty sum per side.  The defining map builds its
-        # four factors once (4 calls), not once per kernel pair (4 x 14), and
-        # each of the 14 kernel pairs is proved with one `dot`: its V is built
+        # sums nothing: one empty sum.  The defining map builds its four
+        # factors once (4 calls), not once per kernel pair (4 x 14), and each
+        # of the 14 kernel pairs is proved with one `dot`: its V is built
         # from its layers, and the literal spelling of f is checked on the
         # factors, not multiplied again (465 calls before, 3 per pair).  Each
         # of the 91 descent terms' right factors -t^beta a_j.shift(-beta) is
-        # built as one term, not as a product (437 calls before).
-        assert len(calls) == 346
-        assert len(idle) == 2
+        # built as one term, not as a product (437 calls before).  The 118
+        # state calls are one per touched index.  Each of the 105 relation
+        # proofs (91 pairwise relations, 14 descent states) is one `dot` on
+        # the U side, not one per side (346 calls before): 4 + 14 + 118 + 105.
+        assert len(calls) == 241
+        assert len(idle) == 1
 
 
 class TestSharedPieces:

@@ -20,11 +20,12 @@ Two coordinate systems share the LaurentPoly and SkewLaurent types, and
   of sum W_i c_i are built and checked: `kernel_pair_y`,
   `pairwise_relation_y`, `defining_map_y`.  There a run y_0 ... y_{-n} is
   one monomial, so U_n has 4 terms and V_n has O(n), one per t-degree.
-  f(W_n) is one `skewpoly.dot`, over factors proved equal to f's literal
-  spelling once per command; each sum W_i c_i is one `dot` on the U side (24
-  term pairs for X(p, q)), and X(p, q) is proved once per (p, q).
-  Their pieces (z_i, the runs, the tails t^{p+1} z_1 y_0 ... y_{-p}) are
-  built once per command and shared read-only; every X(p, q) ends in the
+  Their pieces (z_i, the tails t^{p+1} z_1 y_0 ... y_{-p}, the layers of V_n)
+  have at most four monomials, written as sums of one-digit packed keys, and
+  are trusted only through the proofs: f(W_n) is one `skewpoly.dot` over
+  factors proved equal to f's literal spelling once per command, and each
+  sum W_i c_i one `dot` on the U side (24 term pairs for X(p, q)).  z_i and
+  the tails are shared read-only within a command; every X(p, q) ends in the
   one object z_{-p}, so its last projection is converted once per p.
 * x-coordinates are the public basis: `kernel_pair`, `pairwise_relation`,
   `defining_map` and a RelationVector's `c` are in x, as exact images.
@@ -52,7 +53,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InvariantError, LimitExceeded
-from .laurent import LaurentPoly, clearing_unit, one_minus_x, pack, unpack, x_diff
+from .laurent import LaurentPoly, _check_bound, clearing_unit, one_minus_x, pack, unpack, x_diff
 from .report import CheckItem, item
 from .skewpoly import SkewLaurent, collapse_dot, dot, format_skew
 
@@ -65,15 +66,15 @@ RANDOM_SPREAD = 2  # random_relation's bound on x-indices and t-shifts
 # y-coordinates: the same polynomial types, with index i read as y_i.
 
 @lru_cache(maxsize=None)
-def _yrun(top: int, bottom: int) -> LaurentPoly:
-    """y_top * ... * y_bottom, a single monomial; one when top < bottom."""
-    return LaurentPoly({tuple((i, 1) for i in range(bottom, top + 1)): 1})
+def _y(i: int) -> int:
+    """The packed key of y_i."""
+    return pack([(i, 1)])
 
 
 @lru_cache(maxsize=None)
 def _z(i: int) -> LaurentPoly:
     """z_i = x_{i-1} - x_i, which is y_i - y_{i-1}."""
-    return LaurentPoly.x(i) - LaurentPoly.x(i - 1)
+    return LaurentPoly._trusted({_y(i): 1, _y(i - 1): -1})
 
 
 @lru_cache(maxsize=None)
@@ -85,7 +86,9 @@ def _generator(i: int) -> SkewLaurent:
 @lru_cache(maxsize=None)
 def _tail(p: int) -> SkewLaurent:
     """t^{p+1} z_1 y_0 ... y_{-p}: U_p's twisted term, and X(p, q)'s correction."""
-    return SkewLaurent.t(p + 1, _z(1) * _yrun(0, -p))
+    run = pack((i, 1) for i in range(-p, 1))  # y_0 ... y_{-p}
+    _check_bound(keys := {_y(1) + run: 1, _y(0) + run: -1})
+    return SkewLaurent._trusted({p + 1: LaurentPoly._trusted(keys)})
 
 
 def _to_y(elements: Sequence[SkewLaurent]) -> tuple[list[SkewLaurent], int]:
@@ -166,17 +169,21 @@ def kernel_pair_y(n: int) -> Pair:
                  - t^{n+1} z_1 y_0 ... y_{1-n} y_{-1-n}
 
     The descending y-product in the sum is empty at i = 1, and the last
-    factor of the tail term skips y_{-n}.  V_n has one term per t-degree,
-    so it is built layer by layer.  Raises InvariantError unless the
-    defining map kills the pair.
+    factor of the tail term skips y_{-n}.  Layer i of V_n is the four keys
+    of z_{-n} z_1 plus one run key, which gains an index per layer.  Raises
+    InvariantError unless the defining map kills the pair.
     """
     if n < 0:
         raise ValueError(f"kernel pairs are indexed by n >= 0, got {n}")
-    z1, zmn = _z(1), _z(-n)
-    U = _generator(-n) - _tail(n)
-    zz = zmn * z1
-    V = SkewLaurent({0: zmn, **{i: zz * _yrun(0, 2 - i) for i in range(1, n + 1)},
-                     n + 1: -(z1 * _yrun(0, 1 - n) * LaurentPoly.x(-1 - n))})
+    top, low, y1, y0 = _y(-n), _y(-1 - n), _y(1), _y(0)
+    zz = {top + y1: 1, top + y0: -1, low + y1: -1, low + y0: 1}  # z_{-n} z_1
+    V, run = {0: _z(-n)}, 0  # run: the key of y_0 ... y_{2-i} at layer i
+    for i in range(1, n + 1):
+        V[i] = LaurentPoly._trusted({m + run: c for m, c in zz.items()})
+        run += _y(1 - i)
+    V[n + 1] = LaurentPoly._trusted({y1 + run + low: -1, y0 + run + low: 1})
+    _check_bound([m for i in range(1, n + 2) for m in V[i].coeffs])
+    U, V = _generator(-n) - _tail(n), SkewLaurent._trusted(V)
     if not defining_map_y(U, V).is_zero():
         raise InvariantError(f"kernel pair {n} is not killed by the defining map")
     return (U, V)
@@ -433,11 +440,9 @@ def last_projection_generator(p: int, n: int) -> LaurentPoly:
 
 def verify_kernel_pairs(max_n: int) -> list[CheckItem]:
     """One item per kernel pair W_0 .. W_max_n: the `grouph verify-kernel` report."""
-    items = []
     for n in range(max_n + 1):
         kernel_pair_y(n)  # proves f(W_n) = 0 in y, or raises InvariantError
-        items.append(item(f"defining map kills the degree-{n} pair", "0", "0"))
-    return items
+    return [item(f"defining map kills the degree-{n} pair", "0", "0") for n in range(max_n + 1)]
 
 
 def verify_relations(max_q: int) -> list[CheckItem]:
@@ -499,14 +504,9 @@ def verify_reduction(arity: int, count: int, seed: int) -> list[CheckItem]:
             continue
         trace = reduce_chain(X)
         _, ended, decreasing = _descent_summary(trace)
-        items.append(
-            item(
-                f"trial {trial}: arity {n} chain of {len(trace) - 1} steps",
-                "strictly decreasing to an end state",
-                "ok" if (decreasing and ended) else "violation",
-                ok=decreasing and ended,
-            )
-        )
+        ok = decreasing and ended
+        items.append(item(f"trial {trial}: arity {n} chain of {len(trace) - 1} steps",
+                          "strictly decreasing to an end state", "ok" if ok else "violation", ok=ok))
     return items
 
 
@@ -560,11 +560,8 @@ def collapse_certificate(n: int, samples: int = 20, seed: int = 7) -> list[Check
 
 def collapse_images(max_n: int) -> list[dict]:
     """Collapse images of the generators z_0 .. z_{1-max_n}, then of the unit."""
-    images = []
-    for j in range(max_n):
-        z, dies = _collapsed_generator(j)
-        images.append({"element": format_skew(z), "image": "0" if dies else "nonzero"})
+    images = [{"element": format_skew(z), "image": "0" if dies else "nonzero"}
+              for z, dies in map(_collapsed_generator, range(max_n))]
     unit = SkewLaurent.one().collapse()
     survives = unit == unit * unit and not unit.is_zero()
-    images.append({"element": "1", "image": "1" if survives else "changed"})
-    return images
+    return images + [{"element": "1", "image": "1" if survives else "changed"}]

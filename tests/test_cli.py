@@ -344,8 +344,8 @@ class TestGrouph:
         assert code == 0
         assert payload["data"]["trace"][-1] == "zero"
 
-    def test_verify_kernel_at_the_ceiling(self, capsys):
-        syzygy.kernel_pair_y.cache_clear()  # time a cold run, as a fresh process would
+    def test_verify_kernel_at_the_ceiling(self, capsys, cold_caches):
+        # A cold run, as a fresh process makes it: the pairs and their pieces built.
         start = perf_counter()
         code, payload = run_json(capsys, "grouph", "verify-kernel", "--max-n", "64")
         assert perf_counter() - start < 2.0

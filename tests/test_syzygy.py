@@ -16,7 +16,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freenil.cli import main
+from freenil.cli import Limits, main
 from freenil.errors import InvariantError
 from freenil.laurent import LaurentPoly, clearing_unit, format_poly, one_minus_x, pack, unpack, x_diff
 from freenil.skewpoly import SkewLaurent, format_skew
@@ -193,8 +193,61 @@ class TestKernelPairs:
         assert defining_map(U, V).is_zero()
 
     def test_layer_built_pair_matches_dot_oracle(self):
-        for n in range(17):
+        # Up to the n ceiling: the pieces are written as packed keys, and the
+        # oracle multiplies them out.
+        for n in range(Limits().n + 1):
             assert kernel_pair_y(n) == kernel_pair_y_oracle(n)
+
+    def test_pairwise_relations_match_fresh_oracle(self):
+        for q in range(1, Limits().n + 1):
+            for p in range(q):
+                assert dict(pairwise_relation_y(p, q)) == fresh_relation_y(p, q)
+
+    def test_pairs_are_built_without_products(self, monkeypatch, cold_caches):
+        # From cold caches, W_0 .. W_64 take no LaurentPoly product and one
+        # `dot` each, its proof: f(W_n), which cancels to zero.  f's factors
+        # are proved once per command, before the first pair.
+        import freenil.skewpoly as skewpoly
+        import freenil.syzygy as syzygy
+
+        syzygy._defining_factors()
+        products, proofs = [], []
+        real_mul, real_dot = LaurentPoly.__mul__, skewpoly.dot
+
+        def counting_mul(a, b):
+            products.append(1)
+            return real_mul(a, b)
+
+        def counting_dot(pairs):
+            proofs.append(real_dot(pairs))
+            return proofs[-1]
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", counting_mul)
+        monkeypatch.setattr(skewpoly, "dot", counting_dot)
+        monkeypatch.setattr(syzygy, "dot", counting_dot)
+        pairs = [kernel_pair_y(n) for n in range(Limits().n + 1)]
+        assert products == []
+        assert len(proofs) == len(pairs) and all(f.is_zero() for f in proofs)
+        assert all(c for W in pairs for side in W for a in side.coeffs.values()
+                   for c in a.coeffs.values())
+
+    def test_misbuilt_layer_exits_four(self, capsys, monkeypatch, cold_caches):
+        # The command trusts the proof, not the construction.  With W_0 .. W_2
+        # and the other pieces of W_3 built, a run step one index low puts
+        # y_{-3} for y_{-2} in the last layer of V_3 alone.
+        import freenil.syzygy as syzygy
+
+        for n in range(3):
+            kernel_pair_y(n)
+        syzygy._generator(-3)
+        syzygy._tail(3)
+        real = syzygy._y
+        monkeypatch.setattr(syzygy, "_y", lambda i: real(i - 1 if i == -2 else i))
+        assert main(["grouph", "verify-kernel", "--max-n", "3"]) == 4
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["data"]["invariant"] == "kernel pair 3 is not killed by the defining map"
+        monkeypatch.undo()
+        assert main(["grouph", "verify-kernel", "--max-n", "3"]) == 0
 
     def test_disagreeing_spellings_exit_four(self, capsys, monkeypatch, cold_caches):
         # The literal spelling of f is proved against the y factors once per
@@ -650,7 +703,6 @@ class TestSharedPieces:
         capsys.readouterr()
         for i in range(-10, 3):
             assert format_poly(syzygy._z(i)) == format_poly(fresh_z(i))
-            assert format_poly(syzygy._yrun(0, i)) == format_poly(fresh_yrun(0, i))
             assert format_skew(syzygy._generator(i)) == format_skew(sk(fresh_z(i)))
             fresh_x = LaurentPoly.x(i - 1) - LaurentPoly.x(i)
             assert format_poly(x_diff(i)) == format_poly(fresh_x)

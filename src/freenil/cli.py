@@ -243,11 +243,8 @@ def run_relations(args, report: Report, limits: Limits) -> None:
 
 
 def run_reduce(args, report: Report, limits: Limits) -> None:
-    tail = (
-        "".join(f" --pair {p}" for p in args.pair)
-        if args.pair
-        else f" --count {args.count} --seed {args.seed}"
-    )
+    tail = ("".join(f" --pair {p}" for p in args.pair) if args.pair
+            else f" --count {args.count} --seed {args.seed}")
     report.command = f"grouph reduce --arity {args.arity}{tail}"
     if args.arity < 2:
         raise ValueError("--arity must be >= 2")

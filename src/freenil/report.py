@@ -12,8 +12,8 @@ _ITEM = '\n    {\n      "name": %s,\n      "expected": %s,\n      "got": %s,\n  
 def _render(value, pad: str) -> str:
     """`json.dumps(value, indent=2)` with every line after the first indented
     by ``pad``.  Strings, ints, lists, tuples and str-keyed dicts are written
-    here, at C speed per string and per all-int list; any other value goes to
-    `json.dumps`, a scalar through its shared C encoder."""
+    here, at C speed per string and per all-int or all-str list; any other
+    value goes to `json.dumps`, a scalar through its shared C encoder."""
     kind = type(value)
     if kind is str:
         return _quote(value)
@@ -23,8 +23,9 @@ def _render(value, pad: str) -> str:
     if kind is list or kind is tuple:
         if not value:
             return "[]"
-        if set(map(type, value)) == {int}:
-            body = (",\n" + inner).join(map(int.__repr__, value))
+        kinds = set(map(type, value))
+        if kinds == {int} or kinds == {str}:
+            body = (",\n" + inner).join(map(_quote if kinds == {str} else int.__repr__, value))
         else:
             body = (",\n" + inner).join([_render(v, inner) for v in value])
         return f"[\n{inner}{body}\n{pad}]"

@@ -10,10 +10,10 @@ so for instance (t * x_0)(t * 1) = t^2 * x_{-1}.  This makes the ring
 associative with t a unit, and plain polynomials embed at t-degree 0.
 
 Every product goes through `dot`, which sums products term by term into
-one {monomial: coefficient} table per t-degree, then drops zeros and empty
-layers (sparse multiply-accumulate, as in Monagan and Pearce, 2009), so a
-caller needing a sum of products calls it once and builds no partial sum.
-On the packed monomials of `laurent` a term product is one int addition;
+one {monomial: coefficient} table per t-degree (sparse multiply-accumulate,
+as in Monagan and Pearce, 2009), so a caller needing a sum of products calls
+it once and builds no partial sum.  On the packed monomials of `laurent` a
+term product is one int addition.  A layer that cancels builds nothing, and
 only keys that survive, none for a proof, are checked against the bound.
 
 The module also owns the line-oriented text format for these elements
@@ -148,9 +148,9 @@ def _coerce(value: "SkewLaurent | LaurentPoly | int") -> SkewLaurent:
 
 
 def dot(pairs: Iterable[tuple[SkewLaurent, SkewLaurent]]) -> SkewLaurent:
-    """The sum of a * b over the pairs, accumulated in place (the twist shifts each
-    left monomial by -l as it meets layer t^l on the right); zeros and empty layers
-    are dropped, and only the surviving keys are checked against the bound."""
+    """The sum of a * b over the pairs, accumulated in place (the twist shifts each left
+    monomial by -l as it meets layer t^l on the right).  A layer that cancels, checked by
+    one `any`, builds nothing; the rest drop zeros, and only their keys meet the bound."""
     out: dict[int, dict[int, int]] = {}
     for a, b in pairs:
         for l, bl in b.coeffs.items():
@@ -166,8 +166,8 @@ def dot(pairs: Iterable[tuple[SkewLaurent, SkewLaurent]]) -> SkewLaurent:
                     for mb, cb in right:
                         m = ma + mb
                         layer[m] = layer.get(m, 0) + ca * cb
-    kept = {k: LaurentPoly._trusted(d) for k, layer in out.items()
-            if (d := {m: c for m, c in layer.items() if c})}
+    kept = {k: LaurentPoly._trusted({m: c for m, c in layer.items() if c})
+            for k, layer in out.items() if any(layer.values())}
     if kept:
         _check_bound([m for a in kept.values() for m in a.coeffs])
     return SkewLaurent._trusted(kept)

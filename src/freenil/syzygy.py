@@ -19,14 +19,14 @@ Two coordinate systems share the LaurentPoly and SkewLaurent types, and
   pairwise relations, the collapse witnesses and every evaluation of f or
   of sum W_i c_i are built and checked: `kernel_pair_y`,
   `pairwise_relation_y`, `defining_map_y`.  There a run y_0 ... y_{-n} is
-  one monomial, so U_n has 4 terms and V_n has O(n), one per t-degree.
-  Their pieces (z_i, the tails t^{p+1} z_1 y_0 ... y_{-p}, the layers of V_n)
-  have at most four monomials, written as sums of one-digit packed keys, and
-  are trusted only through the proofs: f(W_n) is one `skewpoly.dot` over
-  factors proved equal to f's literal spelling once per command, and each
-  sum W_i c_i one `dot` on the U side (24 term pairs for X(p, q)).  z_i and
-  the tails are shared read-only within a command; every X(p, q) ends in the
-  one object z_{-p}, so its last projection is converted once per p.
+  one monomial, so U_n has 4 terms and V_n has O(n), one per t-degree.  Only
+  the proofs multiply: f's factors, z_i, the tails t^{p+1} z_1 y_0 ... y_{-p},
+  U_n, V_n's layers and X(p, q)'s components are written from one-digit packed
+  keys as unions of disjoint t-layers, and trusted only through `skewpoly.dot`
+  proofs that must cancel: f's two spellings once per command, each f(W_n),
+  and each sum W_i c_i on the U side (24 term pairs for X(p, q)).  Pieces are
+  shared read-only in a command; every X(p, q) ends in the one object z_{-p},
+  whose last projection is converted and formatted once per p.
 * x-coordinates are the public basis: `kernel_pair`, `pairwise_relation`,
   `defining_map` and a RelationVector's `c` are in x, as exact images.
 
@@ -53,7 +53,8 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InvariantError, LimitExceeded
-from .laurent import LaurentPoly, _check_bound, clearing_unit, one_minus_x, pack, unpack, x_diff
+from .laurent import (_W, TOP_INDEX, LaurentPoly, _check_bound, clearing_unit, one_minus_x, pack,
+                      unpack, x_diff)
 from .report import CheckItem, item
 from .skewpoly import SkewLaurent, collapse_dot, dot, format_skew
 
@@ -65,10 +66,9 @@ RANDOM_SPREAD = 2  # random_relation's bound on x-indices and t-shifts
 
 # y-coordinates: the same polynomial types, with index i read as y_i.
 
-@lru_cache(maxsize=None)
 def _y(i: int) -> int:
-    """The packed key of y_i."""
-    return pack([(i, 1)])
+    """The packed key of y_i, for i <= TOP_INDEX."""
+    return 1 << _W * (TOP_INDEX - i)
 
 
 @lru_cache(maxsize=None)
@@ -79,7 +79,7 @@ def _z(i: int) -> LaurentPoly:
 
 @lru_cache(maxsize=None)
 def _generator(i: int) -> SkewLaurent:
-    """z_i at t-degree 0: U_{-i}'s first term, and the last component of X(-i, q)."""
+    """z_i at t-degree 0: the last component of every X(-i, q), one shared object."""
     return SkewLaurent.from_poly(_z(i))
 
 
@@ -132,15 +132,17 @@ def _shift_key(M: int, m: int) -> int:
 
 @lru_cache(maxsize=None)
 def _defining_factors() -> tuple[SkewLaurent, SkewLaurent]:
-    """f's left factors in y, 1 - t*y_0 and -(1 - t*y_1), proved once per
-    command (InvariantError otherwise) equal to their spelling with bare x
-    conjugates, 1 - t + t*x and -(1 - t + t^2 x t^{-1}), x = 1 - y_0."""
-    one, t, tinv = SkewLaurent.one(), SkewLaurent.t(1), SkewLaurent.t(-1)
-    x = SkewLaurent.from_poly(one_minus_x(0))
-    factors = (one - SkewLaurent.t(1, LaurentPoly.x(0)), -(one - SkewLaurent.t(1, LaurentPoly.x(1))))
-    if factors != (one - t + t * x, -(one - t + t * t * x * tinv)):
+    """f's left factors in y, 1 - t*y_0 and -(1 - t*y_1), written from packed keys, proved
+    once per command (InvariantError otherwise) equal to their spelling with bare x conjugates,
+    1 - t + t*x and -(1 - t + (t^2 x) t^{-1}), x = 1 - y_0, by one `dot` each that must cancel."""
+    t, x = SkewLaurent.t, one_minus_x(0)  # t(k, a) is t^k a
+    step = SkewLaurent({0: LaurentPoly.one(), 1: LaurentPoly.const(-1)})  # 1 - t
+    fu = SkewLaurent({0: LaurentPoly.one(), 1: LaurentPoly._trusted({_y(0): -1})})
+    fv = SkewLaurent({0: LaurentPoly.const(-1), 1: LaurentPoly._trusted({_y(1): 1})})
+    if not (dot([(fu, t(0)), (step, t(0, -1)), (t(1, -1), t(0, x))]).is_zero()
+            and dot([(fv, t(0)), (step, t(0)), (t(2, x), t(-1))]).is_zero()):
         raise InvariantError("two spellings of the defining map disagree")
-    return factors
+    return fu, fv
 
 
 def defining_map_y(U: SkewLaurent, V: SkewLaurent) -> SkewLaurent:
@@ -183,7 +185,7 @@ def kernel_pair_y(n: int) -> Pair:
         run += _y(1 - i)
     V[n + 1] = LaurentPoly._trusted({y1 + run + low: -1, y0 + run + low: 1})
     _check_bound([m for i in range(1, n + 2) for m in V[i].coeffs])
-    U, V = _generator(-n) - _tail(n), SkewLaurent._trusted(V)
+    U, V = SkewLaurent._trusted({0: _z(-n), n + 1: -_tail(n).coeffs[n + 1]}), SkewLaurent._trusted(V)
     if not defining_map_y(U, V).is_zero():
         raise InvariantError(f"kernel pair {n} is not killed by the defining map")
     return (U, V)
@@ -294,13 +296,14 @@ def pairwise_relation_y(p: int, q: int) -> Mapping[int, SkewLaurent]:
 
     Its nonzero components in y-coordinates, proved here (InvariantError
     otherwise): c_p gets -z_{-q}, c_q gets z_{-p}, and c_{q-p-1} gets the
-    twisted correction (added, since q - p - 1 may collide with p, at
-    another t-degree).  The cached map is shared, so it is read-only.
+    negated tail as a t-layer of its own (q - p - 1 may be p, whose other
+    layer is at t-degree 0).  The cached map is shared, so it is read-only.
     """
     if not 0 <= p < q:
         raise ValueError(f"need 0 <= p < q, got p={p}, q={q}")
-    c = {p: -_generator(-q), q: _generator(-p)}
-    c[q - p - 1] = c.get(q - p - 1, SkewLaurent.zero()) - _tail(p)
+    tail = {p + 1: -_tail(p).coeffs[p + 1]}  # negated key by key
+    c = {p: SkewLaurent._trusted({0: -_z(-q), **(tail if q - p - 1 == p else {})}), q: _generator(-p)}
+    c.setdefault(q - p - 1, SkewLaurent._trusted(tail))
     try:
         _check_relation_y(c.items())
     except ValueError as exc:
@@ -424,8 +427,10 @@ def _descent_summary(trace: list[RelationVector]) -> tuple[list[Complexity], boo
 
 @lru_cache(maxsize=None)
 def _projection_texts(p: int, last: SkewLaurent) -> tuple[str, str]:
-    """z_{-p} and `last`, a y component, in x as text; keyed by value, so once per component."""
-    return format_skew(SkewLaurent.from_poly(x_diff(-p))), format_skew(last.change_basis())
+    """z_{-p} and `last`, a y component, in x as text; keyed by value, so once per component.
+    `last` is formatted on its own only when its x image is not z_{-p}."""
+    want, got = SkewLaurent.from_poly(x_diff(-p)), last.change_basis()
+    return (text := format_skew(want)), text if got == want else format_skew(got)
 
 
 def last_projection_generator(p: int, n: int) -> LaurentPoly:
@@ -486,11 +491,8 @@ def reduce_pair_sum(
     steps = [f"chi=({c.alpha}, {c.beta}, {c.gamma})" for c in chis]
     if ended:
         steps.append("zero")
-    items = [
-        item("the chain reaches an end state", True, ended),
-        item("complexity strictly decreases", True, decreasing),
-    ]
-    return items, steps
+    return [item("the chain reaches an end state", True, ended),
+            item("complexity strictly decreases", True, decreasing)], steps
 
 
 def verify_reduction(arity: int, count: int, seed: int) -> list[CheckItem]:

@@ -83,6 +83,7 @@ TRACED_COMMANDS = [
 
 def test_every_counter_reads_its_target():
     from freenil import cli, syzygy, words
+    from freenil.skewpoly import SkewLaurent
 
     # As in a fresh CLI process: no product an earlier test cached is skipped.
     for name, module in list(sys.modules.items()):
@@ -98,6 +99,9 @@ def test_every_counter_reads_its_target():
             codes = [cli.main(argv) for argv in TRACED_COMMANDS]
         # Counted targets that no shipped command calls any more.
         syzygy.kernel_pair(2)
+        # `SkewLaurent.__mul__`: no command above reaches it (f's spellings
+        # are cancelling `dot`s); only `reduce` rescales with it.
+        SkewLaurent.t(1) * SkewLaurent.t(-1)
         words.prefix_extensions({("a",), ("b",)}, ("a",), 3)
     finally:
         tracer.uninstall()

@@ -12,7 +12,7 @@ import json
 
 from hypothesis import given, settings, strategies as st
 
-from freenil.report import CheckItem, Report
+from freenil.report import CheckItem, Report, _render
 
 # Quotes, backslashes, control characters, line separators, non-ASCII and
 # astral characters, mixed into arbitrary text.
@@ -71,6 +71,19 @@ def test_to_json_matches_json_dumps(command, status, items, data, timing):
 def test_to_json_matches_json_dumps_on_runner_shapes(data):
     report = Report("command", [], data, "pass", 0.25)
     assert report.to_json() == oracle(report)
+
+
+class Label(str):
+    pass
+
+
+@settings(settings.get_profile("ci"), max_examples=300)
+@given(value=st.lists(TEXT | TEXT.map(Label), min_size=1, max_size=12),
+       pad=st.sampled_from(["", "  ", "    "]))
+def test_str_lists_render_as_json_dumps(value, pad):
+    # An all-str list (the words reports) is joined in one pass; a str
+    # subclass among the items sends the list the general way.
+    assert _render(value, pad) == json.dumps(value, indent=2).replace("\n", "\n" + pad)
 
 
 def test_rendering_leaves_no_garbage():

@@ -180,6 +180,24 @@ class TestDefiningMap:
         assert got == want
 
 
+def count_skew_work(monkeypatch, skewpoly, syzygy):
+    """Record every `dot` result, and every SkewLaurent +, -, negation and product."""
+    proofs, arithmetic = [], []
+    real_dot = skewpoly.dot
+
+    def counting_dot(pairs):
+        proofs.append(real_dot(pairs))
+        return proofs[-1]
+
+    monkeypatch.setattr(skewpoly, "dot", counting_dot)
+    monkeypatch.setattr(syzygy, "dot", counting_dot)
+    for name in ("__add__", "__sub__", "__neg__", "__mul__"):
+        real = getattr(SkewLaurent, name)
+        monkeypatch.setattr(SkewLaurent, name,
+                            lambda *args, _real=real, _name=name: arithmetic.append(_name) or _real(*args))
+    return proofs, arithmetic
+
+
 class TestKernelPairs:
     def test_smallest_pair_frozen_form(self):
         U, V = kernel_pair(0)
@@ -262,6 +280,64 @@ class TestKernelPairs:
         monkeypatch.undo()
         syzygy._defining_factors.cache_clear()
         assert main(["grouph", "verify-kernel", "--max-n", "2"]) == 0
+
+    def test_factor_key_off_by_one_exits_four(self, capsys, monkeypatch, cold_caches):
+        # f's factors are written from packed keys and trusted only through
+        # the two spellings; y_{-1} for y_0 in 1 - t*y_0 stops the command.
+        import freenil.syzygy as syzygy
+
+        real = syzygy._y
+        monkeypatch.setattr(syzygy, "_y", lambda i: real(-1 if i == 0 else i))
+        assert main(["grouph", "verify-kernel", "--max-n", "2"]) == 4
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["data"]["invariant"] == "two spellings of the defining map disagree"
+        monkeypatch.undo()
+        for built in (syzygy._defining_factors, syzygy._z, syzygy._tail, kernel_pair_y):
+            built.cache_clear()
+        assert main(["grouph", "verify-kernel", "--max-n", "2"]) == 0
+
+    def test_factors_take_two_cancelling_dots_and_no_skew_arithmetic(self, monkeypatch, cold_caches):
+        import freenil.skewpoly as skewpoly
+        import freenil.syzygy as syzygy
+
+        proofs, arithmetic = count_skew_work(monkeypatch, skewpoly, syzygy)
+        fu, fv = syzygy._defining_factors()
+        assert len(proofs) == 2 and all(f.is_zero() for f in proofs)
+        assert arithmetic == []
+        one = SkewLaurent.one()
+        assert fu == one - SkewLaurent.t(1, LaurentPoly.x(0))
+        assert fv == -(one - SkewLaurent.t(1, LaurentPoly.x(1)))
+
+    def test_relations_take_one_dot_each_and_no_skew_arithmetic(self, monkeypatch, cold_caches):
+        # With the kernel pairs built, each X(p, q) is written from keys and
+        # its only product is its proof, one `dot` that cancels.
+        import freenil.skewpoly as skewpoly
+        import freenil.syzygy as syzygy
+
+        top = Limits().n
+        for n in range(top + 1):
+            kernel_pair_y(n)
+        proofs, arithmetic = count_skew_work(monkeypatch, skewpoly, syzygy)
+        relations = [pairwise_relation_y(p, q) for q in range(1, top + 1) for p in range(q)]
+        assert len(proofs) == len(relations) and all(f.is_zero() for f in proofs)
+        assert arithmetic == []
+        assert all(c for X in relations for ci in X.values() for a in ci.coeffs.values()
+                   for c in a.coeffs.values())
+
+    def test_misbuilt_relation_component_exits_four(self, capsys, monkeypatch, cold_caches):
+        # -z_{-q} one index off in X(0, 3), with W_0 .. W_3 built as they are.
+        import freenil.syzygy as syzygy
+
+        for n in range(4):
+            kernel_pair_y(n)
+        real = syzygy._z
+        monkeypatch.setattr(syzygy, "_z", lambda i: real(-4 if i == -3 else i))
+        assert main(["grouph", "relations", "--max-q", "3"]) == 4
+        payload = json.loads(capsys.readouterr().out)
+        assert "pairwise relation" in payload["data"]["invariant"]
+        monkeypatch.undo()
+        syzygy.pairwise_relation_y.cache_clear()
+        assert main(["grouph", "relations", "--max-q", "3"]) == 0
 
     def test_t_support(self):
         U, V = kernel_pair(4)
@@ -677,8 +753,10 @@ class TestReduceStep:
         assert json.loads(capsys.readouterr().out)["data"]["trace"][-1] == "zero"
         # Zipping dense tuples against the state took 1,673 calls, 1,010 of
         # them on zeros alone.  Now only the proof of the final zero state
-        # sums nothing: one empty sum.  The defining map builds its four
-        # factors once (4 calls), not once per kernel pair (4 x 14), and each
+        # sums nothing: one empty sum.  The defining map writes its two
+        # factors from packed keys once, and checks f's two literal spellings
+        # with one cancelling `dot` each (2 calls; 4 products before, 4 x 14
+        # when they were built once per kernel pair), and each
         # of the 14 kernel pairs is proved with one `dot`: its V is built
         # from its layers, and the literal spelling of f is checked on the
         # factors, not multiplied again (465 calls before, 3 per pair).  Each
@@ -686,8 +764,8 @@ class TestReduceStep:
         # built as one term, not as a product (437 calls before).  The 118
         # state calls are one per touched index.  Each of the 105 relation
         # proofs (91 pairwise relations, 14 descent states) is one `dot` on
-        # the U side, not one per side (346 calls before): 4 + 14 + 118 + 105.
-        assert len(calls) == 241
+        # the U side, not one per side (346 calls before): 2 + 14 + 118 + 105.
+        assert len(calls) == 239
         assert len(idle) == 1
 
 
@@ -876,6 +954,25 @@ class TestVerifiers:
         assert len(conversions) == q
         info = syzygy._projection_texts.cache_info()
         assert (info.misses, info.hits) == (q, q * (q + 1) // 2 - q)
+
+    def test_relations_format_each_last_projection_once(self, monkeypatch, cold_caches):
+        import freenil.syzygy as syzygy
+
+        formatted = []
+        real = syzygy.format_skew
+        monkeypatch.setattr(syzygy, "format_skew", lambda c: formatted.append(1) or real(c))
+        q = 10
+        items = verify_relations(q)
+        # one text per distinct last component z_{-p}, each both expected and got
+        assert len(formatted) == q and all(i.ok for i in items)
+
+    def test_a_last_component_off_z_reads_its_own_text(self):
+        import freenil.syzygy as syzygy
+
+        last = syzygy._generator(-3)
+        want, got = syzygy._projection_texts(2, last)
+        assert want == format_skew(sk(x_diff(-2)))
+        assert got == format_skew(last.change_basis()) != want
 
     def test_draws_are_the_randrange_stream(self):
         # collapse_certificate reads getrandbits directly; the stream, and so
